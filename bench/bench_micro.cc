@@ -8,8 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-
 #include "json/json.hh"
 #include "rtm/serialize.hh"
 #include "sim/sim.hh"
@@ -104,66 +102,6 @@ BM_EngineLockBatchSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EngineLockBatchSweep)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_ParallelEngineSingleChain(benchmark::State &state)
-{
-    // One self-rescheduling chain = cohorts of one = the parallel
-    // engine's inline fast path. Measures the coordination overhead the
-    // parallel loop adds over SerialEngine when there is nothing to
-    // parallelize (compare against BM_EngineThroughputSingleThread).
-    sim::ParallelEngine eng(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        std::uint64_t count = 0;
-        std::function<void()> chain = [&]() {
-            if (++count < 10000)
-                eng.scheduleAt(eng.now() + 1, kChainName, chain);
-        };
-        eng.scheduleAt(eng.now() + 1, kChainName, chain);
-        eng.run();
-        benchmark::DoNotOptimize(count);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_ParallelEngineSingleChain)->Arg(1)->Arg(4);
-
-void
-BM_ParallelEngineCohortFanout(benchmark::State &state)
-{
-    // Eight co-timed chains (eight partitions per step) dispatched over
-    // a varying worker count. On a multi-core host this is the speedup
-    // scenario; on one core it bounds the partition/dispatch cost.
-    const int workers = static_cast<int>(state.range(0));
-    constexpr int kChains = 8;
-    constexpr int kFires = 500;
-    sim::ParallelEngine eng(workers);
-    for (auto _ : state) {
-        std::atomic<std::uint64_t> done{0};
-        std::vector<std::function<void()>> chains(kChains);
-        sim::VTime start = eng.now() + 1;
-        for (int i = 0; i < kChains; i++) {
-            auto *fired = new int(0);
-            chains[static_cast<std::size_t>(i)] = [&, fired, i]() {
-                volatile std::uint64_t h = 0;
-                for (int j = 0; j < 200; j++)
-                    h = h * 31 + static_cast<std::uint64_t>(j);
-                if (++*fired < kFires) {
-                    eng.scheduleAt(eng.now() + 1, kChainName,
-                                   chains[static_cast<std::size_t>(i)]);
-                } else {
-                    done++;
-                    delete fired;
-                }
-            };
-            eng.scheduleAt(start, kChainName,
-                           chains[static_cast<std::size_t>(i)]);
-        }
-        eng.run();
-        benchmark::DoNotOptimize(done);
-    }
-    state.SetItemsProcessed(state.iterations() * kChains * kFires);
-}
-BENCHMARK(BM_ParallelEngineCohortFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 namespace
 {

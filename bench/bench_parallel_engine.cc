@@ -1,7 +1,7 @@
 /**
  * @file
- * Head-to-head engine benchmark: SerialEngine vs ParallelEngine vs
- * DomainEngine, swept over 1/2/4/8 workers (or domains). Scenarios:
+ * Head-to-head engine benchmark: SerialEngine vs DomainEngine, swept
+ * over 1/2/4/8 domains. Scenarios:
  *
  *   - compute: K co-timed handler chains each burning deterministic
  *     CPU work per event. Parallel speedup here requires real cores;
@@ -16,9 +16,8 @@
  *     long-latency connections (500 ns wires, 1 GHz cores), spinning
  *     per forwarded message. The latency/period ratio gives the
  *     conservative engine a 500-cycle safe window per boundary: the
- *     per-tick-barrier parallel engine synchronizes every cycle, the
- *     domain engine once per 500. This is the lookahead case the
- *     domain engine exists for.
+ *     domain engine synchronizes once per 500 cycles. This is the
+ *     lookahead case the domain engine exists for.
  *   - mailbox_storm: all-to-all small-message traffic — every node
  *     sends a burst to every other node each round and starts the next
  *     round when the previous one fully arrived. No spin work: the
@@ -118,22 +117,15 @@ struct Scenario
 enum class Kind
 {
     Serial,
-    Parallel,
     Domain
 };
 
 std::unique_ptr<sim::Engine>
 makeEngine(Kind kind, int width)
 {
-    switch (kind) {
-    case Kind::Serial:
+    if (kind == Kind::Serial)
         return std::make_unique<sim::SerialEngine>();
-    case Kind::Parallel:
-        return std::make_unique<sim::ParallelEngine>(width);
-    case Kind::Domain:
-    default:
-        return std::make_unique<sim::DomainEngine>(width);
-    }
+    return std::make_unique<sim::DomainEngine>(width);
 }
 
 double
@@ -534,21 +526,16 @@ main(int argc, char **argv)
         row.set("events", sc.chains * sc.fires);
         row.set("serial_sec", serial);
         double best = serial;
-        for (Kind kind : {Kind::Parallel, Kind::Domain}) {
-            const char *label =
-                kind == Kind::Parallel ? "parallel_sec" : "domain_sec";
-            json::Json cells = json::Json::object();
-            for (int w : sweep) {
-                std::fprintf(stderr, "%s: %s %d...\n", sc.name, label,
-                             w);
-                double t = minOfRuns(runs, [&]() {
-                    return runChains(kind, w, sc);
-                });
-                cells.set(std::to_string(w), t);
-                best = std::min(best, t);
-            }
-            row.set(label, std::move(cells));
+        json::Json cells = json::Json::object();
+        for (int w : sweep) {
+            std::fprintf(stderr, "%s: domain %d...\n", sc.name, w);
+            double t = minOfRuns(runs, [&]() {
+                return runChains(Kind::Domain, w, sc);
+            });
+            cells.set(std::to_string(w), t);
+            best = std::min(best, t);
         }
+        row.set("domain_sec", std::move(cells));
         row.set("best_speedup", serial / best);
         byScenario.set(sc.name, std::move(row));
     }
@@ -563,26 +550,18 @@ main(int argc, char **argv)
         row.set("wire_latency_ps",
                 static_cast<std::int64_t>(ring.wireLatency));
         row.set("serial_sec", serial);
-        double best = serial;
         double bestDomain = 1e18;
-        for (Kind kind : {Kind::Parallel, Kind::Domain}) {
-            const char *label =
-                kind == Kind::Parallel ? "parallel_sec" : "domain_sec";
-            json::Json cells = json::Json::object();
-            for (int w : sweep) {
-                std::fprintf(stderr, "%s: %s %d...\n", ring.name,
-                             label, w);
-                double t = minOfRuns(runs, [&]() {
-                    return runRing(kind, w, ring);
-                });
-                cells.set(std::to_string(w), t);
-                best = std::min(best, t);
-                if (kind == Kind::Domain)
-                    bestDomain = std::min(bestDomain, t);
-            }
-            row.set(label, std::move(cells));
+        json::Json cells = json::Json::object();
+        for (int w : sweep) {
+            std::fprintf(stderr, "%s: domain %d...\n", ring.name, w);
+            double t = minOfRuns(runs, [&]() {
+                return runRing(Kind::Domain, w, ring);
+            });
+            cells.set(std::to_string(w), t);
+            bestDomain = std::min(bestDomain, t);
         }
-        row.set("best_speedup", serial / best);
+        row.set("domain_sec", std::move(cells));
+        row.set("best_speedup", serial / std::min(serial, bestDomain));
         row.set("domain_best_speedup", serial / bestDomain);
         byScenario.set(ring.name, std::move(row));
     }
@@ -602,33 +581,25 @@ main(int argc, char **argv)
         row.set("wire_latency_ps",
                 static_cast<std::int64_t>(storm.wireLatency));
         row.set("serial_sec", serial);
-        double best = serial;
         double bestDomain = 1e18;
         std::uint64_t fast = 0, slow = 0;
-        for (Kind kind : {Kind::Parallel, Kind::Domain}) {
-            const char *label =
-                kind == Kind::Parallel ? "parallel_sec" : "domain_sec";
-            json::Json cells = json::Json::object();
-            for (int w : sweep) {
-                std::fprintf(stderr, "%s: %s %d...\n", storm.name,
-                             label, w);
-                double t = 1e18;
-                for (int r = 0; r < runs; r++) {
-                    StormResult sr = runStorm(kind, w, storm);
-                    t = std::min(t, sr.sec);
-                    if (kind == Kind::Domain && w == 8) {
-                        fast = sr.mailFast;
-                        slow = sr.mailSlow;
-                    }
+        json::Json cells = json::Json::object();
+        for (int w : sweep) {
+            std::fprintf(stderr, "%s: domain %d...\n", storm.name, w);
+            double t = 1e18;
+            for (int r = 0; r < runs; r++) {
+                StormResult sr = runStorm(Kind::Domain, w, storm);
+                t = std::min(t, sr.sec);
+                if (w == 8) {
+                    fast = sr.mailFast;
+                    slow = sr.mailSlow;
                 }
-                cells.set(std::to_string(w), t);
-                best = std::min(best, t);
-                if (kind == Kind::Domain)
-                    bestDomain = std::min(bestDomain, t);
             }
-            row.set(label, std::move(cells));
+            cells.set(std::to_string(w), t);
+            bestDomain = std::min(bestDomain, t);
         }
-        row.set("best_speedup", serial / best);
+        row.set("domain_sec", std::move(cells));
+        row.set("best_speedup", serial / std::min(serial, bestDomain));
         row.set("domain_best_speedup", serial / bestDomain);
         row.set("mailbox_fast_at_8",
                 static_cast<std::int64_t>(fast));
@@ -659,14 +630,6 @@ main(int argc, char **argv)
             return runHotspot(Kind::Serial, 1, false, hs).sec;
         });
         row.set("serial_sec", serial);
-
-        std::fprintf(stderr, "%s: parallel %d...\n", hs.name,
-                     hs.domains);
-        row.set("parallel_sec", minOfRuns(runs, [&]() {
-                    return runHotspot(Kind::Parallel, hs.domains, false,
-                                      hs)
-                        .sec;
-                }));
 
         // Event-count imbalance is deterministic per cell (the cost
         // model counts events, not wall time), so take it from a

@@ -23,8 +23,8 @@ namespace bench
 {
 
 /** @{ Remembered argv so platform factories deep inside a harness can
- * honor --engine=serial|parallel and --workers=N (the AKITA_ENGINE /
- * AKITA_WORKERS env vars work too; flags win). Call parseCli() first
+ * honor --engine=serial|domain and --domains=N (the AKITA_ENGINE /
+ * AKITA_DOMAINS env vars work too; flags win). Call parseCli() first
  * thing in main(). */
 inline int &
 cliArgc()
@@ -76,8 +76,8 @@ inline std::unique_ptr<sim::Engine>
 makeEngine()
 {
     gpu::PlatformConfig cfg = applyEngine(gpu::PlatformConfig{});
-    if (cfg.engineKind == gpu::EngineKind::Parallel)
-        return std::make_unique<sim::ParallelEngine>(cfg.workers);
+    if (cfg.engineKind == gpu::EngineKind::Domain)
+        return std::make_unique<sim::DomainEngine>(cfg.domains);
     return std::make_unique<sim::SerialEngine>();
 }
 

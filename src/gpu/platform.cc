@@ -1,6 +1,7 @@
 #include "gpu/platform.hh"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace akita
 {
@@ -65,9 +66,7 @@ PlatformConfig::mcm4(const GpuConfig &chip)
 
 Platform::Platform(const PlatformConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.engineKind == EngineKind::Parallel) {
-        engine_ = std::make_unique<sim::ParallelEngine>(cfg_.workers);
-    } else if (cfg_.engineKind == EngineKind::Domain) {
+    if (cfg_.engineKind == EngineKind::Domain) {
         auto de = std::make_unique<sim::DomainEngine>(cfg_.domains);
         de->setRepartition(cfg_.repartition);
         de->setCostModel(cfg_.repartitionTime
@@ -375,12 +374,13 @@ namespace
 void
 applyEngineChoice(PlatformConfig &cfg, const std::string &kind)
 {
-    if (kind == "parallel")
-        cfg.engineKind = EngineKind::Parallel;
-    else if (kind == "domain")
+    if (kind == "domain")
         cfg.engineKind = EngineKind::Domain;
     else if (kind == "serial")
         cfg.engineKind = EngineKind::Serial;
+    else
+        throw std::invalid_argument("unknown engine '" + kind +
+                                    "' (expected serial|domain)");
 }
 
 void
@@ -405,8 +405,6 @@ applyEngineEnv(PlatformConfig &cfg)
 {
     if (const char *e = std::getenv("AKITA_ENGINE"))
         applyEngineChoice(cfg, e);
-    if (const char *w = std::getenv("AKITA_WORKERS"))
-        cfg.workers = std::atoi(w);
     if (const char *d = std::getenv("AKITA_DOMAINS"))
         cfg.domains = std::atoi(d);
     if (const char *r = std::getenv("AKITA_REPARTITION"))
@@ -442,8 +440,6 @@ applyEngineArgs(PlatformConfig &cfg, int argc, char **argv)
         std::string arg = argv[i];
         if (arg.rfind("--engine=", 0) == 0)
             applyEngineChoice(cfg, arg.substr(9));
-        else if (arg.rfind("--workers=", 0) == 0)
-            cfg.workers = std::atoi(arg.c_str() + 10);
         else if (arg.rfind("--domains=", 0) == 0)
             cfg.domains = std::atoi(arg.c_str() + 10);
         else if (arg.rfind("--repartition=", 0) == 0)

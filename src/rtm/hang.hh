@@ -36,7 +36,7 @@ struct HangStatus
     bool queueDrained = false;
 };
 
-/** Watches an engine (serial or parallel) for the hang signature. */
+/** Watches an engine (serial or domain) for the hang signature. */
 class HangWatch
 {
   public:

@@ -109,9 +109,9 @@ class Connection
  * when no space remains, send returns Busy and the sending component is
  * woken once space frees.
  *
- * Internally synchronized: under the parallel engine, sends from many
- * component handlers and co-timed delivery events race on the
- * reservation table. The mutex is held across the delivery push so the
+ * Internally synchronized: under the domain engine, senders in one
+ * domain and delivery events in another race on the reservation
+ * table. The mutex is held across the delivery push so the
  * invariant size+reserved <= capacity can never be violated by a send
  * that sneaks between the reservation release and the buffer push.
  */

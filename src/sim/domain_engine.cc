@@ -591,6 +591,21 @@ DomainEngine::enqueueRemote(Dom &d, EventPtr ev, bool counted,
 
 // ---- Time ----
 
+std::size_t
+DomainEngine::queueLength() const
+{
+    // pending_ settles once per batch, so from a handler it still
+    // counts the caller's own executed batch; subtract it so handlers
+    // see what the serial engine reports (the current event excluded).
+    std::uint64_t n = pending_.load(std::memory_order_relaxed);
+    if (tlsDom.eng == this && tlsDom.dom != nullptr) {
+        std::uint64_t own =
+            static_cast<const Dom *>(tlsDom.dom)->inFlight;
+        n = n > own ? n - own : 0;
+    }
+    return static_cast<std::size_t>(n);
+}
+
 VTime
 DomainEngine::now() const
 {
@@ -833,6 +848,7 @@ DomainEngine::executeBatch(Dom &d, VTime bound)
         d.qlen.store(d.queue.size(), std::memory_order_relaxed);
         totalEvents_.fetch_add(static_cast<std::uint64_t>(done),
                                std::memory_order_relaxed);
+        d.inFlight = 0;
         if (pending_.fetch_sub(done, std::memory_order_acq_rel) ==
             done) {
             // Possibly globally drained: wake the drain detectors and
@@ -856,6 +872,7 @@ DomainEngine::executeBatch(Dom &d, VTime bound)
             d.clock.store(t, std::memory_order_release);
         EventPtr ev = d.queue.pop();
         last = t;
+        d.inFlight = static_cast<std::uint64_t>(done) + 1;
         try {
             executeEvent(d, *ev);
         } catch (...) {

@@ -166,12 +166,7 @@ class DomainEngine : public Engine
         return drainedWaiting_.load(std::memory_order_relaxed);
     }
 
-    std::size_t
-    queueLength() const override
-    {
-        return static_cast<std::size_t>(
-            pending_.load(std::memory_order_relaxed));
-    }
+    std::size_t queueLength() const override;
 
     void withLock(const std::function<void()> &fn) const override;
 
@@ -463,6 +458,9 @@ class DomainEngine : public Engine
         /** Time of the last executed event (handlers' now()). */
         std::atomic<VTime> clock{0};
         std::atomic<std::uint64_t> events{0};
+        /** Events of the running batch not yet settled into pending_,
+         * the executing one included (worker-only). */
+        std::uint64_t inFlight = 0;
         /** Events scheduled by this worker (single-writer: load+store
          * instead of a locked RMW on a shared engine counter). */
         std::atomic<std::uint64_t> sched{0};

@@ -137,8 +137,8 @@ SerialEngine::executeEvent(Event &event)
     // Single-writer counter (only the sim thread executes events in
     // the serial engine): a load+store pair compiles to plain MOVs,
     // unlike fetch_add's lock-prefixed RMW, and stays readable from
-    // monitor threads. The parallel engine keeps the real RMW because
-    // its workers share the counter.
+    // monitor threads. The domain engine's workers share their counter
+    // and settle it with a real RMW once per batch instead.
     totalEvents_.store(
         totalEvents_.load(std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);

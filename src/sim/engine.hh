@@ -38,7 +38,7 @@ enum class RunResult
  * Abstract engine interface (mirrors Akita's Engine).
  *
  * RTM's registerEngine accepts this interface, so alternative engines
- * (e.g. the parallel engine) reuse the monitor unchanged. Beyond the
+ * (e.g. the domain engine) reuse the monitor unchanged. Beyond the
  * core schedule/run surface, the interface carries the *monitor
  * contract*: concurrent-access mode, pause/resume, wait-when-empty,
  * drained-waiting (the hang signature), and withLock — the consistent
@@ -133,7 +133,7 @@ class Engine : public Hookable, public introspect::Inspectable
     // construction (and retract at destruction). Engines that partition
     // the simulation graph — the domain engine derives its domains and
     // lookahead windows from exactly this information — override these;
-    // the serial and cohort engines ignore them. Called with the object
+    // the serial engine ignores them. Called with the object
     // under construction: implementations must only record the pointer,
     // never call virtuals on it.
 

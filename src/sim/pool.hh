@@ -12,8 +12,8 @@
  *  - Allocation is a thread-local freelist pop (or bump-pointer carve on
  *    a cold path); no lock, no atomic RMW.
  *  - A free from the owning thread is a freelist push.
- *  - A free from *another* thread (the parallel engine's coordinator
- *    releasing events its workers allocated, or a message dropping its
+ *  - A free from *another* thread (a domain-engine worker executing an
+ *    event another domain's worker allocated, or a message dropping its
  *    last reference on a different worker) pushes the block onto the
  *    owner's lock-free return stack (Treiber stack, release push /
  *    acquire drain-all), which the owner drains when a freelist runs

@@ -17,7 +17,7 @@
  * Collection is per-thread: each thread aggregates into its own table
  * (guarded by an uncontended per-thread mutex), and snapshot() merges
  * the tables. This keeps the hot path contention-free under the
- * parallel engine, where event handlers profile concurrently from many
+ * domain engine, where event handlers profile concurrently from many
  * workers.
  *
  * When disabled (the default), entering a scope costs a single relaxed

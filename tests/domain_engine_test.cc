@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "gpu/platform.hh"
@@ -85,7 +87,10 @@ class ChainHandler : public EventHandler
     std::vector<VTime> times_;
 };
 
-/** The deterministic multi-handler workload from the parallel tests. */
+/**
+ * A deterministic multi-handler workload: several chains with clashing
+ * periods so many events share timestamps.
+ */
 std::vector<std::unique_ptr<ChainHandler>>
 buildScenario(Engine &eng)
 {
@@ -113,6 +118,22 @@ normalize(const std::vector<std::pair<VTime, EventHandler *>> &trace,
         out.emplace_back(rec.first, ids.at(rec.second));
     return out;
 }
+
+/** Runs a callback per event; unlike FuncEvent, assignable to a domain. */
+class CallbackHandler : public EventHandler
+{
+  public:
+    explicit CallbackHandler(std::function<void()> fn) : fn_(std::move(fn))
+    {
+    }
+
+    void handle(Event &) override { fn_(); }
+
+    std::string handlerName() const override { return "Callback"; }
+
+  private:
+    std::function<void()> fn_;
+};
 
 class TestMsg : public Msg
 {
@@ -280,6 +301,53 @@ TEST(DomainEngineCore, OneDomainMatchesSerialEngineOrderExactly)
     EXPECT_EQ(a, b) << "1-domain order diverged from serial";
     EXPECT_EQ(dom.eventCount(), serial.eventCount());
     EXPECT_EQ(dom.now(), serial.now());
+}
+
+TEST(DomainEngineCore, SecondaryObservesAllCoTimedPrimaries)
+{
+    // The phase order within a domain: a secondary event at time T runs
+    // only after every primary at T completed, while a second domain's
+    // worker runs alongside.
+    DomainEngine eng(2);
+    std::atomic<int> primaries{0};
+    int observed = -1;
+    CallbackHandler primary([&primaries]() { primaries++; });
+    CallbackHandler secondary(
+        [&observed, &primaries]() { observed = primaries.load(); });
+    ChainHandler other(&eng, 0, 1, 200);
+    eng.assignHandler(&primary, 1);
+    eng.assignHandler(&secondary, 1);
+    eng.assignHandler(&other, 0);
+    for (int i = 0; i < 8; i++)
+        eng.schedule(std::make_unique<Event>(100, &primary));
+    eng.schedule(std::make_unique<Event>(100, &secondary, true));
+    eng.schedule(std::make_unique<Event>(0, &other));
+    EXPECT_EQ(eng.run(), RunResult::Drained);
+    EXPECT_EQ(eng.numDomains(), 2);
+    EXPECT_EQ(observed, 8);
+    EXPECT_EQ(other.fired(), 200);
+}
+
+TEST(DomainEngineCore, QueueLengthFromHandlerMatchesSerialEngine)
+{
+    // A handler's queueLength() excludes itself and the already
+    // executed events of its batch, as on the serial engine — the
+    // "probe while other work remains" idiom must terminate.
+    auto lengths = [](Engine &eng) {
+        std::vector<std::size_t> seen;
+        for (VTime t : {10u, 20u, 30u}) {
+            eng.scheduleAt(t, "len",
+                           [&]() { seen.push_back(eng.queueLength()); });
+        }
+        EXPECT_EQ(eng.run(), RunResult::Drained);
+        EXPECT_EQ(eng.queueLength(), 0u);
+        return seen;
+    };
+    SerialEngine serial;
+    DomainEngine dom(2);
+    const std::vector<std::size_t> expected{2, 1, 0};
+    EXPECT_EQ(lengths(serial), expected);
+    EXPECT_EQ(lengths(dom), expected);
 }
 
 TEST(DomainEngineCore, HandlersScheduleMoreEvents)
@@ -641,6 +709,21 @@ TEST(DomainEngineRtm, ApplyEngineArgsParsesFlags)
     gpu::applyEngineArgs(cfg, 3, const_cast<char **>(argvConst));
     EXPECT_EQ(cfg.engineKind, gpu::EngineKind::Domain);
     EXPECT_EQ(cfg.domains, 3);
+
+    // Unknown engine names are rejected, not silently run serial.
+    const char *argvParallel[] = {"prog", "--engine=parallel"};
+    try {
+        gpu::applyEngineArgs(cfg, 2, const_cast<char **>(argvParallel));
+        ADD_FAILURE() << "--engine=parallel was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("parallel"),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("serial|domain"),
+                  std::string::npos);
+    }
+    ::setenv("AKITA_ENGINE", "bogus", 1);
+    EXPECT_THROW(gpu::applyEngineEnv(cfg), std::invalid_argument);
+    ::unsetenv("AKITA_ENGINE");
 }
 
 TEST(DomainEngineRtm, PlatformRunMatchesSerialCompletion)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Hang root-cause tests: the wait-for-graph analyzer on the paper's L2
- * write-buffer deadlock (case study 2), HangWatch under the parallel
+ * write-buffer deadlock (case study 2), HangWatch under the domain
  * engine, and the live /api/v1/hang + /api/v1/recorder endpoints with
  * their no-stale-verdict cache behavior.
  */
@@ -231,7 +231,7 @@ TEST(WaitFor, ReportSerializesToJson)
 }
 
 // ---------------------------------------------------------------------
-// HangWatch + analyzer on a full platform, parallel engine included
+// HangWatch + analyzer on a full platform, domain engine included
 // ---------------------------------------------------------------------
 
 namespace
@@ -243,7 +243,7 @@ deadlockPlatformConfig(gpu::EngineKind kind)
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
     cfg.engineKind = kind;
-    cfg.workers = 2;
+    cfg.domains = 2;
     cfg.legacyL2Deadlock = true;
     cfg.gpu.l2.numSets = 1;
     cfg.gpu.l2.ways = 4;
@@ -325,9 +325,9 @@ struct HangRig
 
 } // namespace
 
-TEST(HangWatch, ParallelEngineDeadlockAnalyzed)
+TEST(HangWatch, DomainEngineDeadlockAnalyzed)
 {
-    HangRig rig(gpu::EngineKind::Parallel);
+    HangRig rig(gpu::EngineKind::Domain);
     rig.run();
     ASSERT_TRUE(rig.waitForHang()) << "HangWatch did not fire";
 

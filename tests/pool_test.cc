@@ -50,27 +50,44 @@ class BetaMsg : public Msg
     const char *kind() const override { return "Beta"; }
 };
 
-/** A handler that re-schedules itself, so workers allocate events. */
-class PingHandler : public EventHandler
+/**
+ * Ticking endpoint: sends @p to_send fresh messages to its target, one
+ * per tick, and drops whatever it receives.
+ */
+class PingNode : public TickingComponent
 {
   public:
-    PingHandler(Engine *eng, VTime period, int count)
-        : eng_(eng), period_(period), remaining_(count)
+    PingNode(Engine *engine, const std::string &name, int to_send)
+        : TickingComponent(engine, name, Freq::ghz(1)), toSend_(to_send)
     {
+        port = addPort("Port", 4);
     }
 
-    void
-    handle(Event &e) override
+    bool
+    tick() override
     {
-        if (--remaining_ > 0)
-            eng_->schedule(
-                std::make_unique<Event>(e.time() + period_, this));
+        bool progress = false;
+        if (toSend_ > 0) {
+            MsgPtr m = makeMsg<BetaMsg>();
+            m->dst = target;
+            if (port->send(m) == SendStatus::Ok) {
+                toSend_--;
+                progress = true;
+            }
+        }
+        while (port->retrieveIncoming() != nullptr) {
+            received++;
+            progress = true;
+        }
+        return progress;
     }
+
+    Port *port = nullptr;
+    Port *target = nullptr;
+    int received = 0;
 
   private:
-    Engine *eng_;
-    VTime period_;
-    int remaining_;
+    int toSend_;
 };
 
 } // namespace
@@ -160,20 +177,24 @@ TEST(Pool, CrossThreadFreeTakesRemotePath)
         poolFree(q);
 }
 
-TEST(Pool, ParallelEngineFreesWorkerAllocationsRemotely)
+TEST(Pool, DomainEngineFreesCrossDomainAllocationsRemotely)
 {
-    // Handlers run on worker threads and re-schedule there, so events
-    // are allocated on workers; the coordinator clears each executed
-    // cohort, which frees those events cross-thread.
+    // A and B are pinned to different domains. A's worker allocates
+    // each message and its delivery event; B's worker executes the
+    // delivery and drops the message, so both are freed on a thread
+    // that does not own them.
     PoolStats before = poolStats();
-    ParallelEngine eng(2);
-    std::vector<std::unique_ptr<PingHandler>> handlers;
-    for (int i = 0; i < 4; i++) {
-        handlers.push_back(
-            std::make_unique<PingHandler>(&eng, i + 1, 200));
-        eng.schedule(std::make_unique<Event>(0, handlers.back().get()));
-    }
+    DomainEngine eng(2);
+    PingNode a(&eng, "A", 200), b(&eng, "B", 0);
+    DirectConnection conn(&eng, "Conn", 5 * kNanosecond);
+    conn.plugIn(a.port);
+    conn.plugIn(b.port);
+    eng.pinComponent(&a, 0);
+    eng.pinComponent(&b, 1);
+    a.target = b.port;
+    a.tickLater();
     EXPECT_EQ(eng.run(), RunResult::Drained);
+    EXPECT_EQ(b.received, 200);
     PoolStats after = poolStats();
     EXPECT_GT(after.allocs, before.allocs);
     EXPECT_GT(after.remoteFrees, before.remoteFrees);

@@ -149,7 +149,7 @@ TEST_F(ProfilerTest, WallTimeAdvances)
 
 TEST_F(ProfilerTest, MergesPerThreadTables)
 {
-    // Parallel-engine workers profile concurrently into thread-local
+    // Domain-engine workers profile concurrently into thread-local
     // tables; a snapshot must merge every thread's calls for the same
     // name into one entry.
     constexpr int kThreads = 4;

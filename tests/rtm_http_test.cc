@@ -61,7 +61,7 @@ struct LiveRig
         EXPECT_TRUE(mon.startServer());
     }
 
-    /** AKITA_ENGINE/AKITA_WORKERS select the engine (CI TSan job). */
+    /** AKITA_ENGINE/AKITA_DOMAINS select the engine (CI TSan job). */
     static gpu::PlatformConfig
     withEngineEnv(gpu::PlatformConfig cfg)
     {
