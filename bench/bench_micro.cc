@@ -575,6 +575,30 @@ BM_PortSendDeliver(benchmark::State &state)
 }
 BENCHMARK(BM_PortSendDeliver);
 
+void
+BM_PortSendBusy(benchmark::State &state)
+{
+    // A send rejected by a full port whose sender is already registered
+    // for a wake: the common case on the GPU platform, where most sends
+    // are retries against a full buffer.
+    sim::SerialEngine eng;
+    sim::Component a(&eng, "A"), b(&eng, "B");
+    sim::Port *out = a.addPort("Out", 1);
+    sim::Port *in = b.addPort("In", 1);
+    sim::DirectConnection conn(&eng, "Conn", 1);
+    conn.plugIn(out);
+    conn.plugIn(in);
+    auto fill = sim::makeMsg<sim::Msg>();
+    fill->dst = in;
+    out->send(fill);
+    auto msg = sim::makeMsg<sim::Msg>();
+    msg->dst = in;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(out->send(msg));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PortSendBusy);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -34,6 +34,19 @@ class Counter
         v_.fetch_add(n, std::memory_order_relaxed);
     }
 
+    /**
+     * inc() for a counter only one thread ever writes (a port's or a
+     * buffer's, written by its owner's worker): a load+store pair
+     * compiles to plain MOVs instead of a locked RMW, and readers on
+     * other threads still see whole values.
+     */
+    void
+    incOwned(std::uint64_t n = 1)
+    {
+        v_.store(v_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+    }
+
     std::uint64_t
     value() const
     {

@@ -26,15 +26,14 @@ namespace net
  * Models each destination's ingress link as a serialized resource with
  * finite bandwidth: message delivery occupies the link for
  * size/bandwidth time, plus a fixed propagation latency. Destination
- * buffer space is reserved at send time (like DirectConnection), so a
- * congested receiver backpressures senders — the "slow network" whose
- * effect case study 1 observes as ~1000 transactions piling up in the
- * RDMA engine.
+ * buffer space is claimed at send time (Port::claimSlot, like
+ * DirectConnection), so a congested receiver backpressures senders —
+ * the "slow network" whose effect case study 1 observes as ~1000
+ * transactions piling up in the RDMA engine.
  *
- * Internally synchronized like DirectConnection: link occupancy,
- * reservations, and traffic totals sit behind one mutex so co-timed
- * sends and deliveries from different domain-engine workers stay
- * consistent.
+ * The ingress links and the traffic totals are shared by senders in
+ * every domain, so a successful send books them under one mutex.
+ * Rejected sends and deliveries take no lock.
  */
 class SwitchedNetwork : public sim::Connection,
                         public sim::EventHandler,
@@ -63,9 +62,7 @@ class SwitchedNetwork : public sim::Connection,
     }
 
     void plugIn(sim::Port *port) override;
-    sim::SendStatus send(sim::MsgPtr msg) override;
-    void notifyAvailable(sim::Port *dst) override;
-    std::vector<BlockedSender> blockedSnapshot() const override;
+    sim::SendStatus send(const sim::MsgPtr &msg) override;
 
     sim::VTime minLatency() const override { return cfg_.latency; }
 
@@ -76,14 +73,6 @@ class SwitchedNetwork : public sim::Connection,
 
     std::string handlerName() const override { return deliverName_.str(); }
 
-    /** Messages in flight across the network. */
-    std::size_t
-    inFlight() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return inFlightTotal_;
-    }
-
     /** Total bytes ever transferred. */
     std::uint64_t
     totalBytes() const
@@ -93,8 +82,6 @@ class SwitchedNetwork : public sim::Connection,
     }
 
   private:
-    void deliver(sim::MsgPtr msg);
-
     sim::Engine *engine_;
     std::string name_;
     /** Interned "<name>::deliver" profiler label. */
@@ -103,20 +90,11 @@ class SwitchedNetwork : public sim::Connection,
     /** Picoseconds to serialize one byte onto a link. */
     double psPerByte_;
 
-    /**
-     * Guards linkFreeAt_, pending_, blockedSenders_, and the totals.
-     * Lock order: network -> buffer; wake() runs after release.
-     */
-    mutable std::mutex mu_;
     std::vector<sim::Port *> ports_;
+    /** Guards linkFreeAt_ and the totals. Leaf lock. */
+    mutable std::mutex mu_;
     /** Earliest time each destination's ingress link is free. */
     std::map<sim::Port *, sim::VTime> linkFreeAt_;
-    /** Space reserved at each destination by in-flight messages. */
-    std::map<sim::Port *, std::size_t> pending_;
-    /** Insertion-ordered for deterministic wake order. */
-    std::map<sim::Port *, std::vector<sim::Component *>> blockedSenders_;
-
-    std::size_t inFlightTotal_ = 0;
     std::uint64_t totalBytes_ = 0;
     std::uint64_t totalMsgs_ = 0;
 };

@@ -74,17 +74,13 @@ serializeComponent(const sim::Component &component)
 
     json::Json buffers = json::Json::array();
     for (const sim::Buffer *b : component.buffers()) {
-        // One consistent copy under the buffer lock: size and the
-        // head-of-queue kind come from the same instant even while
-        // delivery events mutate the buffer concurrently.
-        std::vector<sim::MsgPtr> msgs = b->snapshot();
+        sim::MsgPtr head = b->peek();
         json::Json bj = json::Json::object();
         bj.set("name", b->name());
-        bj.set("size", static_cast<std::int64_t>(msgs.size()));
+        bj.set("size", static_cast<std::int64_t>(b->size()));
         bj.set("capacity", static_cast<std::int64_t>(b->capacity()));
         bj.set("head_kind",
-               msgs.empty() ? std::string()
-                            : std::string(msgs.front()->kind()));
+               head == nullptr ? std::string() : std::string(head->kind()));
         buffers.push(std::move(bj));
     }
     obj.set("buffers", std::move(buffers));
@@ -273,14 +269,13 @@ writeComponent(json::Writer &w, const sim::Component &component)
 
     w.key("buffers").beginArray();
     for (const sim::Buffer *b : component.buffers()) {
-        std::vector<sim::MsgPtr> msgs = b->snapshot();
+        sim::MsgPtr head = b->peek();
         w.beginObject();
         w.field("name", b->name());
-        w.field("size", static_cast<std::int64_t>(msgs.size()));
+        w.field("size", static_cast<std::int64_t>(b->size()));
         w.field("capacity", static_cast<std::int64_t>(b->capacity()));
         w.field("head_kind",
-                msgs.empty() ? std::string()
-                             : std::string(msgs.front()->kind()));
+                head == nullptr ? std::string() : std::string(head->kind()));
         w.endObject();
     }
     w.endArray();

@@ -30,13 +30,12 @@ Buffer::Buffer(std::string name, std::size_t capacity)
 void
 Buffer::push(MsgPtr msg)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     if (q_.size() >= capacity_) {
         throw std::runtime_error("buffer overflow on " + name_ +
                                  ": push on a full buffer");
     }
     q_.push_back(std::move(msg));
-    totalPushed_.inc();
+    totalPushed_.incOwned();
     occupancy_.set(static_cast<double>(q_.size()));
     if (q_.size() > peakSize_)
         peakSize_ = q_.size();
@@ -45,7 +44,6 @@ Buffer::push(MsgPtr msg)
 MsgPtr
 Buffer::popMatching(const std::function<bool(const Msg &)> &pred)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     for (auto it = q_.begin(); it != q_.end(); ++it) {
         if (pred(**it)) {
             MsgPtr m = std::move(*it);
@@ -60,7 +58,6 @@ Buffer::popMatching(const std::function<bool(const Msg &)> &pred)
 MsgPtr
 Buffer::pop()
 {
-    std::lock_guard<std::mutex> lk(mu_);
     if (q_.empty())
         return nullptr;
     MsgPtr m = std::move(q_.front());

@@ -73,23 +73,14 @@ void
 TickingComponent::scheduleTickAt(VTime t)
 {
     VTime target = std::max(t, freq_.nextTick(engine()->now()));
-    {
-        std::lock_guard<std::mutex> lk(tickMu_);
-        // Dedup only exact-time requests. Suppressing a LATER target
-        // because an earlier tick is pending would lose deadlines: the
-        // earlier tick may find nothing to do and sleep without
-        // re-arming (e.g. a wake lands between handle() clearing the
-        // flag and tick() arming its service deadline — the deadline
-        // event would never exist and the component freezes).
-        if (tickScheduled_.load(std::memory_order_relaxed) &&
-            tickAt_ == target)
-            return;
-        tickScheduled_.store(true, std::memory_order_relaxed);
-        tickAt_ = target;
-    }
-    // Schedule outside tickMu_: the engine takes its own lock, and a
-    // monitor thread may call wake() while holding the engine lock —
-    // nesting the other way around would deadlock.
+    // Dedup only exact-time requests. Suppressing a LATER target
+    // because an earlier tick is pending would lose deadlines: the
+    // earlier tick may find nothing to do and sleep without re-arming
+    // (e.g. a wake lands between handle() clearing the slot and tick()
+    // arming its service deadline — the deadline event would never
+    // exist and the component freezes).
+    if (tickAt_.exchange(target, std::memory_order_relaxed) == target)
+        return;
     engine()->schedule(std::make_unique<Event>(target, this));
 }
 
@@ -97,10 +88,12 @@ void
 TickingComponent::handle(Event &)
 {
     VTime now = engine()->now();
-    {
-        std::lock_guard<std::mutex> lk(tickMu_);
-        if (now >= tickAt_)
-            tickScheduled_.store(false, std::memory_order_relaxed);
+    // Fall asleep unless a later tick is armed; a failed CAS reloads
+    // the slot a concurrent wake just wrote and re-tests it.
+    VTime armed = tickAt_.load(std::memory_order_relaxed);
+    while (now >= armed &&
+           !tickAt_.compare_exchange_weak(armed, kNoTick,
+                                          std::memory_order_relaxed)) {
     }
     if (everTicked_ && lastTickAt_ == now)
         return; // Duplicate event in the same cycle: already ticked.

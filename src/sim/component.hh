@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -165,7 +164,7 @@ class TickingComponent : public Component, public EventHandler
     /** True when no tick is scheduled (the component sleeps). */
     bool asleep() const
     {
-        return !tickScheduled_.load(std::memory_order_relaxed);
+        return tickAt_.load(std::memory_order_relaxed) == kNoTick;
     }
 
     /** Total ticks executed. */
@@ -181,18 +180,20 @@ class TickingComponent : public Component, public EventHandler
     }
 
   private:
+    /** tickAt_ value of a sleeping component. */
+    static constexpr VTime kNoTick = ~static_cast<VTime>(0);
+
     Freq freq_;
     /** Interned "<name>::tick" profiler label. */
     NameRef tickName_;
     /**
-     * Guards tickAt_/tickScheduled_ transitions: under the domain
-     * engine, wake() arrives from other domains' workers (and from
-     * monitor threads) while this component's own tick handler runs.
+     * Time of the most recently armed tick event, kNoTick while
+     * asleep. The one piece of component state other threads write:
+     * under the domain engine, wake() arrives from other domains'
+     * workers (and from monitor threads) while this component's own
+     * tick handler runs.
      */
-    mutable std::mutex tickMu_;
-    std::atomic<bool> tickScheduled_{false};
-    /** Earliest time a tick event is already queued for. */
-    VTime tickAt_ = 0;
+    std::atomic<VTime> tickAt_{kNoTick};
     /** Cycle of the most recent executed tick (handler-only). */
     VTime lastTickAt_ = 0;
     bool everTicked_ = false;

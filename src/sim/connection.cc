@@ -1,10 +1,6 @@
 #include "sim/connection.hh"
 
-#include <algorithm>
-
 #include <stdexcept>
-
-#include "sim/component.hh"
 
 namespace akita
 {
@@ -32,7 +28,7 @@ DirectConnection::plugIn(Port *port)
 }
 
 SendStatus
-DirectConnection::send(MsgPtr msg)
+DirectConnection::send(const MsgPtr &msg)
 {
     Port *dst = msg->dst;
     if (dst->connection() != this) {
@@ -41,86 +37,47 @@ DirectConnection::send(MsgPtr msg)
             dst->fullName() + " (msg " + msg->kind() + " from " +
             (msg->src ? msg->src->fullName() : "?") + ")");
     }
-
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        std::size_t &reserved = pending_[dst];
-        if (dst->buf().size() + reserved >= dst->buf().capacity()) {
-            // Destination full (counting in-flight reservations): register
-            // the sender for a wake so sleep/wake ticking does not deadlock.
-            if (msg->src != nullptr && msg->src->owner() != nullptr) {
-                auto &waiters = blockedSenders_[dst];
-                Component *owner = msg->src->owner();
-                if (std::find(waiters.begin(), waiters.end(), owner) ==
-                    waiters.end())
-                    waiters.push_back(owner);
-            }
-            return SendStatus::Busy;
-        }
-        reserved++;
-        inFlightTotal_++;
-    }
-    // The reservation is booked; scheduling can happen outside the lock.
+    // Destination full (counting in-flight messages): the sender is
+    // registered for a wake so sleep/wake ticking does not deadlock.
+    if (!dst->claimSlot(msg->src ? msg->src->owner() : nullptr))
+        return SendStatus::Busy;
     msg->sendTime = engine_->now();
 
     // A typed pooled event owns the message until delivery: no lambda,
     // no std::function allocation, no per-message name build.
     engine_->schedule(std::make_unique<DeliverEvent>(
-        engine_->now() + latency_, this, std::move(msg)));
+        engine_->now() + latency_, this, msg));
     return SendStatus::Ok;
 }
 
 void
 DirectConnection::handle(Event &event)
 {
-    // Only DeliverEvents are ever scheduled with this handler.
+    // Only DeliverEvents are ever scheduled with this handler; they run
+    // on the destination's domain, which owns its buffer.
     auto &de = static_cast<DeliverEvent &>(event);
-    deliver(std::move(de.msg));
-}
-
-void
-DirectConnection::deliver(MsgPtr msg)
-{
-    Port *dst = msg->dst;
-    // The lock is held across the buffer push: releasing the
-    // reservation first would let a concurrent send() observe free
-    // capacity that this still-undelivered message is about to consume.
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = pending_.find(dst);
-    if (it != pending_.end() && it->second > 0)
-        it->second--;
-    inFlightTotal_--;
-    dst->deliver(std::move(msg));
-}
-
-void
-DirectConnection::notifyAvailable(Port *dst)
-{
-    std::vector<Component *> toWake;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = blockedSenders_.find(dst);
-        if (it == blockedSenders_.end())
-            return;
-        toWake = std::move(it->second);
-        blockedSenders_.erase(it);
-    }
-    // Wake outside the lock: wake() re-enters the engine (and possibly
-    // this connection, when the woken tick retries a send).
-    for (Component *c : toWake)
-        c->wake();
+    Port *dst = de.msg->dst;
+    dst->deliver(std::move(de.msg));
 }
 
 std::vector<Connection::BlockedSender>
-DirectConnection::blockedSnapshot() const
+Connection::blockedSnapshot() const
 {
     std::vector<BlockedSender> out;
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &kv : blockedSenders_) {
-        for (Component *c : kv.second)
-            out.push_back(BlockedSender{kv.first, c});
+    for (Port *p : attachedPorts()) {
+        for (Component *c : p->blockedSenders())
+            out.push_back(BlockedSender{p, c});
     }
     return out;
+}
+
+std::size_t
+Connection::inFlight() const
+{
+    std::size_t n = 0;
+    for (const Port *p : attachedPorts())
+        n += p->claimed() - p->buf().size();
+    return n;
 }
 
 } // namespace sim

@@ -6,8 +6,6 @@
 #ifndef AKITA_SIM_CONNECTION_HH
 #define AKITA_SIM_CONNECTION_HH
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,13 +63,7 @@ class Connection
      * @return Busy when the destination (or the connection itself)
      *         cannot accept the message now.
      */
-    virtual SendStatus send(MsgPtr msg) = 0;
-
-    /**
-     * Signals that @p dst freed buffer space, so senders blocked on it
-     * can be woken.
-     */
-    virtual void notifyAvailable(Port *dst) = 0;
+    virtual SendStatus send(const MsgPtr &msg) = 0;
 
     /**
      * Lower bound on the delivery latency of any message this
@@ -90,30 +82,34 @@ class Connection
     };
 
     /**
-     * Snapshot of every sender blocked on this connection (hang
-     * analysis: each entry is a wait-for edge sender → dst owner).
-     * The default reports nothing.
+     * Every sender blocked on a port of this connection, port by port
+     * in plug-in order, each port's senders in registration order
+     * (hang analysis: each entry is a wait-for edge sender → dst
+     * owner).
      */
-    virtual std::vector<BlockedSender> blockedSnapshot() const
-    {
-        return {};
-    }
+    std::vector<BlockedSender> blockedSnapshot() const;
+
+    /**
+     * Messages sent on this connection and not yet delivered: claimed
+     * slots minus buffered messages, over the attached ports. Reads
+     * the port buffers, so call it under Engine::withLock or while the
+     * engine is not running.
+     */
+    std::size_t inFlight() const;
 };
 
 /**
  * Fixed-latency point-to-multipoint connection (Akita DirectConnection).
  *
  * Any plugged port may send to any other plugged port; each message is
- * delivered after a fixed latency. Destination buffer space is reserved
- * at send time, so in-flight messages never overflow the destination:
- * when no space remains, send returns Busy and the sending component is
- * woken once space frees.
+ * delivered after a fixed latency. Destination buffer space is claimed
+ * on the destination port at send time (Port::claimSlot), so in-flight
+ * messages never overflow the destination: when no slot remains, send
+ * returns Busy and the sending component is woken once one frees.
  *
- * Internally synchronized: under the domain engine, senders in one
- * domain and delivery events in another race on the reservation
- * table. The mutex is held across the delivery push so the
- * invariant size+reserved <= capacity can never be violated by a send
- * that sneaks between the reservation release and the buffer push.
+ * Stateless beyond its wiring, so it needs no lock: the claim is the
+ * only state a send shares with the destination's domain, and the
+ * delivery event runs on that domain.
  */
 class DirectConnection : public Connection, public EventHandler
 {
@@ -135,8 +131,7 @@ class DirectConnection : public Connection, public EventHandler
     }
 
     void plugIn(Port *port) override;
-    SendStatus send(MsgPtr msg) override;
-    void notifyAvailable(Port *dst) override;
+    SendStatus send(const MsgPtr &msg) override;
 
     VTime minLatency() const override { return latency_; }
 
@@ -147,39 +142,13 @@ class DirectConnection : public Connection, public EventHandler
 
     std::string handlerName() const override { return deliverName_.str(); }
 
-    /** Messages currently in flight on this connection. */
-    std::size_t
-    inFlight() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return inFlightTotal_;
-    }
-
-    std::vector<BlockedSender> blockedSnapshot() const override;
-
   private:
-    void deliver(MsgPtr msg);
-
     Engine *engine_;
     std::string name_;
     VTime latency_;
     /** Interned "<name>::deliver" profiler label. */
     NameRef deliverName_;
     std::vector<Port *> ports_;
-    /**
-     * Guards pending_, blockedSenders_, inFlightTotal_. Lock order:
-     * conn -> buffer (leaf); wake() is always called after releasing it.
-     */
-    mutable std::mutex mu_;
-    /** Space reserved at each destination by in-flight messages. */
-    std::map<Port *, std::size_t> pending_;
-    /**
-     * Components to wake when the keyed destination frees space.
-     * Insertion-ordered (not a set): wake order must be deterministic,
-     * and pointer ordering varies across platform instantiations.
-     */
-    std::map<Port *, std::vector<Component *>> blockedSenders_;
-    std::size_t inFlightTotal_ = 0;
 };
 
 } // namespace sim

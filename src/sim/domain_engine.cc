@@ -413,12 +413,18 @@ DomainEngine::idleWait(Dom &d, std::uint64_t wgen)
             return;
         std::this_thread::yield();
     }
-    if (ready())
-        return;
-    d.parkedFlag.store(true, std::memory_order_seq_cst);
     {
         std::unique_lock<std::mutex> lk(d.parkMu);
-        d.parkCv.wait(lk, ready);
+        // Re-arm the flag before every wait, not once: a waker whose
+        // generation bump predates our snapshot can still claim the
+        // flag and notify. Waiting again with the flag cleared would
+        // hide the sleeper from every later wakeDom(), stop() included.
+        while (!ready()) {
+            d.parkedFlag.store(true, std::memory_order_seq_cst);
+            if (ready())
+                break;
+            d.parkCv.wait(lk);
+        }
     }
     d.parkedFlag.store(false, std::memory_order_relaxed);
 }

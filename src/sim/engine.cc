@@ -38,33 +38,78 @@ SerialEngine::SerialEngine()
                  [this]() { return introspect::Value::ofBool(running()); });
 }
 
+namespace
+{
+
+/** The SerialEngine whose run() is executing on this thread. */
+thread_local const SerialEngine *tlsRunning = nullptr;
+
+/** Marks @p eng as running on this thread for one run() call. */
+struct RunningScope
+{
+    explicit RunningScope(const SerialEngine *eng) { tlsRunning = eng; }
+    ~RunningScope() { tlsRunning = nullptr; }
+};
+
+} // namespace
+
+/**
+ * The engine lock as an external thread takes it. The announcement in
+ * lockWaiters_ makes the event loop yield between batches instead of
+ * re-acquiring at once (fairness); it stays up until the lock is
+ * released, so the loop cannot starve a queue of waiting threads.
+ */
+class SerialEngine::ExternalLock
+{
+  public:
+    explicit ExternalLock(const SerialEngine &eng) : eng_(eng)
+    {
+        eng_.lockWaiters_.fetch_add(1, std::memory_order_acq_rel);
+        eng_.mu_.lock();
+    }
+
+    ~ExternalLock()
+    {
+        eng_.mu_.unlock();
+        eng_.lockWaiters_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+
+  private:
+    const SerialEngine &eng_;
+};
+
+bool
+SerialEngine::external() const
+{
+    return concurrent_ && tlsRunning != this;
+}
+
 void
 SerialEngine::schedule(EventPtr event)
 {
-    if (concurrent_) {
+    auto push = [&]() {
+        if (event->time() < now()) {
+            throw std::runtime_error(
+                "cannot schedule event in the past (t=" +
+                std::to_string(event->time()) +
+                ", now=" + std::to_string(now()) + ")");
+        }
+        totalScheduled_.fetch_add(1, std::memory_order_relaxed);
+        queue_.push(std::move(event));
+    };
+    if (external()) {
         // The past-check must run under the lock: a cross-thread
         // schedule could otherwise pass the check against a stale now()
         // and still land in the past once the simulation thread
         // advances time.
-        std::lock_guard<std::recursive_mutex> lk(mu_);
-        if (event->time() < now()) {
-            throw std::runtime_error(
-                "cannot schedule event in the past (t=" +
-                std::to_string(event->time()) +
-                ", now=" + std::to_string(now()) + ")");
-        }
-        totalScheduled_.fetch_add(1, std::memory_order_relaxed);
-        queue_.push(std::move(event));
+        ExternalLock lk(*this);
+        push();
         cv_.notify_all();
     } else {
-        if (event->time() < now()) {
-            throw std::runtime_error(
-                "cannot schedule event in the past (t=" +
-                std::to_string(event->time()) +
-                ", now=" + std::to_string(now()) + ")");
-        }
-        totalScheduled_.fetch_add(1, std::memory_order_relaxed);
-        queue_.push(std::move(event));
+        // No lock: either nothing else runs, or this is the simulation
+        // thread inside its batch, which already holds the lock — and
+        // the loop is not waiting, so there is no one to notify.
+        push();
     }
 }
 
@@ -96,8 +141,8 @@ SerialEngine::resume()
 std::size_t
 SerialEngine::queueLength() const
 {
-    if (concurrent_) {
-        std::lock_guard<std::recursive_mutex> lk(mu_);
+    if (external()) {
+        ExternalLock lk(*this);
         return queue_.size();
     }
     return queue_.size();
@@ -106,17 +151,9 @@ SerialEngine::queueLength() const
 void
 SerialEngine::withLock(const std::function<void()> &fn) const
 {
-    if (concurrent_) {
-        // Announce the wait so the event loop yields between batches
-        // instead of immediately re-acquiring the lock (monitor
-        // fairness); the count stays up until fn has finished, so the
-        // loop cannot starve a queue of waiting monitor threads.
-        lockWaiters_.fetch_add(1, std::memory_order_acq_rel);
-        {
-            std::lock_guard<std::recursive_mutex> lk(mu_);
-            fn();
-        }
-        lockWaiters_.fetch_sub(1, std::memory_order_acq_rel);
+    if (external()) {
+        ExternalLock lk(*this);
+        fn();
     } else {
         fn();
     }
@@ -217,8 +254,11 @@ SerialEngine::run()
     stopRequested_.store(false);
     running_.store(true);
     notifyState("run_start");
-    RunResult result =
-        concurrent_ ? runLocked() : runUnlocked();
+    RunResult result;
+    {
+        RunningScope scope(this);
+        result = concurrent_ ? runLocked() : runUnlocked();
+    }
     running_.store(false);
     if (concurrent_)
         cv_.notify_all();

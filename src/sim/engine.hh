@@ -263,6 +263,15 @@ class SerialEngine : public Engine
     void withLock(const std::function<void()> &fn) const override;
 
   private:
+    class ExternalLock;
+
+    /**
+     * True when the caller must take the engine lock: concurrent mode,
+     * and not the thread inside run(), which already holds it while it
+     * executes events.
+     */
+    bool external() const;
+
     RunResult runLocked();
     RunResult runUnlocked();
     void executeEvent(Event &event);
@@ -279,7 +288,7 @@ class SerialEngine : public Engine
     std::atomic<bool> running_{false};
     std::atomic<bool> stopRequested_{false};
     std::atomic<bool> drainedWaiting_{false};
-    /** Monitor threads currently waiting for (or holding) the lock. */
+    /** External threads currently waiting for (or holding) the lock. */
     mutable std::atomic<int> lockWaiters_{0};
 
     mutable std::recursive_mutex mu_;

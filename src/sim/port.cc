@@ -1,5 +1,6 @@
 #include "sim/port.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sim/component.hh"
@@ -20,7 +21,7 @@ Port::Port(Component *owner, std::string name, std::size_t buf_capacity)
 }
 
 SendStatus
-Port::send(MsgPtr msg)
+Port::send(const MsgPtr &msg)
 {
     if (conn_ == nullptr) {
         throw std::runtime_error("port " + fullName_ +
@@ -35,15 +36,76 @@ Port::send(MsgPtr msg)
     // sender when they re-peek it.
     Port *prevSrc = msg->src;
     msg->src = this;
-    SendStatus st = conn_->send(msg); // Keep a local ref across the call.
+    // Read before the send: once delivery is scheduled, another
+    // domain's worker may own the message.
+    const std::uint64_t bytes = msg->trafficBytes;
+    SendStatus st = conn_->send(msg);
     if (st == SendStatus::Ok) {
-        totalSent_.inc();
-        totalSentBytes_.inc(msg->trafficBytes);
+        totalSent_.incOwned();
+        totalSentBytes_.incOwned(bytes);
     } else {
         msg->src = prevSrc;
-        totalRejected_.inc();
+        totalRejected_.incOwned();
     }
     return st;
+}
+
+bool
+Port::claimSlot(Component *sender)
+{
+    const std::size_t cap = buf_.capacity();
+    std::size_t c = claimed_.load(std::memory_order_relaxed);
+    bool registered = false;
+    for (;;) {
+        if (c < cap) {
+            if (claimed_.compare_exchange_weak(c, c + 1))
+                return true;
+            continue;
+        }
+        if (registered || sender == nullptr ||
+            lastWaiter_.load(std::memory_order_relaxed) == sender)
+            return false;
+        {
+            std::lock_guard<std::mutex> lk(waitMu_);
+            lastWaiter_.store(sender, std::memory_order_relaxed);
+            if (std::find(waiters_.begin(), waiters_.end(), sender) !=
+                waiters_.end())
+                return false;
+            waiters_.push_back(sender);
+            hasWaiters_.store(true);
+        }
+        // Pairs with releaseSlot(): both sides are seq_cst, so either
+        // that pop sees hasWaiters_ and wakes us, or this re-read sees
+        // the slot it freed.
+        registered = true;
+        c = claimed_.load();
+    }
+}
+
+void
+Port::releaseSlot()
+{
+    claimed_.fetch_sub(1);
+    if (!hasWaiters_.load())
+        return;
+    std::vector<Component *> toWake;
+    {
+        std::lock_guard<std::mutex> lk(waitMu_);
+        toWake.swap(waiters_);
+        lastWaiter_.store(nullptr, std::memory_order_relaxed);
+        hasWaiters_.store(false, std::memory_order_relaxed);
+    }
+    // Wake outside the lock: a woken sender in this domain may tick
+    // and retry right away.
+    for (Component *c : toWake)
+        c->wake();
+}
+
+std::vector<Component *>
+Port::blockedSenders() const
+{
+    std::lock_guard<std::mutex> lk(waitMu_);
+    return waiters_;
 }
 
 MsgPtr
@@ -52,8 +114,7 @@ Port::retrieveIncoming()
     MsgPtr m = buf_.pop();
     if (m != nullptr) {
         invokeHook(hookPosPortRetrieve, m.get());
-        if (conn_ != nullptr)
-            conn_->notifyAvailable(this);
+        releaseSlot();
     }
     return m;
 }
@@ -65,8 +126,7 @@ Port::retrieveIncomingMatching(
     MsgPtr m = buf_.popMatching(pred);
     if (m != nullptr) {
         invokeHook(hookPosPortRetrieve, m.get());
-        if (conn_ != nullptr)
-            conn_->notifyAvailable(this);
+        releaseSlot();
     }
     return m;
 }
@@ -75,7 +135,7 @@ void
 Port::deliver(MsgPtr msg)
 {
     invokeHook(hookPosPortDeliver, msg.get());
-    totalReceived_.inc();
+    totalReceived_.incOwned();
     buf_.push(std::move(msg));
     if (owner_ != nullptr)
         owner_->wake();

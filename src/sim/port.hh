@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "metrics/instrument.hh"
 #include "sim/buffer.hh"
@@ -38,6 +40,11 @@ enum class SendStatus
  * Each port has a bounded incoming buffer; the buffer is automatically
  * visible to the bottleneck analyzer (the Go original discovers it via
  * reflection; here the component base class enumerates its ports).
+ *
+ * The buffer belongs to the owner's worker alone. The two pieces of
+ * port state a sender in another domain may touch are the slot claim
+ * (an atomic count of buffered plus in-flight messages) and the list
+ * of senders waiting for a slot.
  */
 class Port : public Hookable
 {
@@ -66,7 +73,7 @@ class Port : public Hookable
      * On Busy the sender's component is registered for a wake when the
      * destination frees space, so sleeping senders are re-ticked.
      */
-    SendStatus send(MsgPtr msg);
+    SendStatus send(const MsgPtr &msg);
 
     /** Incoming buffer (exposed for monitoring and tests). */
     Buffer &buf() { return buf_; }
@@ -78,8 +85,8 @@ class Port : public Hookable
     /**
      * Consumes the oldest delivered message.
      *
-     * Frees buffer space and notifies the connection so that blocked
-     * senders are woken.
+     * Frees the message's slot and wakes the senders blocked on this
+     * port.
      */
     MsgPtr retrieveIncoming();
 
@@ -96,8 +103,31 @@ class Port : public Hookable
      */
     void deliver(MsgPtr msg);
 
-    /** True when the incoming buffer can accept another delivery. */
-    bool canAcceptDelivery() const { return buf_.canPush(); }
+    /**
+     * Claims one incoming-buffer slot for a message about to be sent
+     * here; connections call it from the sender's worker. The slot
+     * stays claimed while the message is in flight and buffered, and
+     * retrieveIncoming*() releases it, so claimed() never exceeds the
+     * capacity and a delivery can never overflow the buffer.
+     *
+     * On failure @p sender (when non-null) is registered for a wake
+     * once a slot frees. Registering re-checks the claim, so a slot
+     * freed concurrently by another domain is either taken here or
+     * wakes the sender: no wake is lost.
+     *
+     * @return True when a slot was claimed.
+     */
+    bool claimSlot(Component *sender);
+
+    /** Buffered plus in-flight messages addressed to this port. */
+    std::size_t
+    claimed() const
+    {
+        return claimed_.load(std::memory_order_relaxed);
+    }
+
+    /** Senders waiting for a free slot, in registration order. */
+    std::vector<Component *> blockedSenders() const;
 
     /**
      * Traffic counters. Backed by relaxed atomics so monitor threads
@@ -119,6 +149,9 @@ class Port : public Hookable
   private:
     friend class DomainEngine;
 
+    /** Frees the slot of a retrieved message and wakes the waiters. */
+    void releaseSlot();
+
     Component *owner_;
     std::string name_;
     std::string fullName_;
@@ -128,6 +161,24 @@ class Port : public Hookable
     metrics::Counter totalRejected_;
     metrics::Counter totalSentBytes_;
     metrics::Counter totalReceived_;
+    /** Buffered plus in-flight messages (see claimSlot). */
+    std::atomic<std::size_t> claimed_{0};
+    /**
+     * Guards waiters_. Taken only to register a new waiter and to
+     * drain the list; hasWaiters_ lets a pop skip it otherwise.
+     */
+    mutable std::mutex waitMu_;
+    /**
+     * Senders to wake when a slot frees. Insertion-ordered (not a set):
+     * wake order must be deterministic.
+     */
+    std::vector<Component *> waiters_;
+    std::atomic<bool> hasWaiters_{false};
+    /**
+     * The most recently registered waiter while it is still listed, so
+     * a sender retrying a full port skips the lock.
+     */
+    std::atomic<Component *> lastWaiter_{nullptr};
     /**
      * DomainEngine routing cache: (partition epoch << 32) | domain
      * index. Delivery events route by destination port; hashing the

@@ -407,17 +407,22 @@ TEST(SerialEngine, CrossThreadScheduleNeverLandsInPast)
 
     std::thread runner([&]() { eng.run(); });
 
-    std::atomic<int> accepted{0}, rejected{0};
+    // Near targets are deliberately racy: time may advance past them
+    // between the read and the schedule call, so they may throw. Far
+    // targets lie many lock batches (one time unit per event) ahead; an
+    // announced schedule() waits out at most the running batch, so they
+    // land unless this thread stalls between the read and the call.
+    const VTime far = 16 * static_cast<VTime>(eng.lockBatch());
+    std::atomic<int> nearAccepted{0}, rejected{0}, farAccepted{0},
+        farRejected{0};
     std::thread scheduler([&]() {
-        while (!done.load()) {
-            // Deliberately racy target: time may advance past it
-            // between the read and the schedule call.
-            VTime target = eng.now() + 2;
+        for (bool near = true; !done.load(); near = !near) {
+            VTime target = eng.now() + (near ? 2 : far);
             try {
                 eng.scheduleAt(target, "ext", []() {});
-                accepted++;
+                (near ? nearAccepted : farAccepted)++;
             } catch (const std::runtime_error &) {
-                rejected++;
+                (near ? rejected : farRejected)++;
             }
         }
     });
@@ -425,7 +430,8 @@ TEST(SerialEngine, CrossThreadScheduleNeverLandsInPast)
     scheduler.join();
     eng.stop();
     runner.join();
-    EXPECT_GT(accepted.load(), 0);
+    EXPECT_GT(farAccepted.load(), 0);
+    EXPECT_LE(farRejected.load(), farAccepted.load());
     // The key assertion is implicit: no crash, no event executed out of
     // order (the engine would throw from its own pop path otherwise).
 }

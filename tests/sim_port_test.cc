@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/switched.hh"
 #include "sim/sim.hh"
 
 using namespace akita::sim;
@@ -348,6 +349,196 @@ TEST(Component, PortAndBufferEnumeration)
     ASSERT_EQ(bufs.size(), 2u);
     EXPECT_EQ(bufs[0]->name(), "GPU[0].X.In.Buf");
     EXPECT_EQ(bufs[1]->name(), "GPU[0].X.Internal.Buf");
+}
+
+// ---- Slot claims and blocked senders (Port::claimSlot) ----
+
+namespace
+{
+
+int
+valueOf(const MsgPtr &m)
+{
+    return m == nullptr ? -1 : msgCast<TestMsg>(m)->value;
+}
+
+/** A component that logs its wakes by name instead of ticking. */
+class WakeLogger : public Component
+{
+  public:
+    WakeLogger(Engine *engine, const std::string &name,
+               std::vector<std::string> *log)
+        : Component(engine, name), log_(log)
+    {
+        out = addPort("Out", 1);
+    }
+
+    void wake() override { log_->push_back(name()); }
+
+    SendStatus
+    sendTo(Port *dst, int v)
+    {
+        MsgPtr m = mkMsg(v);
+        m->dst = dst;
+        return out->send(m);
+    }
+
+    Port *out = nullptr;
+
+  private:
+    std::vector<std::string> *log_;
+};
+
+} // namespace
+
+TEST(PortClaim, ClaimedIsBufferedPlusInFlight)
+{
+    SerialEngine eng;
+    std::vector<std::string> log;
+    WakeLogger a(&eng, "A", &log), b(&eng, "B", &log);
+    Port *in = b.addPort("In", 4);
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    conn.plugIn(a.out);
+    conn.plugIn(in);
+
+    // Nothing ticks here, so every queued event is a delivery: the
+    // queue length is the number of messages in flight.
+    auto check = [&](std::size_t buffered, std::size_t inFlight) {
+        EXPECT_EQ(in->buf().size(), buffered);
+        EXPECT_EQ(eng.queueLength(), inFlight);
+        EXPECT_EQ(in->claimed(), buffered + inFlight);
+        EXPECT_EQ(conn.inFlight(), inFlight);
+    };
+    check(0, 0);
+    for (int v = 1; v <= 3; v++)
+        ASSERT_EQ(a.sendTo(in, v), SendStatus::Ok);
+    check(0, 3);
+    eng.run();
+    check(3, 0);
+    ASSERT_EQ(a.sendTo(in, 4), SendStatus::Ok);
+    check(3, 1);
+    // Three buffered plus one in flight fill the four slots.
+    EXPECT_EQ(a.sendTo(in, 5), SendStatus::Busy);
+    check(3, 1);
+    EXPECT_EQ(valueOf(in->retrieveIncoming()), 1);
+    check(2, 1);
+    EXPECT_EQ(valueOf(in->retrieveIncomingMatching([](const Msg &m) {
+                  return static_cast<const TestMsg &>(m).value == 3;
+              })),
+              3);
+    check(1, 1);
+    // A retrieve that finds nothing frees nothing.
+    EXPECT_EQ(in->retrieveIncomingMatching([](const Msg &) {
+        return false;
+    }),
+              nullptr);
+    check(1, 1);
+    eng.run();
+    check(2, 0);
+    EXPECT_EQ(valueOf(in->retrieveIncoming()), 2);
+    EXPECT_EQ(valueOf(in->retrieveIncoming()), 4);
+    EXPECT_EQ(in->retrieveIncoming(), nullptr);
+    check(0, 0);
+}
+
+TEST(PortClaim, RepeatedBusySendsRegisterOnce)
+{
+    SerialEngine eng;
+    std::vector<std::string> log;
+    WakeLogger a(&eng, "A", &log), c(&eng, "C", &log), b(&eng, "B", &log);
+    Port *in = b.addPort("In", 1);
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    conn.plugIn(a.out);
+    conn.plugIn(c.out);
+    conn.plugIn(in);
+
+    ASSERT_EQ(a.sendTo(in, 0), SendStatus::Ok);
+    for (int i = 0; i < 5; i++)
+        EXPECT_EQ(a.sendTo(in, 1), SendStatus::Busy);
+    EXPECT_EQ(in->blockedSenders(), std::vector<Component *>{&a});
+    for (int i = 0; i < 3; i++)
+        EXPECT_EQ(c.sendTo(in, 2), SendStatus::Busy);
+    // A retries after C registered: found in the list, not re-added.
+    EXPECT_EQ(a.sendTo(in, 1), SendStatus::Busy);
+    EXPECT_EQ(in->blockedSenders(), (std::vector<Component *>{&a, &c}));
+    EXPECT_EQ(a.out->totalSendRejections(), 6u);
+    EXPECT_TRUE(log.empty());
+}
+
+TEST(PortClaim, WaitersWakeInInsertionOrder)
+{
+    SerialEngine eng;
+    std::vector<std::string> log;
+    WakeLogger a(&eng, "A", &log), b(&eng, "B", &log),
+        c(&eng, "C", &log), d(&eng, "D", &log);
+    Port *in = d.addPort("In", 1);
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    for (WakeLogger *w : {&a, &b, &c})
+        conn.plugIn(w->out);
+    conn.plugIn(in);
+
+    ASSERT_EQ(a.sendTo(in, 0), SendStatus::Ok);
+    EXPECT_EQ(c.sendTo(in, 1), SendStatus::Busy);
+    EXPECT_EQ(a.sendTo(in, 2), SendStatus::Busy);
+    EXPECT_EQ(b.sendTo(in, 3), SendStatus::Busy);
+    eng.run();
+    // The delivery wakes the owner only.
+    ASSERT_EQ(log, std::vector<std::string>{"D"});
+
+    // The retrieve that frees the slot wakes the blocked senders,
+    // oldest registration first, exactly once.
+    EXPECT_EQ(valueOf(in->retrieveIncoming()), 0);
+    EXPECT_EQ(log, (std::vector<std::string>{"D", "C", "A", "B"}));
+    EXPECT_TRUE(in->blockedSenders().empty());
+    ASSERT_EQ(b.sendTo(in, 3), SendStatus::Ok);
+    eng.run();
+    EXPECT_EQ(valueOf(in->retrieveIncoming()), 3);
+    EXPECT_EQ(log,
+              (std::vector<std::string>{"D", "C", "A", "B", "D"}));
+}
+
+TEST(PortClaim, BlockedSnapshotListsEveryPortsWaiters)
+{
+    // The hang analyzer's wait-for edges: one entry per blocked
+    // (sender, destination) pair, each port's senders in registration
+    // order, as the per-connection tables used to report them. Ports
+    // are walked in plug-in order, on both connection types.
+    auto run = [](Engine &eng, Connection &conn) {
+        std::vector<std::string> log;
+        WakeLogger s1(&eng, "S1", &log), s2(&eng, "S2", &log),
+            s3(&eng, "S3", &log), sink(&eng, "Sink", &log);
+        Port *d1 = sink.addPort("In1", 1);
+        Port *d2 = sink.addPort("In2", 1);
+        for (WakeLogger *w : {&s1, &s2, &s3})
+            conn.plugIn(w->out);
+        conn.plugIn(d1);
+        conn.plugIn(d2);
+
+        EXPECT_TRUE(conn.blockedSnapshot().empty());
+        EXPECT_EQ(s1.sendTo(d1, 0), SendStatus::Ok);
+        EXPECT_EQ(s1.sendTo(d2, 0), SendStatus::Ok);
+        EXPECT_EQ(s3.sendTo(d2, 1), SendStatus::Busy);
+        EXPECT_EQ(s2.sendTo(d1, 2), SendStatus::Busy);
+        EXPECT_EQ(s1.sendTo(d2, 3), SendStatus::Busy);
+
+        std::vector<std::pair<Port *, Component *>> got;
+        for (const Connection::BlockedSender &bs : conn.blockedSnapshot())
+            got.emplace_back(bs.dst, bs.sender);
+        EXPECT_EQ(got, (std::vector<std::pair<Port *, Component *>>{
+                           {d1, &s2}, {d2, &s3}, {d2, &s1}}));
+        eng.run();
+        EXPECT_NE(d2->retrieveIncoming(), nullptr);
+        ASSERT_EQ(conn.blockedSnapshot().size(), 1u);
+        EXPECT_EQ(conn.blockedSnapshot()[0].sender, &s2);
+        EXPECT_EQ(log, (std::vector<std::string>{"Sink", "Sink", "S3",
+                                                 "S1"}));
+    };
+    SerialEngine e1;
+    DirectConnection direct(&e1, "Conn", kNanosecond);
+    run(e1, direct);
+    SerialEngine e2;
+    akita::net::SwitchedNetwork net(&e2, "Net", {});
+    run(e2, net);
 }
 
 struct FanParams
