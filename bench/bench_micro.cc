@@ -190,104 +190,6 @@ BENCHMARK(BM_DomainEngineFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 namespace
 {
 
-/** Minimal ticking forwarder for the repartition micro-bench: burns a
- * little CPU per received token and forwards it until its ttl dies. */
-class HotNode : public sim::TickingComponent
-{
-  public:
-    HotNode(sim::Engine *eng, const std::string &name)
-        : TickingComponent(eng, name, sim::Freq::ghz(1))
-    {
-        in = addPort("In", 16);
-        out = addPort("Out", 16);
-    }
-
-    bool
-    tick() override
-    {
-        bool progress = false;
-        while (!outbox.empty()) {
-            sim::MsgPtr m = outbox.front();
-            m->dst = next;
-            if (out->send(m) != sim::SendStatus::Ok)
-                break;
-            outbox.erase(outbox.begin());
-            progress = true;
-        }
-        for (;;) {
-            sim::MsgPtr m = in->retrieveIncoming();
-            if (m == nullptr)
-                break;
-            volatile std::uint64_t h = 0;
-            for (int j = 0; j < 400; j++)
-                h = h * 31 + static_cast<std::uint64_t>(j);
-            received++;
-            progress = true;
-        }
-        return progress;
-    }
-
-    sim::Port *in = nullptr;
-    sim::Port *out = nullptr;
-    sim::Port *next = nullptr;
-    std::vector<sim::MsgPtr> outbox;
-    int received = 0;
-};
-
-} // namespace
-
-void
-BM_DomainEngineRepartition(benchmark::State &state)
-{
-    // Adaptive-repartitioning steady state: an unpinned 6-node ring of
-    // long-latency wires whose injection hotspot alternates between
-    // two arcs every iteration. With an eager trigger (threshold 1.1,
-    // no cooldown) most run() entries migrate components, so the cell
-    // covers cost tracking, the weighted partitioner, and mailbox
-    // migration — compare against BM_DomainEngineFanout for the
-    // tracking-free baseline.
-    constexpr int kNodes = 6;
-    constexpr int kTokens = 48;
-    sim::DomainEngine eng(2);
-    eng.setRepartition(true);
-    eng.setRepartitionThreshold(1.1);
-    eng.setRepartitionCooldown(0);
-    eng.setRepartitionMinEvents(16);
-    std::vector<std::unique_ptr<HotNode>> nodes;
-    std::vector<std::unique_ptr<sim::DirectConnection>> wires;
-    for (int i = 0; i < kNodes; i++) {
-        nodes.push_back(std::make_unique<HotNode>(
-            &eng, "Hot" + std::to_string(i)));
-    }
-    for (int i = 0; i < kNodes; i++) {
-        int j = (i + 1) % kNodes;
-        wires.push_back(std::make_unique<sim::DirectConnection>(
-            &eng, "HotWire" + std::to_string(i),
-            500 * sim::kNanosecond));
-        wires.back()->plugIn(nodes[static_cast<std::size_t>(i)]->out);
-        wires.back()->plugIn(nodes[static_cast<std::size_t>(j)]->in);
-        nodes[static_cast<std::size_t>(i)]->next =
-            nodes[static_cast<std::size_t>(j)]->in;
-    }
-    int phase = 0;
-    for (auto _ : state) {
-        HotNode *hot =
-            nodes[static_cast<std::size_t>((phase++ % 2) * 3)].get();
-        for (int t = 0; t < kTokens; t++)
-            hot->outbox.push_back(sim::makeMsg<sim::Msg>());
-        hot->tickLater();
-        eng.run();
-        benchmark::DoNotOptimize(hot->received);
-    }
-    state.SetItemsProcessed(state.iterations() * kTokens);
-    state.counters["repartitions"] = benchmark::Counter(
-        static_cast<double>(eng.repartitionCount()));
-}
-BENCHMARK(BM_DomainEngineRepartition);
-
-namespace
-{
-
 /** Token with a hop budget for the mailbox micro-cells. */
 class BounceMsg : public sim::Msg
 {

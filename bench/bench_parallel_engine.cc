@@ -23,15 +23,6 @@
  *     round when the previous one fully arrived. No spin work: the
  *     cell is purely the cross-domain delivery path, so it prices the
  *     mailbox machinery (SPSC fast path vs. locked slow path) itself.
- *   - hotspot_shift: a 9-node 500 ns ring, unpinned, driven in phases
- *     where a 4-node hot set confined to nodes 0..4 injects 1-hop
- *     tokens and shifts by one node every other phase. The static
- *     equal-latency cut packs nodes 0..5 into one domain — the whole
- *     hot region, injectors and receivers — so every event lands
- *     there (event-count imbalance 4.0 at 4 domains); the adaptive
- *     cell repartitions at the run() drain boundaries using the
- *     observed per-component costs and spreads the hot set. Each
- *     domain cell records its max/mean per-domain event imbalance.
  *
  * Prints a JSON document (BENCH_parallel_engine.json) to stdout;
  * human-readable progress goes to stderr. AKITA_RUNS (default 3)
@@ -376,113 +367,6 @@ runStorm(Kind kind, int width, const StormScenario &sc)
     return res;
 }
 
-struct HotspotScenario
-{
-    const char *name;
-    int nodes;
-    int domains;
-    int phases;
-    int hotNodes;    // Size of the hot set (drawn from nodes 0..4).
-    int msgsPerHot;  // Tokens injected per hot node per phase.
-    int ttl;
-    std::uint64_t spinIters;
-    sim::VTime wireLatency;
-};
-
-struct HotspotResult
-{
-    double sec = 0;
-    /** max/mean per-domain event delta, averaged over phases >= 1
-     * (phase 0 always runs on the static cut). */
-    double imbalance = 0;
-    double imbalanceFirstPhase = 0;
-    std::uint64_t repartitions = 0;
-};
-
-/**
- * Phased hotspot driver: build the unpinned ring once, then inject one
- * hot set per phase and run() to the drain. The adaptive engine sees
- * the phase costs at each run() entry and re-cuts; the static engine
- * keeps the degenerate equal-latency cut for the whole sweep.
- */
-HotspotResult
-runHotspot(Kind kind, int width, bool repartition,
-           const HotspotScenario &sc)
-{
-    std::unique_ptr<sim::Engine> eng = makeEngine(kind, width);
-    auto *de = kind == Kind::Domain
-                   ? static_cast<sim::DomainEngine *>(eng.get())
-                   : nullptr;
-    if (de != nullptr && repartition) {
-        de->setRepartition(true);
-        de->setRepartitionThreshold(1.3);
-        de->setRepartitionCooldown(0);
-        de->setRepartitionMinEvents(64);
-    }
-    std::vector<std::unique_ptr<RingNode>> nodes;
-    std::vector<std::unique_ptr<sim::DirectConnection>> wires;
-    for (int i = 0; i < sc.nodes; i++) {
-        nodes.push_back(std::make_unique<RingNode>(
-            eng.get(), "Hot" + std::to_string(i), sc.spinIters));
-    }
-    for (int i = 0; i < sc.nodes; i++) {
-        int j = (i + 1) % sc.nodes;
-        wires.push_back(std::make_unique<sim::DirectConnection>(
-            eng.get(), "HotWire" + std::to_string(i), sc.wireLatency));
-        wires.back()->plugIn(nodes[static_cast<std::size_t>(i)]->out);
-        wires.back()->plugIn(nodes[static_cast<std::size_t>(j)]->in);
-        nodes[static_cast<std::size_t>(i)]->next =
-            nodes[static_cast<std::size_t>(j)]->in;
-    }
-
-    HotspotResult res;
-    std::vector<std::uint64_t> prevEvents(
-        static_cast<std::size_t>(width), 0);
-    double imbSum = 0;
-    int imbCount = 0;
-    bench::Stopwatch sw;
-    for (int phase = 0; phase < sc.phases; phase++) {
-        int hotStart = (phase / 2) % 5;
-        for (int k = 0; k < sc.hotNodes; k++) {
-            RingNode *n =
-                nodes[static_cast<std::size_t>((hotStart + k) % 5)]
-                    .get();
-            for (int m = 0; m < sc.msgsPerHot; m++)
-                n->outbox.push_back(sim::makeMsg<HopMsg>(sc.ttl));
-            n->tickLater();
-        }
-        eng->run();
-        if (de == nullptr)
-            continue;
-        std::uint64_t maxDelta = 0;
-        std::uint64_t total = 0;
-        for (int i = 0; i < width; i++) {
-            std::uint64_t ev = de->domainStatus(i).events;
-            std::uint64_t delta =
-                ev - prevEvents[static_cast<std::size_t>(i)];
-            prevEvents[static_cast<std::size_t>(i)] = ev;
-            maxDelta = std::max(maxDelta, delta);
-            total += delta;
-        }
-        double imb = total == 0
-                         ? 1.0
-                         : static_cast<double>(maxDelta) * width /
-                               static_cast<double>(total);
-        if (phase == 0) {
-            res.imbalanceFirstPhase = imb;
-        } else {
-            imbSum += imb;
-            imbCount++;
-        }
-    }
-    res.sec = sw.seconds();
-    if (imbCount > 0)
-        res.imbalance = imbSum / imbCount;
-    if (de != nullptr)
-        res.repartitions = de->repartitionCount();
-    return res;
-}
-
 template <typename F>
 double
 minOfRuns(int runs, F &&once)
@@ -608,66 +492,6 @@ main(int argc, char **argv)
         byScenario.set(storm.name, std::move(row));
     }
 
-    {
-        const HotspotScenario hs = {"hotspot_shift",
-                                    9,
-                                    4,
-                                    8,
-                                    4,
-                                    16,
-                                    1,
-                                    2000,
-                                    500 * sim::kNanosecond};
-        json::Json row = json::Json::object();
-        row.set("nodes", hs.nodes);
-        row.set("domains", hs.domains);
-        row.set("phases", hs.phases);
-        row.set("wire_latency_ps",
-                static_cast<std::int64_t>(hs.wireLatency));
-
-        std::fprintf(stderr, "%s: serial...\n", hs.name);
-        double serial = minOfRuns(runs, [&]() {
-            return runHotspot(Kind::Serial, 1, false, hs).sec;
-        });
-        row.set("serial_sec", serial);
-
-        // Event-count imbalance is deterministic per cell (the cost
-        // model counts events, not wall time), so take it from a
-        // dedicated run and min the times separately.
-        std::fprintf(stderr, "%s: domain %d (static)...\n", hs.name,
-                     hs.domains);
-        HotspotResult stat =
-            runHotspot(Kind::Domain, hs.domains, false, hs);
-        stat.sec = std::min(stat.sec, minOfRuns(runs - 1, [&]() {
-                                return runHotspot(Kind::Domain,
-                                                  hs.domains, false, hs)
-                                    .sec;
-                            }));
-        row.set("domain_sec", stat.sec);
-        row.set("domain_imbalance", stat.imbalance);
-        row.set("domain_imbalance_first_phase",
-                stat.imbalanceFirstPhase);
-
-        std::fprintf(stderr, "%s: domain %d (repartition)...\n",
-                     hs.name, hs.domains);
-        HotspotResult adapt =
-            runHotspot(Kind::Domain, hs.domains, true, hs);
-        adapt.sec = std::min(adapt.sec, minOfRuns(runs - 1, [&]() {
-                                 return runHotspot(Kind::Domain,
-                                                   hs.domains, true, hs)
-                                     .sec;
-                             }));
-        row.set("domain_repartition_sec", adapt.sec);
-        row.set("domain_repartition_imbalance", adapt.imbalance);
-        row.set("domain_repartition_imbalance_first_phase",
-                adapt.imbalanceFirstPhase);
-        row.set("repartitions",
-                static_cast<std::int64_t>(adapt.repartitions));
-        row.set("imbalance_improvement",
-                adapt.imbalance > 0 ? stat.imbalance / adapt.imbalance
-                                    : 0.0);
-        byScenario.set(hs.name, std::move(row));
-    }
     doc.set("scenarios", std::move(byScenario));
 
     std::printf("%s\n", doc.dump(2).c_str());

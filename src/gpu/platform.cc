@@ -66,19 +66,10 @@ PlatformConfig::mcm4(const GpuConfig &chip)
 
 Platform::Platform(const PlatformConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.engineKind == EngineKind::Domain) {
-        auto de = std::make_unique<sim::DomainEngine>(cfg_.domains);
-        de->setRepartition(cfg_.repartition);
-        de->setCostModel(cfg_.repartitionTime
-                             ? sim::DomainEngine::CostModel::Time
-                             : sim::DomainEngine::CostModel::Events);
-        de->setRepartitionThreshold(cfg_.repartitionThreshold);
-        de->setRepartitionCooldown(cfg_.repartitionCooldown);
-        de->setRepartitionMinEvents(cfg_.repartitionMinEvents);
-        engine_ = std::move(de);
-    } else {
+    if (cfg_.engineKind == EngineKind::Domain)
+        engine_ = std::make_unique<sim::DomainEngine>(cfg_.domains);
+    else
         engine_ = std::make_unique<sim::SerialEngine>();
-    }
     driver_ = std::make_unique<Driver>(engine_.get(), "Driver", cfg_.freq);
     network_ = std::make_unique<net::SwitchedNetwork>(
         engine_.get(), "Network", cfg_.network);
@@ -383,21 +374,6 @@ applyEngineChoice(PlatformConfig &cfg, const std::string &kind)
                                     "' (expected serial|domain)");
 }
 
-void
-applyRepartitionChoice(PlatformConfig &cfg, const std::string &mode)
-{
-    if (mode == "off" || mode == "0" || mode == "false") {
-        cfg.repartition = false;
-    } else if (mode == "time") {
-        cfg.repartition = true;
-        cfg.repartitionTime = true;
-    } else if (mode == "on" || mode == "1" || mode == "true" ||
-               mode == "events") {
-        cfg.repartition = true;
-        cfg.repartitionTime = false;
-    }
-}
-
 } // namespace
 
 void
@@ -407,20 +383,6 @@ applyEngineEnv(PlatformConfig &cfg)
         applyEngineChoice(cfg, e);
     if (const char *d = std::getenv("AKITA_DOMAINS"))
         cfg.domains = std::atoi(d);
-    if (const char *r = std::getenv("AKITA_REPARTITION"))
-        applyRepartitionChoice(cfg, r);
-    if (const char *t = std::getenv("AKITA_REPARTITION_THRESHOLD")) {
-        double v = std::atof(t);
-        if (v > 0)
-            cfg.repartitionThreshold = v;
-    }
-    if (const char *c = std::getenv("AKITA_REPARTITION_COOLDOWN"))
-        cfg.repartitionCooldown = std::atoi(c);
-    if (const char *me = std::getenv("AKITA_REPARTITION_MIN_EVENTS")) {
-        long long v = std::atoll(me);
-        if (v >= 0)
-            cfg.repartitionMinEvents = static_cast<std::uint64_t>(v);
-    }
     if (const char *r = std::getenv("AKITA_RECORD"))
         cfg.recordPath = r;
     if (const char *b = std::getenv("AKITA_RECORD_BYTES")) {
@@ -442,20 +404,6 @@ applyEngineArgs(PlatformConfig &cfg, int argc, char **argv)
             applyEngineChoice(cfg, arg.substr(9));
         else if (arg.rfind("--domains=", 0) == 0)
             cfg.domains = std::atoi(arg.c_str() + 10);
-        else if (arg.rfind("--repartition=", 0) == 0)
-            applyRepartitionChoice(cfg, arg.substr(14));
-        else if (arg.rfind("--repartition-threshold=", 0) == 0) {
-            double v = std::atof(arg.c_str() + 24);
-            if (v > 0)
-                cfg.repartitionThreshold = v;
-        } else if (arg.rfind("--repartition-cooldown=", 0) == 0)
-            cfg.repartitionCooldown = std::atoi(arg.c_str() + 23);
-        else if (arg.rfind("--repartition-min-events=", 0) == 0) {
-            long long v = std::atoll(arg.c_str() + 25);
-            if (v >= 0)
-                cfg.repartitionMinEvents =
-                    static_cast<std::uint64_t>(v);
-        }
         else if (arg.rfind("--record=", 0) == 0)
             cfg.recordPath = arg.substr(9);
         else if (arg.rfind("--record-bytes=", 0) == 0) {

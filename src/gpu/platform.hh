@@ -85,20 +85,6 @@ struct PlatformConfig
     EngineKind engineKind = EngineKind::Serial;
     /** Domain-engine target domain count; 0 = hardware concurrency. */
     int domains = 0;
-    /**
-     * Adaptive drain-boundary repartitioning for the domain engine
-     * (--repartition= / AKITA_REPARTITION). Off keeps the PR 7
-     * static cut and a cost-tracking-free hot path.
-     */
-    bool repartition = false;
-    /** Weigh components by measured ns instead of event counts. */
-    bool repartitionTime = false;
-    /** Window max/mean imbalance that arms a repartition. */
-    double repartitionThreshold = 1.5;
-    /** Trigger evaluations skipped after an adopted repartition. */
-    int repartitionCooldown = 2;
-    /** Minimum window cost before the trigger is evaluated. */
-    std::uint64_t repartitionMinEvents = 1024;
     std::size_t numGpus = 1;
     GpuConfig gpu;
     net::SwitchedNetwork::Config network;
@@ -227,23 +213,12 @@ class Platform
  * Recognized argv flags (consumed semantically, not removed):
  *   --engine=serial|domain
  *   --domains=N            domain-engine partition target
- *   --repartition=on|off|events|time
- *                          adaptive domain rebalancing ("time" weighs
- *                          components by measured ns, "on"/"events"
- *                          by event counts)
- *   --repartition-threshold=X   window max/mean that arms a rebalance
- *   --repartition-cooldown=N    evaluations skipped after adopting
- *   --repartition-min-events=N  minimum window cost to evaluate
  *   --record=PATH          flight-recorder segment file
  *   --record-bytes=N       segment size in bytes
  *   --fleet=N              simulation instances behind one gateway
  * Environment (lower precedence than flags):
  *   AKITA_ENGINE=serial|domain
  *   AKITA_DOMAINS=N
- *   AKITA_REPARTITION=on|off|events|time
- *   AKITA_REPARTITION_THRESHOLD=X
- *   AKITA_REPARTITION_COOLDOWN=N
- *   AKITA_REPARTITION_MIN_EVENTS=N
  *   AKITA_RECORD=PATH
  *   AKITA_RECORD_BYTES=N
  *   AKITA_FLEET=N

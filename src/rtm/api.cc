@@ -501,9 +501,9 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                      "(run with --engine=domain)");
         // Coalesced like every other hot endpoint: a dashboard wave
         // polling per-domain lag costs one build per TTL window. The
-        // generation folds wall time (cf. /api/v1/hang) because a
-        // drained engine freezes its event count while the
-        // repartition history can still grow at the next revival.
+        // generation folds wall time (cf. /api/v1/hang) because
+        // horizons, ring occupancy and the drain-time clock sync all
+        // move without the event count moving.
         std::uint64_t ttl =
             std::max<std::uint64_t>(1, m->config().domainsTtlFloorMs);
         std::uint64_t gen =
@@ -511,25 +511,13 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             static_cast<std::uint64_t>(wallNowMs()) / ttl;
         return cachedResponse(
             m, req, gen, "application/json", ttl, [de]() {
-                // Membership/edges are snapshots by value: a
-                // drain-boundary repartition rewrites the live
-                // tables under the engine's topology lock.
-                const auto members = de->domainMemberNames();
+                const auto &members = de->domainMemberNames();
                 const auto edges = de->edgeInfos();
-                const auto reparts = de->repartitionEvents();
                 std::string body;
                 json::Writer w(body);
                 w.beginObject();
                 w.field("num_domains",
                         static_cast<std::uint64_t>(de->numDomains()));
-                w.field("repartition_enabled",
-                        de->repartitionEnabled());
-                w.field("imbalance", de->lastImbalance());
-                w.field("repartitions", de->repartitionCount());
-                w.field("repartitions_rejected",
-                        de->repartitionRejected());
-                w.field("migrated_components",
-                        de->migratedComponents());
                 w.field("mailbox_fast_total", de->mailboxFastTotal());
                 w.field("mailbox_slow_total", de->mailboxSlowTotal());
                 // lag_ps is served rather than left to the client: the
@@ -562,7 +550,6 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                     w.field("ring_capacity",
                             static_cast<std::uint64_t>(
                                 st.ringCapacity));
-                    w.field("cost", st.cost);
                     w.key("members").beginArray();
                     for (const std::string &name :
                          members[static_cast<std::size_t>(i)])
@@ -578,19 +565,6 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                     w.field("dst", static_cast<std::uint64_t>(e.dst));
                     w.field("lookahead_ps", e.lookahead);
                     w.field("connection", e.connection);
-                    w.endObject();
-                }
-                w.endArray();
-                w.key("repartition_events").beginArray();
-                for (const auto &r : reparts) {
-                    w.beginObject();
-                    w.field("seq", r.seq);
-                    w.field("sim_ps", r.simTime);
-                    w.field("imbalance_before", r.imbalanceBefore);
-                    w.field("imbalance_after", r.imbalanceAfter);
-                    w.field("migrated",
-                            static_cast<std::uint64_t>(
-                                static_cast<unsigned>(r.migrated)));
                     w.endObject();
                 }
                 w.endArray();

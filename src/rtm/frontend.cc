@@ -220,14 +220,10 @@ function tick(){
       // straggler holding everyone's lookahead window, amber past
       // halfway, plus a mini track bar ramping green to red.
       const maxLag = Math.max(...d.domains.map(x => x.lag_ps), 1);
-      let h = `<div>repartitions: ${d.repartitions} `+
-              `(rejected ${d.repartitions_rejected}, moved `+
-              `${d.migrated_components}), imbalance `+
-              `${d.imbalance.toFixed(2)}, mailbox fast/slow `+
+      let h = `<div>mailbox fast/slow `+
               `${d.mailbox_fast_total}/${d.mailbox_slow_total}</div>`;
       h += '<table><tr><th>dom</th><th>clock ps</th><th>lag ps</th>'+
-           '<th>events</th><th>queue</th><th>ring</th><th>cost</th>'+
-           '</tr>';
+           '<th>events</th><th>queue</th><th>ring</th></tr>';
       d.domains.forEach(x => {
         const frac = x.lag_ps / maxLag;
         const cls = frac >= 0.99 ? 'full' : (frac >= 0.5 ? 'warn' : '');
@@ -243,8 +239,7 @@ function tick(){
              `<td class="${cls}">${x.lag_ps}${bar}</td>`+
              `<td>${x.events}</td><td>${x.queue_len}</td>`+
              `<td class="${rcls}">${x.ring_occupancy}/`+
-             `${x.ring_capacity}</td>`+
-             `<td>${x.cost}</td></tr>`;
+             `${x.ring_capacity}</td></tr>`;
       });
       document.getElementById('right').innerHTML = h + '</table>';
     }).catch(()=>{

@@ -354,15 +354,6 @@ Monitor::instrumentEngine()
                 return static_cast<double>(de->domainStatus(i).queueLen);
             });
             d = metrics::Desc{};
-            d.name = "akita_sim_domain_cost";
-            d.help = "Observed cost units charged to the domain in "
-                     "the current repartition window.";
-            d.type = metrics::Type::Gauge;
-            d.labels = labels;
-            metrics_.addCallback(std::move(d), [de, i]() {
-                return static_cast<double>(de->domainStatus(i).cost);
-            });
-            d = metrics::Desc{};
             d.name = "akita_sim_domain_ring_occupancy";
             d.help = "Events parked in the domain's incoming SPSC "
                      "mailbox rings (fast cross-domain path).";
@@ -396,39 +387,6 @@ Monitor::instrumentEngine()
                 return static_cast<double>(de->mailboxSlowTotal());
             });
         }
-
-        // Adaptive-repartitioning health: how skewed the observed
-        // load is and how often the engine acted on it.
-        metrics::Desc d;
-        d.name = "akita_sim_domain_imbalance_ratio";
-        d.help = "Last evaluated window cost imbalance (max/mean) "
-                 "across domains.";
-        d.type = metrics::Type::Gauge;
-        d.series = metrics::SeriesMode::Full;
-        metrics_.addCallback(std::move(d),
-                             [de]() { return de->lastImbalance(); });
-        d = metrics::Desc{};
-        d.name = "akita_sim_repartitions_total";
-        d.help = "Adopted drain-boundary repartitions.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), [de]() {
-            return static_cast<double>(de->repartitionCount());
-        });
-        d = metrics::Desc{};
-        d.name = "akita_sim_repartitions_rejected_total";
-        d.help = "Repartition trigger firings rejected by hysteresis "
-                 "or candidate validity.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), [de]() {
-            return static_cast<double>(de->repartitionRejected());
-        });
-        d = metrics::Desc{};
-        d.name = "akita_sim_repartition_migrations_total";
-        d.help = "Components moved across domains, cumulative.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), [de]() {
-            return static_cast<double>(de->migratedComponents());
-        });
     }
 }
 
@@ -876,8 +834,8 @@ Monitor::ensureSampler()
 {
     // autoSample=false means *no* automatic passes, ever — enforced
     // here rather than at the call sites so a future caller can't
-    // accidentally spawn a sampler that fires its first-wake metrics
-    // pass against a manual-sampling harness's version counting.
+    // accidentally spawn a sampler whose passes disturb a manual-
+    // sampling harness's version counting.
     if (!cfg_.autoSample)
         return;
     if (samplerRunning_.exchange(true))
@@ -888,8 +846,10 @@ Monitor::ensureSampler()
 void
 Monitor::samplerLoop()
 {
-    auto lastMetricsPass = std::chrono::steady_clock::now() -
-                           std::chrono::hours(1);
+    // The first metrics pass waits one full interval, like every later
+    // one: a harness that sets a long interval to drive passes by hand
+    // must never see an automatic pass slip in between.
+    auto lastMetricsPass = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lk(samplerMu_);
     while (samplerRunning_.load()) {
         samplerCv_.wait_for(

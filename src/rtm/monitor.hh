@@ -136,10 +136,10 @@ struct MonitorConfig
     std::uint64_t recorderTtlFloorMs = 200;
     /**
      * Cache TTL floor (ms) for /api/v1/domains. Per-domain counters
-     * move continuously while the engine runs, and the domain engine
-     * stalls the generation at a drain — the endpoint folds wall time
-     * at this cadence (like /api/v1/hang) so a drained engine still
-     * refreshes its repartition history.
+     * move continuously while the engine runs, and some (horizons,
+     * ring occupancy, the drain-time clock sync) move without the
+     * event count — the endpoint folds wall time at this cadence (like
+     * /api/v1/hang) so the view never goes stale.
      */
     std::uint64_t domainsTtlFloorMs = 100;
 };

@@ -22,13 +22,10 @@ struct Groups
     std::vector<int> size;
     /** Pin id per root; -1 when unpinned. */
     std::vector<int> pin;
-    /** Observed-cost sum per root (0 when unweighted). */
-    std::vector<std::uint64_t> weight;
     int count = 0;
 
     explicit Groups(std::size_t n)
-        : parent(n), size(n, 1), pin(n, -1), weight(n, 0),
-          count(static_cast<int>(n))
+        : parent(n), size(n, 1), pin(n, -1), count(static_cast<int>(n))
     {
         for (std::size_t i = 0; i < n; i++)
             parent[i] = static_cast<int>(i);
@@ -68,7 +65,6 @@ struct Groups
             std::swap(a, b);
         parent[b] = a;
         size[a] += size[b];
-        weight[a] += weight[b];
         if (pin[a] < 0)
             pin[a] = pin[b];
         count--;
@@ -90,8 +86,7 @@ DomainPartition
 partitionDomains(const std::vector<Component *> &components,
                  const std::vector<Connection *> &connections,
                  int numDomains,
-                 const std::unordered_map<const Component *, int> &pins,
-                 const std::vector<std::uint64_t> &weights)
+                 const std::unordered_map<const Component *, int> &pins)
 {
     if (numDomains < 1)
         numDomains = 1;
@@ -103,14 +98,6 @@ partitionDomains(const std::vector<Component *> &components,
         indexOf.emplace(components[i], static_cast<int>(i));
 
     Groups groups(n);
-    const bool weighted = !weights.empty();
-    std::uint64_t totalWeight = 0;
-    if (weighted) {
-        for (std::size_t i = 0; i < n && i < weights.size(); i++) {
-            groups.weight[i] = weights[i];
-            totalWeight += weights[i];
-        }
-    }
     int maxPin = -1;
     for (const auto &kv : pins) {
         auto it = indexOf.find(kv.first);
@@ -183,48 +170,17 @@ partitionDomains(const std::vector<Component *> &components,
         }
     }
 
-    // Ascending-latency agglomeration down to the target count. With
-    // weights, a merge is deferred while the combined group would carry
-    // more than a slack-scaled fair share of the total observed cost
-    // (125% of total/target); if a pass cannot reach the target under
-    // the cap, the cap doubles — connectivity always wins eventually
-    // and the procedure stays deterministic.
-    std::uint64_t cap =
-        weighted ? std::max<std::uint64_t>(
-                       1, (totalWeight + totalWeight / 4) /
-                              static_cast<std::uint64_t>(target))
-                 : ~static_cast<std::uint64_t>(0);
-    for (;;) {
-        const int before = groups.count;
-        for (const PairEdge &e : edges) {
-            if (groups.count <= target)
-                break;
-            if (e.latency == 0)
-                continue;
-            if (!groups.mergeable(e.a, e.b))
-                continue;
-            if (weighted &&
-                groups.weight[groups.find(e.a)] +
-                        groups.weight[groups.find(e.b)] >
-                    cap)
-                continue;
-            groups.merge(e.a, e.b);
-        }
+    // Ascending-latency agglomeration down to the target count. One
+    // pass suffices: a merge never makes a skipped pair mergeable.
+    for (const PairEdge &e : edges) {
         if (groups.count <= target)
             break;
-        if (groups.count == before) {
-            // No merge happened. If the cap cannot be the blocker any
-            // more the graph is simply disconnected — hand over to the
-            // leftover fold below.
-            if (!weighted || cap >= totalWeight)
-                break;
-            cap = cap > totalWeight / 2 ? totalWeight : cap * 2;
-        }
+        if (e.latency != 0 && groups.mergeable(e.a, e.b))
+            groups.merge(e.a, e.b);
     }
 
     // Disconnected leftovers (no edge joins them): fold the smallest
-    // (lightest, under a cost-weighted cut) groups together until the
-    // target is met.
+    // groups together until the target is met.
     while (groups.count > target) {
         int best1 = -1, best2 = -1;
         // Scan roots; pick the two smallest mergeable groups
@@ -236,8 +192,6 @@ partitionDomains(const std::vector<Component *> &components,
                 roots.push_back(r);
         }
         std::sort(roots.begin(), roots.end(), [&](int x, int y) {
-            if (weighted && groups.weight[x] != groups.weight[y])
-                return groups.weight[x] < groups.weight[y];
             if (groups.size[x] != groups.size[y])
                 return groups.size[x] < groups.size[y];
             return x < y;

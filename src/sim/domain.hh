@@ -84,15 +84,6 @@ struct DomainPartition
  *  4. Leftover disconnected groups beyond the target merge
  *     smallest-first.
  *
- * When @p weights is non-empty (one observed-cost value per component,
- * same order as @p components), step 3 becomes cost-aware: a merge is
- * skipped while the combined group weight would exceed a slack-scaled
- * fair share (125% of total/target), with the cap doubled per pass
- * until the target count is reachable. Step 4 then folds the
- * *lightest* groups first. This is how the domain engine re-partitions
- * from observed per-component cost at drain boundaries; with an empty
- * @p weights the result is identical to the static latency-only cut.
- *
  * Domain ids are compacted in order of each group's earliest-registered
  * component, so domain 0 always contains the first component built
  * (the driver, on the GPU platform).
@@ -103,15 +94,11 @@ struct DomainPartition
  * @param numDomains Target domain count (>= 1).
  * @param pins Optional component -> domain pins (test/tuning override).
  *        Pinned ids must be in [0, numDomains).
- * @param weights Optional observed cost per component (parallel to
- *        @p components; shorter vectors treat the tail as weight 0).
- *        Empty = latency-only partitioning, unchanged from PR 7.
  */
 DomainPartition partitionDomains(
     const std::vector<Component *> &components,
     const std::vector<Connection *> &connections, int numDomains,
-    const std::unordered_map<const Component *, int> &pins = {},
-    const std::vector<std::uint64_t> &weights = {});
+    const std::unordered_map<const Component *, int> &pins = {});
 
 } // namespace sim
 } // namespace akita

@@ -1,7 +1,6 @@
 #include "sim/domain_engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -41,18 +40,6 @@ throwPast(VTime t, VTime now)
                              std::to_string(t) +
                              ", now=" + std::to_string(now) + ")");
 }
-
-std::uint64_t
-wallNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Bounded /api/v1/domains repartition-event history. */
-constexpr std::size_t kRepartHistoryCap = 64;
 
 /**
  * Iterations of the pre-park spin. Steady-state cross-domain traffic
@@ -214,12 +201,12 @@ DomainEngine::setRingCapacity(int n)
 const DomainPartition &
 DomainEngine::partition()
 {
-    ensurePartitioned();
+    partitionOnce();
     return part_;
 }
 
 void
-DomainEngine::ensurePartitioned()
+DomainEngine::partitionOnce()
 {
     if (partitioned_.load(std::memory_order_acquire))
         return;
@@ -299,18 +286,14 @@ DomainEngine::ensurePartitioned()
 void
 DomainEngine::buildRings()
 {
-    // New partition, new routing epoch: every cached Port::routeHint_
-    // written under the previous cut stops validating. The counter is
-    // shared by all engines in the process so epochs never collide
-    // across instances either.
+    // A fresh routing epoch per partition: a Port::routeHint_ cached by
+    // any other engine instance never validates here, because the
+    // counter is shared by all engines in the process.
     static std::atomic<std::uint32_t> gRouteEpoch{1};
     routeEpoch_ = gRouteEpoch.fetch_add(1, std::memory_order_relaxed);
     const std::size_t n = doms_.size();
-    for (auto &dp : doms_) {
-        dp->inRings.clear();
+    for (auto &dp : doms_)
         dp->outRing.assign(n, nullptr);
-        dp->outNbr.clear();
-    }
     for (std::size_t i = 0; i < n; i++) {
         Dom &d = *doms_[i];
         for (const InEdge &e : d.in) {
@@ -320,29 +303,6 @@ DomainEngine::buildRings()
             doms_[e.src]->outRing[i] = d.inRings.back().get();
             doms_[e.src]->outNbr.push_back(i);
         }
-    }
-}
-
-void
-DomainEngine::flushRingsToMail()
-{
-    for (auto &dp : doms_) {
-        Dom &d = *dp;
-        std::vector<EventPtr> fromRings;
-        for (auto &r : d.inRings) {
-            r->ring.drain([&fromRings](EventPtr ev) {
-                fromRings.push_back(std::move(ev));
-            });
-        }
-        if (fromRings.empty())
-            continue;
-        // Prepend: for any edge, ring events precede its mailbox
-        // events in send order (a spill epoch only opens after the
-        // ring stopped accepting), so ring-before-mail preserves
-        // per-edge FIFO through the migration.
-        for (EventPtr &ev : d.mail)
-            fromRings.push_back(std::move(ev));
-        d.mail.swap(fromRings);
     }
 }
 
@@ -436,10 +396,9 @@ DomainEngine::lookupDom(const Event &ev) const
 {
     if (Port *p = ev.deliveryDst()) {
         // Epoch-tagged memo of the component hash lookup: valid for
-        // the lifetime of the current partition (buildRings bumps the
-        // epoch on every re-cut, and the epoch counter is process-
-        // global so a hint written under any other engine or partition
-        // can never validate here).
+        // the lifetime of the partition (the epoch counter is process-
+        // global, so a hint written under any other engine can never
+        // validate here).
         const std::uint64_t hint =
             p->routeHint_.load(std::memory_order_relaxed);
         if ((hint >> 32) == routeEpoch_)
@@ -487,9 +446,8 @@ DomainEngine::schedule(EventPtr event)
         }
     }
     if (tlsDom.eng == this) {
-        // Worker context: the routing maps are stable for the whole
-        // run step — a repartition only happens while every worker is
-        // parked — so no lock is needed on this, the hot path.
+        // Worker context: the partition never changes once computed,
+        // so no lock is needed on this, the hot path.
         Dom *d = routeOf(*event);
         if (tlsDom.dom == d) {
             // Own-domain schedule from a running handler: the queue is
@@ -550,12 +508,10 @@ DomainEngine::schedule(EventPtr event)
         enqueueRemote(*d, std::move(event), /*counted=*/false, r);
         return;
     }
-    // External thread (monitor control, setup between runs): route and
-    // enqueue under setupMu_ so a drain-boundary repartition cannot
-    // slip between reading the routing map and landing the event. The
-    // event either lands under the old cut — and the migration
-    // re-routes mailbox contents — or waits and routes under the new
-    // one. Cold path; monitors schedule rarely.
+    // External thread (monitor control, setup between runs): route
+    // under setupMu_, which serializes the lookup against late
+    // component registration and destruction. Cold path; monitors
+    // schedule rarely.
     std::lock_guard<std::recursive_mutex> lk(setupMu_);
     Dom *d = routeOf(*event);
     enqueueRemote(*d, std::move(event), false);
@@ -620,10 +576,18 @@ DomainEngine::now() const
             ->clock.load(std::memory_order_relaxed);
     if (!partitioned_.load(std::memory_order_acquire))
         return 0;
-    // Global virtual-time floor: the minimum published horizon.
-    // Domains that promised "nothing ever" (kTimeMax: idle with no
-    // incoming edges) don't drag the estimate; all-idle engines sync
-    // clocks at drain, so the fallback is the max clock.
+    // Between runs: the time of the last executed event anywhere, as on
+    // the serial engine. A stopped run leaves the domain clocks apart,
+    // and only the maximum makes now() + x schedulable into every
+    // domain (the idle-engine past check compares against the
+    // destination's own clock).
+    //
+    // While running: the global virtual-time floor, the minimum
+    // published horizon. Domains that promised "nothing ever"
+    // (kTimeMax: idle with no incoming edges) don't drag the estimate;
+    // all-idle engines sync clocks at drain, so the fallback is the max
+    // clock.
+    const bool live = running_.load(std::memory_order_acquire);
     VTime m = kTimeMax;
     VTime maxClock = 0;
     for (const auto &d : doms_) {
@@ -634,7 +598,7 @@ DomainEngine::now() const
         if (c > maxClock)
             maxClock = c;
     }
-    return m != kTimeMax ? m : maxClock;
+    return live && m != kTimeMax ? m : maxClock;
 }
 
 // ---- Safe-window machinery ----
@@ -785,30 +749,9 @@ DomainEngine::publishIdleHorizon(Dom &d, VTime bound)
 // ---- Execution ----
 
 void
-DomainEngine::noteCost(Dom &d, const Event &ev, std::uint64_t units)
-{
-    const std::uint32_t id = ev.handler()->profName().id();
-    if (id >= d.cost.size()) {
-        // First sight of a handler name: size to the interned-name
-        // table so later names in this window won't grow it again.
-        // Steady state never reaches this branch.
-        d.cost.resize(
-            std::max<std::size_t>(id + 1, internedNameCount()), 0);
-    }
-    d.cost[id] += units;
-    // Single writer per domain: load+store beats fetch_add.
-    d.costTotal.store(d.costTotal.load(std::memory_order_relaxed) + units,
-                      std::memory_order_relaxed);
-}
-
-void
 DomainEngine::executeEvent(Dom &d, Event &event)
 {
     invokeHook(hookPosBeforeEvent, &event);
-    const bool track = repartition_.load(std::memory_order_relaxed);
-    std::uint64_t t0 = 0;
-    if (track && costModel_ == CostModel::Time)
-        t0 = wallNowNs();
     if (Profiler::instance().enabled()) {
         ProfScope scope(event.handler()->profName());
         event.handler()->handle(event);
@@ -816,13 +759,6 @@ DomainEngine::executeEvent(Dom &d, Event &event)
         event.handler()->handle(event);
     }
     invokeHook(hookPosAfterEvent, &event);
-    if (track) {
-        const std::uint64_t units =
-            costModel_ == CostModel::Time
-                ? std::max<std::uint64_t>(1, wallNowNs() - t0)
-                : 1;
-        noteCost(d, event, units);
-    }
     // Single writer per domain: load+store beats fetch_add. The
     // shared totalEvents_ counter settles once per batch instead.
     d.events.store(d.events.load(std::memory_order_relaxed) + 1,
@@ -982,12 +918,6 @@ DomainEngine::coordinateDrain(Dom &)
     }
     invokeHook(hookPosQueueDrained, nullptr);
 
-    // A wait-when-empty drain is a live rebalancing point: the engine
-    // keeps running afterwards with whatever the next revival brings.
-    // A final drain leaves rebalancing to the next run()'s entry.
-    if (waitWhenEmpty_)
-        maybeRepartition(/*midRun=*/true);
-
     if (!waitWhenEmpty_) {
         drainedResult_ = true;
         exitWorkers_.store(true);
@@ -1075,290 +1005,19 @@ DomainEngine::workerLoop(Dom &d, bool coordinator)
     tlsDom = {};
 }
 
-// ---- Adaptive repartitioning ----
+// ---- Topology (immutable once partitioned; see the class comment) ----
 
-bool
-DomainEngine::maybeRepartition(bool midRun)
-{
-    if (!repartition_.load(std::memory_order_relaxed) ||
-        doms_.size() < 2)
-        return false;
-
-    // Lock order: setupMu_ -> waitMu_ -> topoMu_/mailMu, matching the
-    // external schedule path (setupMu_ -> mailMu -> waitMu_ never
-    // nests — bumpProgress runs after the mail lock is dropped).
-    std::lock_guard<std::recursive_mutex> setupLk(setupMu_);
-    std::unique_lock<std::mutex> waitLk;
-    if (midRun) {
-        waitLk = std::unique_lock<std::mutex>(waitMu_);
-        // Re-verify the drain under the lock: an external schedule may
-        // have revived the engine since the coordinator observed
-        // quiescence. Holding waitMu_ for the whole migration keeps
-        // the parked workers parked — deliberately: releasing it would
-        // let stop()/resume() wake them into a half-rewritten routing
-        // table. The cost is that bumpProgress, stop, resume, and
-        // external schedules block on waitMu_ for the O(E log E) recut
-        // plus migration; drain boundaries are rare and the monitor's
-        // control surface tolerates the pause.
-        if (parked_ != static_cast<int>(doms_.size()) - 1 ||
-            pending_.load(std::memory_order_relaxed) != 0)
-            return false;
-    } else {
-        // Between runs no worker exists, but only a run that ended in
-        // a global drain left a migration-safe state. A Stopped run
-        // abandons events in per-domain queues — migration re-routes
-        // mailboxes, never queues, so adopting here would execute a
-        // moved component's leftovers in its old domain while new
-        // events route to the new one — and leaves domain clocks
-        // unsynchronized, which the safe-window reset assumes. A
-        // mailbox-only backlog is fine: events scheduled between runs
-        // migrate with their components.
-        const VTime c0 = doms_[0]->clock.load(std::memory_order_relaxed);
-        for (const auto &dp : doms_) {
-            if (!dp->queue.empty() ||
-                dp->clock.load(std::memory_order_relaxed) != c0)
-                return false;
-        }
-    }
-
-    std::uint64_t total = 0;
-    std::uint64_t maxCost = 0;
-    for (const auto &dp : doms_) {
-        std::uint64_t c = dp->costTotal.load(std::memory_order_relaxed);
-        total += c;
-        maxCost = std::max(maxCost, c);
-    }
-    if (total < repartMinEvents_)
-        return false; // Window too thin to act on; keep accumulating.
-
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(doms_.size());
-    const double imbalance =
-        mean > 0 ? static_cast<double>(maxCost) / mean : 1.0;
-    lastImbalance_.store(imbalance, std::memory_order_relaxed);
-
-    bool adopted = false;
-    if (cooldownLeft_ > 0) {
-        cooldownLeft_--;
-    } else if (imbalance >= repartThreshold_) {
-        adopted = tryAdoptRepartition();
-        if (adopted)
-            cooldownLeft_ = repartCooldown_;
-        else
-            repartRejected_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Fresh observation window either way: the trigger reacts to
-    // recent load, not the run's whole history.
-    for (const auto &dp : doms_) {
-        std::fill(dp->cost.begin(), dp->cost.end(), 0);
-        dp->costTotal.store(0, std::memory_order_relaxed);
-    }
-    return adopted;
-}
-
-bool
-DomainEngine::tryAdoptRepartition()
-{
-    // Observed weight per component: its handler's interned-name cost,
-    // summed over every domain's table (ownership may have changed
-    // inside the window).
-    const std::size_t n = components_.size();
-    std::vector<std::uint64_t> weights(n, 0);
-    for (std::size_t i = 0; i < n; i++) {
-        auto hIt = componentHandler_.find(components_[i]);
-        if (hIt == componentHandler_.end())
-            continue; // Handles no events, costs nothing.
-        const std::uint32_t id = hIt->second->profName().id();
-        for (const auto &dp : doms_)
-            if (id < dp->cost.size())
-                weights[i] += dp->cost[id];
-    }
-
-    DomainPartition cand =
-        partitionDomains(components_, connections_,
-                         static_cast<int>(doms_.size()), pins_, weights);
-    // Same handler-pin domain expansion as the initial partition.
-    int numDoms = std::max(cand.numDomains, 1);
-    for (const auto &kv : handlerPins_)
-        numDoms = std::max(numDoms, kv.second + 1);
-    cand.numDomains = numDoms;
-    cand.members.resize(static_cast<std::size_t>(numDoms));
-    cand.incoming.resize(static_cast<std::size_t>(numDoms));
-    if (cand.numDomains != static_cast<int>(doms_.size()))
-        return false; // Worker binding is fixed for the engine's life.
-    for (const auto &e : cand.edges)
-        if (e.lookahead == 0)
-            return false; // No safe window across that cut.
-
-    // Hysteresis on like-for-like numbers: predicted imbalance of the
-    // current vs. the candidate assignment under the same weights. A
-    // candidate has to beat the standing cut by a real margin, so an
-    // oscillating hotspot cannot flip the partition every boundary.
-    auto imbalanceOf = [this](const std::vector<std::uint64_t> &w) {
-        std::uint64_t tot = 0, mx = 0;
-        for (std::uint64_t v : w) {
-            tot += v;
-            mx = std::max(mx, v);
-        }
-        if (tot == 0)
-            return 1.0;
-        return static_cast<double>(mx) * static_cast<double>(w.size()) /
-               static_cast<double>(tot);
-    };
-    std::vector<std::uint64_t> curW(doms_.size(), 0);
-    std::vector<std::uint64_t> candW(doms_.size(), 0);
-    int moved = 0;
-    for (std::size_t i = 0; i < n; i++) {
-        auto cur = componentDom_.find(components_[i]);
-        auto to = cand.domainOf.find(components_[i]);
-        if (cur == componentDom_.end() || to == cand.domainOf.end())
-            continue;
-        curW[cur->second] += weights[i];
-        candW[static_cast<std::size_t>(to->second)] += weights[i];
-        if (cur->second != static_cast<std::size_t>(to->second))
-            moved++;
-    }
-    const double before = imbalanceOf(curW);
-    const double after = imbalanceOf(candW);
-    if (moved == 0 || after * repartHysteresis_ >= before)
-        return false;
-
-    // Migration. Every mailbox lock is taken so events parked there
-    // (scheduled between runs) move with their components; workers are
-    // parked behind waitMu_ (held by the caller) or not yet spawned,
-    // so queues and routing maps are exclusively ours.
-    std::vector<std::unique_lock<std::mutex>> mailLks;
-    mailLks.reserve(doms_.size());
-    for (const auto &dp : doms_)
-        mailLks.emplace_back(dp->mailMu);
-
-    // Ring residue (pushed but never drained — e.g. a stopped run)
-    // joins the mailbox under the same locks, so the re-route below
-    // migrates it with everything else. The rings themselves are
-    // rebuilt for the new edge set once the in-lists are final.
-    flushRingsToMail();
-
-    {
-        std::lock_guard<std::mutex> tk(topoMu_);
-        part_ = std::move(cand);
-
-        // Update componentDom_ in place: it also carries late
-        // registrations (noteComponent after the partition was fixed)
-        // that components_ does not list — clearing would orphan them
-        // and leave their deliveries to the tlsDom fallback, i.e. to
-        // whichever worker happens to schedule. handlerDom_ and
-        // componentHandler_ only ever hold components_ members plus
-        // handlerPins_, so a full rebuild reproduces them exactly.
-        handlerDom_.clear();
-        componentHandler_.clear();
-        for (Component *c : components_) {
-            auto it = part_.domainOf.find(c);
-            std::size_t dom = it != part_.domainOf.end()
-                                  ? static_cast<std::size_t>(it->second)
-                                  : 0;
-            componentDom_[c] = dom;
-            if (auto *h = dynamic_cast<EventHandler *>(c)) {
-                handlerDom_.emplace(h, dom);
-                componentHandler_.emplace(c, h);
-            }
-        }
-        for (const auto &kv : handlerPins_)
-            handlerDom_[kv.first] = static_cast<std::size_t>(kv.second);
-
-        memberNames_.assign(doms_.size(), {});
-        for (int i = 0; i < part_.numDomains; i++) {
-            for (Component *c : part_.members[i])
-                memberNames_[static_cast<std::size_t>(i)].push_back(
-                    c->name());
-        }
-        edgeConnNames_.clear();
-        for (const auto &e : part_.edges)
-            edgeConnNames_.push_back(e.via ? e.via->connectionName()
-                                           : std::string("?"));
-
-        // Safe-window recomputation: each worker's next bound scan
-        // reads the rebuilt in-edge lists. Clocks and horizons are
-        // already synchronized by the drain, so the first windows
-        // after revival are maxClock + lookahead — conservative and
-        // monotone.
-        for (auto &dp : doms_) {
-            dp->in.clear();
-            for (const auto &e :
-                 part_.incoming[static_cast<std::size_t>(dp->id)])
-                dp->in.push_back(
-                    {static_cast<std::size_t>(e.src), e.lookahead});
-        }
-        // Fresh rings for the new cut: the flush above emptied the old
-        // ones, and fresh EdgeRings reset every spill epoch to closed.
-        buildRings();
-
-        RepartitionEvent evh;
-        evh.seq = repartitions_.load(std::memory_order_relaxed) + 1;
-        evh.simTime = doms_[0]->clock.load(std::memory_order_relaxed);
-        evh.imbalanceBefore = before;
-        evh.imbalanceAfter = after;
-        evh.migrated = moved;
-        repartHistory_.push_back(evh);
-        if (repartHistory_.size() > kRepartHistoryCap)
-            repartHistory_.pop_front();
-    }
-
-    // Re-route mailbox contents to their new owners. Cross-domain
-    // FIFO is preserved trivially: queues are empty at a drain, and a
-    // mailbox is unordered until its owner drains it into the queue.
-    std::vector<EventPtr> movedMail;
-    for (const auto &dp : doms_) {
-        Dom &d = *dp;
-        std::vector<EventPtr> keep;
-        keep.reserve(d.mail.size());
-        for (EventPtr &ev : d.mail) {
-            Dom *t = lookupDom(*ev);
-            if (t == nullptr || t == &d)
-                keep.push_back(std::move(ev));
-            else
-                movedMail.push_back(std::move(ev));
-        }
-        d.mail.swap(keep);
-    }
-    for (EventPtr &ev : movedMail) {
-        Dom *t = lookupDom(*ev); // Non-null: the split proved it.
-        t->mail.push_back(std::move(ev));
-    }
-    for (const auto &dp : doms_) {
-        Dom &d = *dp;
-        d.mailMin = kTimeMax;
-        for (const EventPtr &ev : d.mail)
-            d.mailMin = std::min(d.mailMin, ev->time());
-        d.mailCount.store(d.mail.size(), std::memory_order_release);
-    }
-
-    repartitions_.fetch_add(1, std::memory_order_relaxed);
-    migrated_.fetch_add(static_cast<std::uint64_t>(moved),
-                        std::memory_order_relaxed);
-    return true;
-}
-
-std::vector<std::vector<std::string>>
+const std::vector<std::vector<std::string>> &
 DomainEngine::domainMemberNames()
 {
     partition();
-    std::lock_guard<std::mutex> lk(topoMu_);
     return memberNames_;
-}
-
-std::vector<std::string>
-DomainEngine::edgeConnectionNames()
-{
-    partition();
-    std::lock_guard<std::mutex> lk(topoMu_);
-    return edgeConnNames_;
 }
 
 std::vector<DomainEngine::EdgeInfo>
 DomainEngine::edgeInfos()
 {
     partition();
-    std::lock_guard<std::mutex> lk(topoMu_);
     std::vector<EdgeInfo> out;
     out.reserve(part_.edges.size());
     for (std::size_t i = 0; i < part_.edges.size(); i++)
@@ -1374,13 +1033,6 @@ DomainEngine::domainOfComponent(const Component *c) const
     auto it = componentDom_.find(c);
     return it == componentDom_.end() ? -1
                                      : static_cast<int>(it->second);
-}
-
-std::vector<DomainEngine::RepartitionEvent>
-DomainEngine::repartitionEvents() const
-{
-    std::lock_guard<std::mutex> lk(topoMu_);
-    return {repartHistory_.begin(), repartHistory_.end()};
 }
 
 // ---- Control surface ----
@@ -1456,40 +1108,33 @@ DomainEngine::DomainStatus
 DomainEngine::domainStatus(int d) const
 {
     DomainStatus s;
-    if (d < 0 || static_cast<std::size_t>(d) >= doms_.size())
+    if (!partitioned_.load(std::memory_order_acquire) || d < 0 ||
+        static_cast<std::size_t>(d) >= doms_.size())
         return s;
     const Dom &dm = *doms_[d];
     s.clock = dm.clock.load(std::memory_order_relaxed);
     s.horizon = horizons_[dm.id].v.load(std::memory_order_relaxed);
     s.events = dm.events.load(std::memory_order_relaxed);
+    // The rings themselves are immutable once partitioned; only their
+    // indices move, and size() reads those atomically.
     std::size_t inFlight = 0;
     std::size_t cap = 0;
-    {
-        // A repartition rebuilds inRings under topoMu_; occupancy is a
-        // monitor-thread read, so pay the (uncontended) lock here.
-        std::lock_guard<std::mutex> lk(topoMu_);
-        for (const auto &r : dm.inRings) {
-            inFlight += r->ring.size();
-            cap += r->ring.capacity();
-        }
+    for (const auto &r : dm.inRings) {
+        inFlight += r->ring.size();
+        cap += r->ring.capacity();
     }
     s.ringOccupancy = inFlight;
     s.ringCapacity = cap;
     s.queueLen = dm.qlen.load(std::memory_order_relaxed) +
                  dm.mailCount.load(std::memory_order_relaxed) +
                  inFlight;
-    s.cost = dm.costTotal.load(std::memory_order_relaxed);
     return s;
 }
 
 RunResult
 DomainEngine::run()
 {
-    ensurePartitioned();
-    // Between runs every clock is synchronized and no worker exists —
-    // a free rebalancing point. Events scheduled since the last run
-    // sit in mailboxes and migrate with their components.
-    maybeRepartition(/*midRun=*/false);
+    partitionOnce();
     for (std::size_t i = 0; i < part_.edges.size(); i++) {
         if (part_.edges[i].lookahead != 0)
             continue;

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,11 +61,11 @@ namespace sim
  * recomputation, and the enqueue-before-horizon-raise ordering above
  * carries over because the tail store is program-ordered before the
  * producer's next horizon release. The locked mailbox remains as the
- * slow path for external threads, edges without a ring, full-ring
+ * slow path for external threads, edges without a ring, and full-ring
  * spills (per-edge FIFO is preserved across the spill by an epoch
- * handshake — see EdgeRing), and repartition migration. Idle workers
- * spin briefly and then park on a per-domain channel; a horizon raise
- * wakes only the domains whose safe window actually moved.
+ * handshake — see EdgeRing). Idle workers spin briefly and then park
+ * on a per-domain channel; a horizon raise wakes only the domains whose
+ * safe window actually moved.
  *
  * Cross-domain wakes (sleep/wake ticking, monitor Tick) are scheduled
  * from the waker's clock and may land below the destination's horizon;
@@ -80,35 +79,24 @@ namespace sim
  * Monitor contract: pause/resume/stop work as on the other engines;
  * withLock() acquires every domain's execution mutex in domain order,
  * yielding a causally-consistent cut at event boundaries; now() from an
- * external thread is the minimum published horizon (the global
- * virtual-time floor, monotone); a globally drained engine synchronizes
- * all clocks to the maximum before reporting "drained", so wait-when-
- * empty revival behaves exactly like the serial engine.
+ * external thread is, while running, the minimum published horizon (the
+ * global virtual-time floor, monotone) and, between runs, the maximum
+ * domain clock — the serial engine's "time of the last executed event",
+ * so now() + x is a legal external schedule into every domain even
+ * after a stopped run left the clocks unsynchronized. A globally
+ * drained engine synchronizes all clocks to the maximum before
+ * reporting "drained", so wait-when-empty revival behaves exactly like
+ * the serial engine.
  *
  * With a single domain, the worker is the run() caller and pops events
  * one at a time from one queue: event order is bit-identical to
  * SerialEngine (enforced by test).
  *
- * Adaptive repartitioning (off by default — see setRepartition):
- * while enabled, every executed event charges one cost unit (or its
- * measured wall time, CostModel::Time) to its handler's interned
- * NameRef in a worker-owned per-domain table. At global drain
- * boundaries — the only points where all clocks are synchronized,
- * every queue is empty, and the other workers are parked — the
- * coordinator compares the per-domain window cost (max/mean) against
- * a threshold and, past it, re-runs the partitioner seeded with the
- * observed per-component costs instead of static latencies. The new
- * cut is adopted only when its predicted imbalance beats the current
- * one by the hysteresis factor (and a cooldown of evaluations has
- * elapsed), so oscillating load cannot thrash. Adoption rewrites the
- * routing maps and every domain's in-edge list (safe windows are
- * recomputed from them on the next worker iteration) and re-routes
- * any events sitting in mailboxes between runs; pinned components and
- * assigned handlers never move, and a candidate that would change the
- * domain count or cut a zero-latency connection is rejected. The
- * simulation end-state is unchanged by construction — only the
- * schedule moves — and with the feature off the engine is
- * byte-for-byte the PR 7 behavior.
+ * The partition is computed once, from connection latencies, and never
+ * changes: the topology (domain count, members, edges, rings) is
+ * written in partitionOnce() before the partitioned_ release-store
+ * and is immutable afterwards, so any reader that has acquired
+ * partitioned_ needs no lock to read it.
  */
 class DomainEngine : public Engine
 {
@@ -202,20 +190,11 @@ class DomainEngine : public Engine
      */
     const DomainPartition &partition();
 
-    /**
-     * Domains in the computed partition (computes it on first use).
-     * The count is fixed for the engine's lifetime: repartitioning
-     * reassigns members but never changes the worker-per-domain
-     * binding.
-     */
+    /** Domains in the computed partition (computes it on first use). */
     int numDomains() { return static_cast<int>(partition().numDomains); }
 
-    /**
-     * Component names per domain. A snapshot by value: repartitioning
-     * rewrites the membership at drain boundaries, so references into
-     * the live table would race.
-     */
-    std::vector<std::vector<std::string>> domainMemberNames();
+    /** Component names per domain (computes the partition). */
+    const std::vector<std::vector<std::string>> &domainMemberNames();
 
     /** One cross-domain edge of the current cut, with diagnostics. */
     struct EdgeInfo
@@ -226,15 +205,12 @@ class DomainEngine : public Engine
         std::string connection;
     };
 
-    /** The current cut's edges, snapshotted (see domainMemberNames). */
+    /** The partition's cross-domain edges, with diagnostics. */
     std::vector<EdgeInfo> edgeInfos();
 
-    /** Connection name per partition edge (same order as edges). */
-    std::vector<std::string> edgeConnectionNames();
-
     /**
-     * Current domain of @p c, or -1 when unknown. Tracks
-     * repartitioning (tests assert pinned components never move).
+     * Domain of @p c, or -1 when unknown. Components registered after
+     * the partition was computed report domain 0.
      */
     int domainOfComponent(const Component *c) const;
 
@@ -245,8 +221,6 @@ class DomainEngine : public Engine
         VTime horizon = 0;
         std::uint64_t events = 0;
         std::size_t queueLen = 0;
-        /** Cost units charged in the current observation window. */
-        std::uint64_t cost = 0;
         /** Events sitting in this domain's in-rings (approximate). */
         std::size_t ringOccupancy = 0;
         /** Summed capacity of this domain's in-rings. */
@@ -255,110 +229,6 @@ class DomainEngine : public Engine
 
     /** @p d must be < numDomains(). */
     DomainStatus domainStatus(int d) const;
-
-    // ---- Adaptive repartitioning surface ----
-
-    /** What one cost unit means when weighing components. */
-    enum class CostModel
-    {
-        /** One unit per executed event (cheap, deterministic). */
-        Events,
-        /** Measured wall nanoseconds per event (two clock reads). */
-        Time,
-    };
-
-    /**
-     * Enables cost accounting and drain-boundary repartitioning.
-     * Off (the default) leaves the hot path and the partition exactly
-     * as PR 7 shipped them; a 1-domain engine never repartitions.
-     */
-    void setRepartition(bool on)
-    {
-        repartition_.store(on, std::memory_order_relaxed);
-    }
-
-    bool
-    repartitionEnabled() const
-    {
-        return repartition_.load(std::memory_order_relaxed);
-    }
-
-    void setCostModel(CostModel m) { costModel_ = m; }
-
-    /** Trigger: repartition when window max/mean >= @p maxOverMean. */
-    void
-    setRepartitionThreshold(double maxOverMean)
-    {
-        repartThreshold_ = maxOverMean < 1.0 ? 1.0 : maxOverMean;
-    }
-
-    /**
-     * Adopt a candidate only when its predicted imbalance times this
-     * factor is still below the current one (anti-thrash margin).
-     */
-    void
-    setRepartitionHysteresis(double improveFactor)
-    {
-        repartHysteresis_ = improveFactor < 1.0 ? 1.0 : improveFactor;
-    }
-
-    /** Evaluations to skip after an adopted repartition. */
-    void
-    setRepartitionCooldown(int evals)
-    {
-        repartCooldown_ = evals < 0 ? 0 : evals;
-    }
-
-    /** Minimum window cost before the trigger is even evaluated. */
-    void
-    setRepartitionMinEvents(std::uint64_t n)
-    {
-        repartMinEvents_ = n;
-    }
-
-    /** Adopted repartitions so far. */
-    std::uint64_t
-    repartitionCount() const
-    {
-        return repartitions_.load(std::memory_order_relaxed);
-    }
-
-    /** Trigger firings that were rejected (hysteresis/validity). */
-    std::uint64_t
-    repartitionRejected() const
-    {
-        return repartRejected_.load(std::memory_order_relaxed);
-    }
-
-    /** Components moved across domains, cumulative. */
-    std::uint64_t
-    migratedComponents() const
-    {
-        return migrated_.load(std::memory_order_relaxed);
-    }
-
-    /** Most recent evaluated window imbalance (max/mean; 0 = none). */
-    double
-    lastImbalance() const
-    {
-        return lastImbalance_.load(std::memory_order_relaxed);
-    }
-
-    /** One adopted repartition, for the RTM event history. */
-    struct RepartitionEvent
-    {
-        std::uint64_t seq = 0;
-        /** Synchronized virtual time of the drain boundary. */
-        VTime simTime = 0;
-        /** Window imbalance that fired the trigger. */
-        double imbalanceBefore = 0;
-        /** Predicted imbalance of the adopted cut (same weights). */
-        double imbalanceAfter = 0;
-        int migrated = 0;
-    };
-
-    /** Bounded history (newest last) of adopted repartitions. */
-    std::vector<RepartitionEvent> repartitionEvents() const;
 
     /** Events executed per safe-window batch (cf. SerialEngine). */
     void
@@ -410,7 +280,7 @@ class DomainEngine : public Engine
      * in a flat array (horizons_). The safe-window min-scan is the
      * hottest cross-domain read; keeping it a linear pass over padded
      * atomics means it never bounces lines the owning worker is
-     * concurrently writing (clock, qlen, cost).
+     * concurrently writing (clock, qlen).
      */
     struct alignas(64) HorizonSlot
     {
@@ -496,16 +366,6 @@ class DomainEngine : public Engine
         std::atomic<std::size_t> mailCount{0};
         /** Held while executing a batch; withLock takes all in order. */
         mutable std::mutex execMu;
-        /**
-         * Cost units per interned handler name this window. Worker-
-         * owned; the coordinator reads/resets it at drain boundaries
-         * while the worker is parked (ordered through waitMu_). It
-         * grows once per newly seen name — the steady state never
-         * allocates.
-         */
-        std::vector<std::uint64_t> cost;
-        /** Window total (mirror for external status readers). */
-        std::atomic<std::uint64_t> costTotal{0};
     };
 
     Dom *routeOf(const Event &ev);
@@ -513,14 +373,8 @@ class DomainEngine : public Engine
     void enqueueRemote(Dom &d, EventPtr ev, bool countScheduled,
                        EdgeRing *spill = nullptr);
     void drainMail(Dom &d);
-    /** (Re)creates the per-edge rings from the current in-edge lists.
-     * Caller guarantees quiescence and empty rings. */
+    /** Creates the per-edge rings from the in-edge lists. */
     void buildRings();
-    /** Moves residual ring events into the slow mailboxes (prepended,
-     * preserving per-edge order). Caller holds every mailMu and
-     * guarantees no worker runs (repartition adoption, where the old
-     * rings are about to be torn down). */
-    void flushRingsToMail();
     /** Bumps @p d's wake generation; notifies only if parked. */
     void wakeDom(Dom &d);
     /** Wakes the domains whose safe window reads @p d's horizon. */
@@ -529,16 +383,6 @@ class DomainEngine : public Engine
     /** Spin-then-park until the wake generation moves past @p wgen
      * or a global signal (stop/pause/exit/drain) fires. */
     void idleWait(Dom &d, std::uint64_t wgen);
-    void noteCost(Dom &d, const Event &ev, std::uint64_t units);
-    /**
-     * Evaluates the imbalance trigger and possibly adopts a new cut.
-     * Caller guarantees quiescence: run() entry (no workers), or the
-     * drain coordinator (re-verified under waitMu_ when @p midRun).
-     * Returns true when a repartition was adopted.
-     */
-    bool maybeRepartition(bool midRun);
-    /** The locked adoption step; see maybeRepartition. */
-    bool tryAdoptRepartition();
     VTime safeWindow(const Dom &d) const;
     void publishIdleHorizon(Dom &d, VTime bound);
     void executeBatch(Dom &d, VTime bound);
@@ -549,7 +393,7 @@ class DomainEngine : public Engine
     void parkWhileDrained();
     void recordError();
     void bumpProgress();
-    void ensurePartitioned();
+    void partitionOnce();
 
     int requested_;
     int batch_ = 256;
@@ -570,8 +414,7 @@ class DomainEngine : public Engine
     DomainPartition part_;
     std::vector<std::unique_ptr<Dom>> doms_;
     /** Published horizons, one padded slot per domain (see
-     * HorizonSlot). Allocated once at partition time; the domain
-     * count never changes afterwards. */
+     * HorizonSlot). Allocated once at partition time. */
     std::unique_ptr<HorizonSlot[]> horizons_;
     /** Per-edge ring capacity (power of two; see setRingCapacity). */
     int ringCapacity_ = 256;
@@ -580,38 +423,19 @@ class DomainEngine : public Engine
     std::unordered_map<const Component *, std::size_t> componentDom_;
     std::unordered_map<const EventHandler *, std::size_t> handlerDom_;
     /**
-     * Partition epoch tag for Port::routeHint_ memoization; assigned
-     * a process-unique value by buildRings() at every (re)cut.
+     * Partition tag for Port::routeHint_ memoization; a process-unique
+     * value assigned by buildRings().
      */
     std::uint32_t routeEpoch_ = 0;
-    /** Component -> its EventHandler subobject (for dtor cleanup). */
+    /**
+     * Component -> its EventHandler subobject, so the destructor hook
+     * can drop the handler's route: in ~Component the dynamic type is
+     * already Component and a dynamic_cast would find nothing.
+     */
     std::unordered_map<const Component *, const EventHandler *>
         componentHandler_;
     std::vector<std::vector<std::string>> memberNames_;
     std::vector<std::string> edgeConnNames_;
-
-    // ---- Adaptive repartitioning state ----
-
-    /** Cost tracking + drain-boundary rebalancing enabled. */
-    std::atomic<bool> repartition_{false};
-    CostModel costModel_ = CostModel::Events;
-    double repartThreshold_ = 1.5;
-    double repartHysteresis_ = 1.2;
-    int repartCooldown_ = 2;
-    std::uint64_t repartMinEvents_ = 1024;
-    /** Evaluations left to skip (coordinator/drain-boundary only). */
-    int cooldownLeft_ = 0;
-    std::atomic<std::uint64_t> repartitions_{0};
-    std::atomic<std::uint64_t> repartRejected_{0};
-    std::atomic<std::uint64_t> migrated_{0};
-    std::atomic<double> lastImbalance_{0.0};
-    /**
-     * Guards the topology snapshot read by RTM (memberNames_,
-     * edgeConnNames_, part_.edges, repartHistory_) against the
-     * drain-boundary rewrite. Leaf lock.
-     */
-    mutable std::mutex topoMu_;
-    std::deque<RepartitionEvent> repartHistory_;
 
     std::atomic<std::uint64_t> pending_{0};
     std::atomic<std::uint64_t> totalEvents_{0};

@@ -183,8 +183,9 @@ class Port : public Hookable
      * DomainEngine routing cache: (partition epoch << 32) | domain
      * index. Delivery events route by destination port; hashing the
      * owning component on every cross-domain send is measurable on
-     * the hot path, so the engine memoizes the answer here and a
-     * repartition invalidates it by bumping the epoch. Multiple
+     * the hot path, so the engine memoizes the answer here, tagged
+     * with a process-unique per-partition epoch so a hint left by
+     * another engine instance never validates. Multiple
      * workers may race to fill it with the same value — hence the
      * relaxed atomic, not a plain field.
      */

@@ -23,6 +23,7 @@
 #include "rtm/monitor.hh"
 #include "sim/sim.hh"
 #include "web/client.hh"
+#include "workloads/workloads.hh"
 
 using namespace akita;
 using namespace akita::sim;
@@ -649,6 +650,14 @@ TEST(DomainEngineCross, PerDomainStatusSumsToTotals)
         EXPECT_EQ(st.clock, eng.now());
     }
     EXPECT_EQ(sum, eng.eventCount());
+    // One full-size ring per cross-domain edge, all drained dry.
+    std::size_t caps = 0, occ = 0;
+    for (int i = 0; i < eng.numDomains(); i++) {
+        caps += eng.domainStatus(i).ringCapacity;
+        occ += eng.domainStatus(i).ringOccupancy;
+    }
+    EXPECT_EQ(caps, eng.edgeInfos().size() * 256);
+    EXPECT_EQ(occ, 0u);
     ASSERT_EQ(eng.domainMemberNames().size(), 2u);
     EXPECT_EQ(eng.domainMemberNames()[0][0], "A");
     EXPECT_EQ(eng.domainMemberNames()[1][0], "B");
@@ -882,112 +891,105 @@ TEST(DomainEngineRtm, FullMonitorSurface)
     runner.join();
 }
 
-// ---- The cost-weighted partitioner ----
-
-TEST(DomainPartitionerWeighted, EmptyWeightsMatchStaticCut)
+TEST(DomainEngineRtm, SequentialKernelsComplete)
 {
-    SerialEngine host;
-    Node a(&host, "A", 4), b(&host, "B", 4), c(&host, "C", 4),
-        d(&host, "D", 4);
-    DirectConnection ab(&host, "AB", kNanosecond);
-    ab.plugIn(a.in);
-    ab.plugIn(b.in);
-    DirectConnection bc(&host, "BC", kNanosecond);
-    bc.plugIn(b.in);
-    bc.plugIn(c.in);
-    DirectConnection cd(&host, "CD", kNanosecond);
-    cd.plugIn(c.in);
-    cd.plugIn(d.in);
-
-    std::vector<Component *> comps{&a, &b, &c, &d};
-    std::vector<Connection *> conns{&ab, &bc, &cd};
-    DomainPartition stat = partitionDomains(comps, conns, 2);
-    DomainPartition weighted =
-        partitionDomains(comps, conns, 2, {}, {});
-    EXPECT_EQ(stat.numDomains, weighted.numDomains);
-    for (Component *comp : comps)
-        EXPECT_EQ(stat.domainOf.at(comp), weighted.domainOf.at(comp));
+    // Driver auto-stop ends every GPU run Stopped, which leaves the
+    // domain clocks unsynchronized. The next launch schedules the
+    // driver's tick at now() + 1 cycle from outside the engine, so
+    // now() must name a time no domain has passed yet, or the launch
+    // throws "cannot schedule event in the past".
+    workloads::FirParams fp;
+    fp.numSamples = 4096;
+    for (int rep = 0; rep < 5; rep++) {
+        for (int domains : {2, 4}) {
+            auto cfg = gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
+            cfg.engineKind = gpu::EngineKind::Domain;
+            cfg.domains = domains;
+            gpu::Platform plat(cfg);
+            for (int k = 0; k < 3; k++) {
+                gpu::KernelDescriptor fir = workloads::makeFir(fp);
+                plat.launchKernel(&fir);
+                ASSERT_EQ(plat.run(), gpu::Platform::RunStatus::Completed)
+                    << "d=" << domains << " kernel " << k << " rep "
+                    << rep;
+            }
+        }
+    }
 }
 
-TEST(DomainPartitionerWeighted, HeavyComponentsAreSpread)
+TEST(DomainEngineRtm, DomainsEndpointIsCachedAndComplete)
 {
-    // A and C are hot; the balance cap (125% of ideal) keeps the two
-    // heavyweights apart, where the unweighted cut packs {A,B,C}
-    // together by index order.
-    SerialEngine host;
-    Node a(&host, "A", 4), b(&host, "B", 4), c(&host, "C", 4),
-        d(&host, "D", 4);
-    DirectConnection ab(&host, "AB", kNanosecond);
-    ab.plugIn(a.in);
-    ab.plugIn(b.in);
-    DirectConnection bc(&host, "BC", kNanosecond);
-    bc.plugIn(b.in);
-    bc.plugIn(c.in);
-    DirectConnection cd(&host, "CD", kNanosecond);
-    cd.plugIn(c.in);
-    cd.plugIn(d.in);
+    // /api/v1/domains serves the partition, per-domain clocks and ring
+    // state behind the coalesced cache (ETag + 304, x-akita-no-cache
+    // bypass).
+    DomainEngine eng(2);
+    Node a(&eng, "A", 4), b(&eng, "B", 4);
+    DirectConnection conn(&eng, "Conn", 5 * kNanosecond);
+    conn.plugIn(a.in);
+    conn.plugIn(b.in);
+    eng.pinComponent(&a, 0);
+    eng.pinComponent(&b, 1);
+    a.target = b.in;
+    for (int i = 0; i < 8; i++)
+        a.outbox.push_back(makeMsg<TestMsg>(i));
+    a.tickLater();
+    ASSERT_EQ(eng.run(), RunResult::Drained);
 
-    std::vector<Component *> comps{&a, &b, &c, &d};
-    std::vector<Connection *> conns{&ab, &bc, &cd};
+    rtm::MonitorConfig mcfg;
+    mcfg.announceUrl = false;
+    mcfg.domainsTtlFloorMs = 60 * 1000; // One build for this test.
+    rtm::Monitor mon(mcfg);
+    mon.registerEngine(&eng);
+    ASSERT_TRUE(mon.startServer());
 
-    DomainPartition stat = partitionDomains(comps, conns, 2);
-    EXPECT_EQ(stat.domainOf.at(&a), stat.domainOf.at(&c));
+    web::PersistentClient client("127.0.0.1", mon.serverPort());
+    auto first = client.get("/api/v1/domains");
+    ASSERT_TRUE(first.has_value());
+    ASSERT_EQ(first->status, 200);
+    ASSERT_TRUE(first->headers.count("etag"));
 
-    DomainPartition part = partitionDomains(comps, conns, 2, {},
-                                            {100, 1, 100, 1});
-    EXPECT_EQ(part.numDomains, 2);
-    EXPECT_NE(part.domainOf.at(&a), part.domainOf.at(&c));
+    json::Json doc = json::Json::parse(first->body);
+    EXPECT_EQ(doc.getInt("num_domains", 0), 2);
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  doc.getInt("mailbox_fast_total", 0) +
+                  doc.getInt("mailbox_slow_total", 0)),
+              eng.mailboxFastTotal() + eng.mailboxSlowTotal());
+    const json::Json *doms = doc.get("domains");
+    ASSERT_NE(doms, nullptr);
+    ASSERT_EQ(doms->items().size(), 2u);
+    for (const auto &dom : doms->items()) {
+        EXPECT_EQ(static_cast<VTime>(dom.getInt("clock_ps", 0)),
+                  eng.now());
+        EXPECT_EQ(dom.getInt("lag_ps", -1), 0);
+        EXPECT_EQ(dom.getInt("ring_capacity", 0), 256);
+        ASSERT_NE(dom.get("members"), nullptr);
+        EXPECT_EQ(dom.get("members")->items().size(), 1u);
+    }
+    const json::Json *edges = doc.get("edges");
+    ASSERT_NE(edges, nullptr);
+    ASSERT_EQ(edges->items().size(), 2u);
+    for (const auto &e : edges->items()) {
+        EXPECT_EQ(static_cast<VTime>(e.getInt("lookahead_ps", 0)),
+                  5 * kNanosecond);
+        EXPECT_EQ(e.getStr("connection"), "Conn");
+    }
+
+    // Replaying the ETag within the TTL gets a 304.
+    auto second = client.get(
+        "/api/v1/domains",
+        {{"If-None-Match", first->headers.at("etag")}});
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->status, 304);
+
+    // The bypass header skips the cache and carries no validator.
+    auto third =
+        client.get("/api/v1/domains", {{"x-akita-no-cache", "1"}});
+    ASSERT_TRUE(third.has_value());
+    EXPECT_EQ(third->status, 200);
+    EXPECT_FALSE(third->headers.count("etag"));
 }
 
-TEST(DomainPartitionerWeighted, ZeroLatencyEdgesStillNeverCut)
-{
-    // Both heavyweights sit on a zero-latency wire: inseparable no
-    // matter what the balance cap says.
-    SerialEngine host;
-    Node a(&host, "A", 4), b(&host, "B", 4), c(&host, "C", 4),
-        d(&host, "D", 4);
-    DirectConnection ab(&host, "AB", 0);
-    ab.plugIn(a.in);
-    ab.plugIn(b.in);
-    DirectConnection bc(&host, "BC", 10 * kNanosecond);
-    bc.plugIn(b.in);
-    bc.plugIn(c.in);
-    DirectConnection cd(&host, "CD", 10 * kNanosecond);
-    cd.plugIn(c.in);
-    cd.plugIn(d.in);
-
-    std::vector<Component *> comps{&a, &b, &c, &d};
-    std::vector<Connection *> conns{&ab, &bc, &cd};
-    DomainPartition part = partitionDomains(comps, conns, 2, {},
-                                            {100, 100, 1, 1});
-    EXPECT_EQ(part.numDomains, 2);
-    EXPECT_EQ(part.domainOf.at(&a), part.domainOf.at(&b));
-    for (const auto &e : part.edges)
-        EXPECT_GT(e.lookahead, 0u);
-}
-
-TEST(DomainPartitionerWeighted, PinsWinOverWeights)
-{
-    SerialEngine host;
-    Node a(&host, "A", 4), b(&host, "B", 4), c(&host, "C", 4);
-    DirectConnection ab(&host, "AB", 5 * kNanosecond);
-    ab.plugIn(a.in);
-    ab.plugIn(b.in);
-    DirectConnection bc(&host, "BC", 5 * kNanosecond);
-    bc.plugIn(b.in);
-    bc.plugIn(c.in);
-
-    std::vector<Component *> comps{&a, &b, &c};
-    std::vector<Connection *> conns{&ab, &bc};
-    std::unordered_map<const Component *, int> pins{{&a, 1}, {&c, 1}};
-    // The weights scream "separate A and C" but the pins say no.
-    DomainPartition part = partitionDomains(comps, conns, 2, pins,
-                                            {100, 1, 100});
-    EXPECT_EQ(part.domainOf.at(&a), 1);
-    EXPECT_EQ(part.domainOf.at(&c), 1);
-}
-
-// ---- Adaptive repartitioning ----
+// ---- Multi-run behaviour on a ring of forwarders ----
 
 namespace
 {
@@ -1037,12 +1039,11 @@ class FwdNode : public TickingComponent
 };
 
 /** An unpinned ring of `n` forwarders on long-latency wires, where
- * node i sends to node i+1: the repartition rigs. The equal-latency
- * static cut packs nodes 0..n-3 into domain 0, so any hotspot on the
- * low nodes is maximally imbalanced until the engine re-cuts. */
-struct RepartRing
+ * node i sends to node i+1. The equal-latency static cut packs nodes
+ * 0..n-3 into domain 0. */
+struct FwdRing
 {
-    RepartRing(Engine &eng, int n, std::size_t buf_cap = 16)
+    FwdRing(Engine &eng, int n, std::size_t buf_cap = 16)
     {
         for (int i = 0; i < n; i++) {
             nodes.push_back(std::make_unique<FwdNode>(
@@ -1067,197 +1068,14 @@ struct RepartRing
     std::vector<std::unique_ptr<DirectConnection>> wires;
 };
 
-/** Eager trigger settings so small test workloads repartition. */
-void
-eagerRepartition(DomainEngine &eng)
-{
-    eng.setRepartition(true);
-    eng.setRepartitionThreshold(1.1);
-    eng.setRepartitionCooldown(0);
-    eng.setRepartitionMinEvents(16);
-}
-
 } // namespace
 
-TEST(DomainRepartition, CrossDomainFifoPreservedAcrossRepartition)
+TEST(DomainEngineCross, StoppedRunResumesWithEveryMessageInOrder)
 {
-    // Alternating hotspots force migrations between phases while
-    // senders push seq-numbered messages through two-slot receiver
-    // buffers (backpressure wakes cross every cut). Delivery order
-    // per sender must stay FIFO through every migration.
-    DomainEngine eng(2);
-    RepartRing ring(eng, 4, 2);
-    eagerRepartition(eng);
-    ring[1].drainPerTick = 1;
-    ring[3].drainPerTick = 1;
-
-    int seq01 = 0, seq23 = 0;
-    for (int phase = 0; phase < 6; phase++) {
-        FwdNode &hot = phase % 2 == 0 ? ring[0] : ring[2];
-        int &seq = phase % 2 == 0 ? seq01 : seq23;
-        for (int i = 0; i < 20; i++)
-            hot.outbox.push_back(makeMsg<TestMsg>(seq++));
-        hot.tickLater();
-        ASSERT_EQ(eng.run(), RunResult::Drained) << "phase " << phase;
-    }
-
-    EXPECT_GE(eng.repartitionCount(), 1u)
-        << "the alternating hotspot must trigger at least one re-cut";
-    ASSERT_EQ(ring[1].received.size(),
-              static_cast<std::size_t>(seq01));
-    for (int i = 0; i < seq01; i++)
-        EXPECT_EQ(ring[1].received[static_cast<std::size_t>(i)], i);
-    ASSERT_EQ(ring[3].received.size(),
-              static_cast<std::size_t>(seq23));
-    for (int i = 0; i < seq23; i++)
-        EXPECT_EQ(ring[3].received[static_cast<std::size_t>(i)], i);
-}
-
-TEST(DomainRepartition, MidRunRecutRebuildsRingsWithoutLosingMessages)
-{
-    // A waitWhenEmpty drain boundary is the live re-cut point: the
-    // engine migrates components without ever leaving run(), and must
-    // rebuild the per-edge SPSC mailbox rings for the new cut —
-    // flushing any ring residue into the migration so nothing is lost.
-    // Seq-numbered traffic spanning several live re-cuts proves no
-    // message is dropped or reordered, and the ring capacity surfaced
-    // by domainStatus() must track the rebuilt in-edge sets.
-    DomainEngine eng(2);
-    RepartRing ring(eng, 4, 2);
-    eagerRepartition(eng);
-    eng.setWaitWhenEmpty(true);
-    ring[1].drainPerTick = 1;
-    ring[3].drainPerTick = 1;
-
-    class DrainHook : public Hook
-    {
-      public:
-        void
-        func(HookCtx &ctx) override
-        {
-            if (ctx.pos == &hookPosQueueDrained)
-                drained++;
-        }
-
-        std::atomic<int> drained{0};
-    };
-    DrainHook hook;
-    eng.acceptHook(&hook);
-
-    std::thread runner([&]() { eng.run(); });
-    auto waitDrains = [&](int target) {
-        while (hook.drained.load() < target)
-            std::this_thread::yield();
-    };
-
-    // The empty engine drains once immediately; each injection then
-    // revives it for exactly one more drain (and one more mid-run
-    // repartition opportunity). The hook fires before the boundary's
-    // repartition, so additionally wait for drainedWaiting() — set
-    // after it — or an eager injection could abort the re-cut by
-    // failing its quiescence re-verify.
-    constexpr int kPhases = 6;
-    int seq01 = 0, seq23 = 0;
-    for (int phase = 0; phase < kPhases; phase++) {
-        waitDrains(phase + 1);
-        while (!eng.drainedWaiting())
-            std::this_thread::yield();
-        FwdNode &hot = phase % 2 == 0 ? ring[0] : ring[2];
-        int &seq = phase % 2 == 0 ? seq01 : seq23;
-        for (int i = 0; i < 20; i++)
-            hot.outbox.push_back(makeMsg<TestMsg>(seq++));
-        hot.tickLater();
-    }
-    waitDrains(kPhases + 1);
-    eng.stop();
-    runner.join();
-
-    EXPECT_GE(eng.repartitionCount(), 1u)
-        << "the alternating hotspot must re-cut mid-run";
-
-    // No message lost or reordered across any live re-cut.
-    ASSERT_EQ(ring[1].received.size(),
-              static_cast<std::size_t>(seq01));
-    for (int i = 0; i < seq01; i++)
-        EXPECT_EQ(ring[1].received[static_cast<std::size_t>(i)], i);
-    ASSERT_EQ(ring[3].received.size(),
-              static_cast<std::size_t>(seq23));
-    for (int i = 0; i < seq23; i++)
-        EXPECT_EQ(ring[3].received[static_cast<std::size_t>(i)], i);
-
-    // The rings were rebuilt for the adopted cut: summed ring capacity
-    // equals one full-size ring per current cross-domain edge, and
-    // every ring drained dry at the final boundary.
-    std::size_t caps = 0, occ = 0;
-    for (int i = 0; i < eng.numDomains(); i++) {
-        caps += eng.domainStatus(i).ringCapacity;
-        occ += eng.domainStatus(i).ringOccupancy;
-    }
-    EXPECT_EQ(caps, eng.edgeInfos().size() * 256)
-        << "per-edge rings must match the live edge set after re-cut";
-    EXPECT_EQ(occ, 0u);
-}
-
-TEST(DomainRepartition, PinnedComponentsNeverMove)
-{
-    DomainEngine eng(2);
-    RepartRing ring(eng, 5);
-    eng.pinComponent(&ring[0], 0);
-    eng.pinComponent(&ring[4], 1);
-    eagerRepartition(eng);
-
-    for (int phase = 0; phase < 6; phase++) {
-        FwdNode &hot = phase % 2 == 0 ? ring[0] : ring[2];
-        for (int i = 0; i < 24; i++)
-            hot.outbox.push_back(makeMsg<TestMsg>(i));
-        hot.tickLater();
-        ASSERT_EQ(eng.run(), RunResult::Drained) << "phase " << phase;
-        EXPECT_EQ(eng.domainOfComponent(&ring[0]), 0)
-            << "pinned component moved at phase " << phase;
-        EXPECT_EQ(eng.domainOfComponent(&ring[4]), 1)
-            << "pinned component moved at phase " << phase;
-    }
-    EXPECT_GE(eng.repartitionCount(), 1u);
-    EXPECT_EQ(eng.domainOfComponent(nullptr), -1);
-}
-
-TEST(DomainRepartition, ConvergesWithoutThrashing)
-{
-    // A fixed hotspot: after the engine adapts to it once, every later
-    // window looks the same, so candidates stop improving and the
-    // hysteresis gate must reject them instead of ping-ponging.
-    DomainEngine eng(2);
-    RepartRing ring(eng, 4);
-    eagerRepartition(eng);
-
-    for (int phase = 0; phase < 10; phase++) {
-        for (int i = 0; i < 24; i++)
-            ring[0].outbox.push_back(makeMsg<TestMsg>(i));
-        ring[0].tickLater();
-        ASSERT_EQ(eng.run(), RunResult::Drained) << "phase " << phase;
-    }
-    EXPECT_GE(eng.repartitionCount(), 1u);
-    EXPECT_LE(eng.repartitionCount(), 3u)
-        << "a steady workload must converge, not thrash";
-
-    // The history carries one entry per adoption, newest last, and
-    // each records an imbalance the adoption improved.
-    auto events = eng.repartitionEvents();
-    ASSERT_EQ(events.size(), eng.repartitionCount());
-    for (const auto &ev : events) {
-        EXPECT_GT(ev.migrated, 0);
-        EXPECT_LT(ev.imbalanceAfter, ev.imbalanceBefore);
-    }
-}
-
-TEST(DomainRepartition, NoRepartitionAfterStoppedRun)
-{
-    // A Stopped run abandons events in per-domain queues and leaves
-    // clocks unsynchronized; migration only re-routes mailboxes, so
-    // the run()-entry evaluation must skip such a boundary even when
-    // the cost window screams imbalance. (Regression: adopting here
-    // executed a moved component's leftover queue events in its old
-    // domain while new events routed to the new one.)
+    // A Stopped run leaves events in per-domain queues and the domain
+    // clocks apart. The next run() must pick up where it stopped and
+    // deliver everything in order, and between the runs now() must be
+    // the furthest clock, as on the serial engine.
     class StopHandler : public EventHandler
     {
       public:
@@ -1270,121 +1088,65 @@ TEST(DomainRepartition, NoRepartitionAfterStoppedRun)
     };
 
     DomainEngine eng(2);
-    RepartRing ring(eng, 4);
-    eagerRepartition(eng);
-    // Pin the stop away from the hot pair (external schedules would
+    FwdRing ring(eng, 4);
+    // Keep the stop away from the busy pair (external schedules would
     // otherwise land in domain 0 with it).
     StopHandler stopH(&eng);
     eng.assignHandler(&stopH, 1);
     eng.partition();
-    // The equal-latency static cut co-locates R0 and R1 opposite the
-    // stop's domain — the precondition for a weight-seeded candidate
-    // that splits the hot pair.
     ASSERT_EQ(eng.domainOfComponent(&ring[0]),
               eng.domainOfComponent(&ring[1]));
     ASSERT_NE(eng.domainOfComponent(&ring[0]),
               eng.domainOfComponent(&ring[3]));
 
     // R0 floods R1 (intra-domain: sends at 1..60 ns, deliveries at
-    // 501..560 ns) while the stop's domain sits idle. The stop is at
-    // 1020 ns: its domain's safe window is the hot domain's horizon
-    // plus the 500 ns edge lookahead, so it cannot execute until the
-    // hot domain passed 520 ns — all 60 sends plus a batch of
-    // deliveries are in the cost window (well past the 16-event
-    // floor, max/mean ~2, weight spread over two movable components
-    // so a re-cut genuinely improves).
+    // 501..560 ns). The stop at 1020 ns cannot execute until the busy
+    // domain passed 520 ns, so the run stops mid-stream.
     for (int i = 0; i < 60; i++)
         ring[0].outbox.push_back(makeMsg<TestMsg>(i));
     ring[0].tickLater();
     eng.schedule(
         std::make_unique<Event>(1020 * kNanosecond, &stopH));
     ASSERT_EQ(eng.run(), RunResult::Stopped);
+    for (int i = 0; i < eng.numDomains(); i++)
+        EXPECT_GE(eng.now(), eng.domainStatus(i).clock) << "domain " << i;
 
-    // Resuming from the stopped state must not adopt a new cut at
-    // entry (adoption only ever happens at run() entry here), and the
-    // resumed run must deliver everything in order.
     ASSERT_EQ(eng.run(), RunResult::Drained);
-    EXPECT_EQ(eng.repartitionCount(), 0u)
-        << "repartitioned across a Stopped (non-drained) boundary";
     ASSERT_EQ(ring[1].received.size(), 60u);
     for (int i = 0; i < 60; i++)
         EXPECT_EQ(ring[1].received[static_cast<std::size_t>(i)], i);
 }
 
-TEST(DomainRepartition, LateRegisteredComponentKeepsRoutingAcrossRepartition)
+TEST(DomainEngineCore, LateRegisteredComponentRoutesToDomainZero)
 {
-    // A component registered after the partition is fixed is pinned to
-    // domain 0 by noteComponent; the adopted cut must carry that
-    // mapping, not orphan it to the scheduling-worker fallback.
+    // A component registered after the partition is fixed joins
+    // domain 0 and keeps that route across runs.
     DomainEngine eng(2);
-    RepartRing ring(eng, 4);
-    eagerRepartition(eng);
+    FwdRing ring(eng, 4);
     eng.partition(); // Fix the cut: anything registered now is late.
     FwdNode late(&eng, "Late", 16);
     ASSERT_EQ(eng.domainOfComponent(&late), 0);
+    EXPECT_EQ(eng.domainOfComponent(nullptr), -1);
 
-    for (int phase = 0; phase < 6; phase++) {
+    for (int phase = 0; phase < 4; phase++) {
         FwdNode &hot = phase % 2 == 0 ? ring[0] : ring[2];
         for (int i = 0; i < 24; i++)
             hot.outbox.push_back(makeMsg<TestMsg>(i));
         hot.tickLater();
+        late.tickLater();
         ASSERT_EQ(eng.run(), RunResult::Drained) << "phase " << phase;
     }
-    ASSERT_GE(eng.repartitionCount(), 1u);
-    EXPECT_EQ(eng.domainOfComponent(&late), 0)
-        << "late registration lost its routing entry in the rebuild";
+    EXPECT_EQ(eng.domainOfComponent(&late), 0);
+    EXPECT_EQ(ring[1].received.size(), 48u);
+    EXPECT_EQ(ring[3].received.size(), 48u);
 }
 
-TEST(DomainRepartition, DisabledEngineKeepsStaticCutAndZeroCost)
+TEST(DomainEngineCross, RingEndStateMatchesSerialAcrossRuns)
 {
-    DomainEngine eng(2);
-    RepartRing ring(eng, 4);
-    // Repartition off (the default): no cost tracking, no history.
-    for (int phase = 0; phase < 4; phase++) {
-        for (int i = 0; i < 24; i++)
-            ring[0].outbox.push_back(makeMsg<TestMsg>(i));
-        ring[0].tickLater();
-        ASSERT_EQ(eng.run(), RunResult::Drained);
-    }
-    EXPECT_FALSE(eng.repartitionEnabled());
-    EXPECT_EQ(eng.repartitionCount(), 0u);
-    EXPECT_EQ(eng.migratedComponents(), 0u);
-    EXPECT_TRUE(eng.repartitionEvents().empty());
-    for (int i = 0; i < eng.numDomains(); i++)
-        EXPECT_EQ(eng.domainStatus(i).cost, 0u);
-}
-
-TEST(DomainRepartition, OneDomainWithRepartitionMatchesSerialOrder)
-{
-    // With one domain the trigger can never fire and the event order
-    // must stay bit-identical to the serial engine even with tracking
-    // enabled — the "off/1-domain is a no-op" half of the invariant.
-    SerialEngine serial;
-    OrderHook serialHook;
-    serial.acceptHook(&serialHook);
-    auto serialHandlers = buildScenario(serial);
-    EXPECT_EQ(serial.run(), RunResult::Drained);
-
-    DomainEngine dom(1);
-    eagerRepartition(dom);
-    OrderHook domHook;
-    dom.acceptHook(&domHook);
-    auto domHandlers = buildScenario(dom);
-    EXPECT_EQ(dom.run(), RunResult::Drained);
-
-    EXPECT_EQ(dom.repartitionCount(), 0u);
-    auto a = normalize(serialHook.order, serialHandlers);
-    auto b = normalize(domHook.order, domHandlers);
-    EXPECT_EQ(a, b) << "1-domain + repartition diverged from serial";
-}
-
-TEST(DomainRepartition, EndStateMatchesSerialOnRing)
-{
-    // Same phased hotspot on the serial engine and on an adaptively
-    // repartitioned 2-domain engine: identical delivered data, event
-    // count, and final virtual time — repartitioning may only move
-    // the schedule, never the results.
-    auto driveRing = [](Engine &eng, RepartRing &ring) {
+    // A phased workload over several drained runs on the serial engine
+    // and on a 2-domain engine: identical delivered data and final
+    // virtual time.
+    auto driveRing = [](Engine &eng, FwdRing &ring) {
         std::vector<std::vector<int>> rx;
         int seq = 0;
         for (int phase = 0; phase < 6; phase++) {
@@ -1401,124 +1163,13 @@ TEST(DomainRepartition, EndStateMatchesSerialOnRing)
     };
 
     SerialEngine serial;
-    RepartRing sring(serial, 4);
+    FwdRing sring(serial, 4);
     auto serialRx = driveRing(serial, sring);
 
     DomainEngine dom(2);
-    RepartRing ring(dom, 4);
-    eagerRepartition(dom);
+    FwdRing ring(dom, 4);
     auto domRx = driveRing(dom, ring);
 
-    EXPECT_GE(dom.repartitionCount(), 1u);
     EXPECT_EQ(domRx, serialRx);
     EXPECT_EQ(dom.now(), serial.now());
-}
-
-TEST(DomainRepartition, PlatformRunCompletesWithRepartition)
-{
-    // The mcm4 platform with adaptive repartitioning enabled through
-    // the config surface must still complete kernels (end state equal
-    // to the serial run of PlatformRunMatchesSerialCompletion).
-    auto cfg = gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    cfg.engineKind = gpu::EngineKind::Domain;
-    cfg.domains = 4;
-    cfg.repartition = true;
-    cfg.repartitionThreshold = 1.1;
-    cfg.repartitionCooldown = 0;
-    cfg.repartitionMinEvents = 64;
-    gpu::Platform plat(cfg);
-    auto *de = dynamic_cast<DomainEngine *>(&plat.engine());
-    ASSERT_NE(de, nullptr);
-    EXPECT_TRUE(de->repartitionEnabled());
-
-    auto k = smallKernel(16);
-    plat.launchKernel(&k);
-    ASSERT_EQ(plat.run(), gpu::Platform::RunStatus::Completed);
-    EXPECT_GT(plat.engine().now(), 0u);
-    EXPECT_GT(plat.engine().eventCount(), 0u);
-}
-
-TEST(DomainRepartition, ApplyEngineArgsParsesRepartitionFlags)
-{
-    gpu::PlatformConfig cfg;
-    const char *argvConst[] = {"prog",
-                               "--engine=domain",
-                               "--domains=4",
-                               "--repartition=time",
-                               "--repartition-threshold=2.5",
-                               "--repartition-cooldown=5",
-                               "--repartition-min-events=9999"};
-    gpu::applyEngineArgs(cfg, 7, const_cast<char **>(argvConst));
-    EXPECT_TRUE(cfg.repartition);
-    EXPECT_TRUE(cfg.repartitionTime);
-    EXPECT_DOUBLE_EQ(cfg.repartitionThreshold, 2.5);
-    EXPECT_EQ(cfg.repartitionCooldown, 5);
-    EXPECT_EQ(cfg.repartitionMinEvents, 9999u);
-
-    const char *argvOff[] = {"prog", "--repartition=off"};
-    gpu::applyEngineArgs(cfg, 2, const_cast<char **>(argvOff));
-    EXPECT_FALSE(cfg.repartition);
-}
-
-TEST(DomainRepartition, DomainsEndpointServesCostAndHistory)
-{
-    // /api/v1/domains now reports per-domain cost, the imbalance
-    // gauge, and the repartition history — and sits behind the
-    // coalesced cache (ETag + 304, x-akita-no-cache bypass).
-    DomainEngine eng(2);
-    RepartRing ring(eng, 4);
-    eagerRepartition(eng);
-    for (int phase = 0; phase < 4; phase++) {
-        FwdNode &hot = phase % 2 == 0 ? ring[0] : ring[2];
-        for (int i = 0; i < 24; i++)
-            hot.outbox.push_back(makeMsg<TestMsg>(i));
-        hot.tickLater();
-        ASSERT_EQ(eng.run(), RunResult::Drained);
-    }
-    ASSERT_GE(eng.repartitionCount(), 1u);
-
-    rtm::MonitorConfig mcfg;
-    mcfg.announceUrl = false;
-    mcfg.domainsTtlFloorMs = 60 * 1000; // One build for this test.
-    rtm::Monitor mon(mcfg);
-    mon.registerEngine(&eng);
-    ASSERT_TRUE(mon.startServer());
-
-    web::PersistentClient client("127.0.0.1", mon.serverPort());
-    auto first = client.get("/api/v1/domains");
-    ASSERT_TRUE(first.has_value());
-    ASSERT_EQ(first->status, 200);
-    ASSERT_TRUE(first->headers.count("etag"));
-
-    json::Json doc = json::Json::parse(first->body);
-    EXPECT_EQ(doc.getInt("num_domains", 0), 2);
-    EXPECT_TRUE(doc.getBool("repartition_enabled", false));
-    EXPECT_GE(doc.getInt("repartitions", 0), 1);
-    EXPECT_GT(doc.getNumber("imbalance", 0), 0.0);
-    // Cost windows reset at evaluations, so only the tail window is
-    // visible — but the field must be present on every domain.
-    for (const auto &dom : doc.get("domains")->items())
-        EXPECT_NE(dom.get("cost"), nullptr);
-    const json::Json *history = doc.get("repartition_events");
-    ASSERT_NE(history, nullptr);
-    ASSERT_FALSE(history->items().empty());
-    const json::Json &ev = history->items().front();
-    EXPECT_GE(ev.getInt("seq", 0), 1);
-    EXPECT_GT(ev.getInt("migrated", 0), 0);
-    EXPECT_GT(ev.getNumber("imbalance_before", 0),
-              ev.getNumber("imbalance_after", 0));
-
-    // Replaying the ETag within the TTL gets a 304.
-    auto second = client.get(
-        "/api/v1/domains",
-        {{"If-None-Match", first->headers.at("etag")}});
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->status, 304);
-
-    // The bypass header skips the cache and carries no validator.
-    auto third =
-        client.get("/api/v1/domains", {{"x-akita-no-cache", "1"}});
-    ASSERT_TRUE(third.has_value());
-    EXPECT_EQ(third->status, 200);
-    EXPECT_FALSE(third->headers.count("etag"));
 }

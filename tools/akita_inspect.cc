@@ -18,7 +18,7 @@
  *   throughput <name>             per-port rates of one component
  *   topology                      connection map
  *   domains [--json]              domain-engine partition + clocks
- *   domains --watch [seconds]     live per-domain lag/cost view
+ *   domains --watch [seconds]     live per-domain lag view
  *   fleet [--json]                per-sim table via a fleet gateway
  *   fleet --watch [seconds]       live fleet view
  *   pause | resume                simulation controls
@@ -469,7 +469,7 @@ run(int argc, char **argv)
         }
         if (asJson) {
             // Raw body: scripting-friendly, includes everything the
-            // endpoint offers (repartition history, edge lookaheads).
+            // endpoint offers (ring occupancy, edge lookaheads).
             auto r = client.get("/api/v1/domains");
             if (!r || r->status != 200)
                 return fail(r ? r->body : "unreachable");
@@ -496,29 +496,23 @@ run(int argc, char **argv)
                 maxClock = std::max(
                     maxClock,
                     static_cast<long long>(dom.getInt("clock_ps", 0)));
-            std::printf("%lld domains  imbalance=%.2f  "
-                        "repartitions=%lld (%lld rejected, "
-                        "%lld components moved)\n",
+            std::printf("%lld domains  mailbox fast/slow=%lld/%lld\n",
                         static_cast<long long>(
                             d.getInt("num_domains", 0)),
-                        d.getNumber("imbalance", 0),
                         static_cast<long long>(
-                            d.getInt("repartitions", 0)),
+                            d.getInt("mailbox_fast_total", 0)),
                         static_cast<long long>(
-                            d.getInt("repartitions_rejected", 0)),
-                        static_cast<long long>(
-                            d.getInt("migrated_components", 0)));
+                            d.getInt("mailbox_slow_total", 0)));
             for (const auto &dom : d.get("domains")->items()) {
                 long long clock =
                     static_cast<long long>(dom.getInt("clock_ps", 0));
                 std::printf(
                     "[%lld] clock=%lld ps (lag %lld)  events=%lld  "
-                    "queue=%lld  cost=%lld\n",
+                    "queue=%lld\n",
                     static_cast<long long>(dom.getInt("id", 0)), clock,
                     maxClock - clock,
                     static_cast<long long>(dom.getInt("events", 0)),
-                    static_cast<long long>(dom.getInt("queue_len", 0)),
-                    static_cast<long long>(dom.getInt("cost", 0)));
+                    static_cast<long long>(dom.getInt("queue_len", 0)));
                 if (watch)
                     continue;
                 for (const auto &m : dom.get("members")->items())
@@ -537,22 +531,6 @@ run(int argc, char **argv)
                         static_cast<long long>(
                             e.getInt("lookahead_ps", 0)),
                         e.getStr("connection").c_str());
-                }
-            }
-            const Json *reps = d.get("repartition_events");
-            if (reps != nullptr && !reps->items().empty()) {
-                std::printf("repartitions:\n");
-                for (const auto &r : reps->items()) {
-                    std::printf("  #%lld @ %lld ps  imbalance "
-                                "%.2f -> %.2f  moved %lld\n",
-                                static_cast<long long>(
-                                    r.getInt("seq", 0)),
-                                static_cast<long long>(
-                                    r.getInt("sim_ps", 0)),
-                                r.getNumber("imbalance_before", 0),
-                                r.getNumber("imbalance_after", 0),
-                                static_cast<long long>(
-                                    r.getInt("migrated", 0)));
                 }
             }
             if (!watch)
