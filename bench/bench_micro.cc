@@ -399,8 +399,11 @@ BM_SerializeComponent(benchmark::State &state)
     } comp(&eng);
 
     for (auto _ : state) {
-        json::Json j = rtm::serializeComponent(comp);
-        benchmark::DoNotOptimize(j.dump());
+        std::string body;
+        json::Writer w(body);
+        rtm::writeComponent(w, comp);
+        benchmark::DoNotOptimize(body.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_SerializeComponent);

@@ -116,7 +116,7 @@ main(int argc, char **argv)
     monitor.registerEngine(&platform.engine());
     monitor.registerComponents(platform.components());
     for (auto *conn : platform.connections())
-        monitor.registerConnection(conn); // /api/topology
+        monitor.registerConnection(conn); // /api/v1/topology
     platform.driver().setProgressListener(&monitor);
 
     if (!monitor.startServer()) {

@@ -36,7 +36,7 @@ main(int argc, char **argv)
                 port);
 
     for (int i = 0; iterations == 0 || i < iterations; i++) {
-        auto status = client.get("/api/status");
+        auto status = client.get("/api/v1/status");
         if (!status || status->status != 200) {
             std::printf("no simulation at http://%s:%u yet...\n",
                         host.c_str(), port);
@@ -54,7 +54,7 @@ main(int argc, char **argv)
                         ? "[HANG SUSPECTED]"
                         : "");
 
-        if (auto res = client.get("/api/resources")) {
+        if (auto res = client.get("/api/v1/resources")) {
             Json r = Json::parse(res->body);
             std::printf("cpu %.0f%%  rss %.0f MB  threads %lld\n",
                         r.getNumber("cpu_percent", 0),
@@ -63,7 +63,7 @@ main(int argc, char **argv)
                             r.getInt("num_threads", 0)));
         }
 
-        if (auto prog = client.get("/api/progress")) {
+        if (auto prog = client.get("/api/v1/progress")) {
             Json bars = Json::parse(prog->body);
             for (const auto &b : bars.items()) {
                 auto total =
@@ -80,7 +80,7 @@ main(int argc, char **argv)
             }
         }
 
-        if (auto bufs = client.get("/api/buffers?sort=percent&top=5")) {
+        if (auto bufs = client.get("/api/v1/buffers?sort=percent&top=5")) {
             Json rows = Json::parse(bufs->body);
             for (const auto &row : rows.items()) {
                 if (row.getInt("size", 0) == 0)

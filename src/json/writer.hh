@@ -2,7 +2,7 @@
  * @file
  * Streaming JSON writer.
  *
- * The hot RTM read endpoints (/api/components, /api/buffers, /metrics
+ * The hot RTM read endpoints (/api/v1/components, /api/v1/buffers, /metrics
  * range queries) serve thousands of values per response. Building a
  * Json tree first costs one heap node per value plus a second pass to
  * serialize; Writer appends the compact wire form directly into the

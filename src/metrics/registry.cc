@@ -371,13 +371,6 @@ MetricRegistry::setReplayCapacity(std::size_t passes)
         replay_.pop_front();
 }
 
-std::size_t
-MetricRegistry::replayCapacity() const
-{
-    std::lock_guard<std::mutex> lk(replayMu_);
-    return replayCap_;
-}
-
 std::vector<MetricRegistry::ReplayEvent>
 MetricRegistry::replaySince(std::uint64_t after_version,
                             const std::string &name) const

@@ -217,9 +217,6 @@ class MetricRegistry
      */
     void setReplayCapacity(std::size_t passes);
 
-    /** Current replay-ring capacity in passes (0 = disabled). */
-    std::size_t replayCapacity() const;
-
     /**
      * Retained passes with version > @p after_version, oldest first,
      * optionally restricted to one family @p name (a pass whose values

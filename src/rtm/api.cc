@@ -19,6 +19,18 @@ namespace rtm
 namespace
 {
 
+/**
+ * Cache TTL floor (ms) for /api/v1/hang. The hang verdict's freshness
+ * cannot key on the engine event count alone: during a deadlock that
+ * count freezes, and a pre-hang "not hanging" body would be served
+ * forever. The endpoint's generation therefore also advances once per
+ * this many wall milliseconds.
+ */
+constexpr std::uint64_t kHangTtlFloorMs = 100;
+
+/** Cache TTL floor (ms) for the /api/v1/recorder endpoints. */
+constexpr std::uint64_t kRecorderTtlFloorMs = 200;
+
 web::Response
 jsonResponse(const json::Json &j)
 {
@@ -48,6 +60,25 @@ cachedResponse(Monitor *m, const web::Request &req, std::uint64_t gen,
                        contentType, ttl_ms, build);
 }
 
+/**
+ * Parses an SSE resume id into @p seen. This server only ever issues
+ * plain decimal ids, so trailing garbage ("2junk"), a sign, or overflow
+ * means the id is corrupt or from another server: @p seen is left at
+ * the fresh-client position (full replay from one pass back) rather
+ * than resuming at a bogus position and silently dropping samples.
+ */
+void
+parseEventId(const std::string &raw, std::uint64_t &seen)
+{
+    if (raw.empty() || raw.find_first_not_of("0123456789") !=
+                           std::string::npos)
+        return;
+    errno = 0;
+    unsigned long long id = std::strtoull(raw.c_str(), nullptr, 10);
+    if (errno == 0)
+        seen = id;
+}
+
 } // namespace
 
 void
@@ -61,30 +92,19 @@ installApiRoutes(web::Router &server, Monitor &monitor)
 {
     Monitor *m = &monitor;
 
-    // Core endpoints answer under both /api/<name> (the dashboard's
-    // historical paths) and /api/v1/<name> (the stable versioned paths
-    // fleet tooling targets). Distinct targets mean distinct cache
-    // keys, so each alias coalesces its own polling wave.
-    auto routeBoth = [&server](const char *method,
-                               const std::string &suffix,
-                               web::Handler h) {
-        server.route(method, "/api" + suffix, h);
-        server.route(method, "/api/v1" + suffix, std::move(h));
-    };
-
     server.route("GET", "/", [](const web::Request &) {
         return web::Response::html(dashboardHtml());
     });
 
-    routeBoth("GET", "/status", [m](const web::Request &) {
+    server.route("GET", "/api/v1/status", [m](const web::Request &) {
         return jsonResponse(m->status());
     });
 
-    routeBoth("GET", "/resources", [m](const web::Request &) {
+    server.route("GET", "/api/v1/resources", [m](const web::Request &) {
         return jsonResponse(serializeResources(m->resources()));
     });
 
-    routeBoth("GET", "/components", [m](const web::Request &req) {
+    server.route("GET", "/api/v1/components", [m](const web::Request &req) {
         // Structure-only view: its generation is the registration
         // count, so after setup every poll is a cache hit / 304.
         return cachedResponse(
@@ -97,7 +117,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             });
     });
 
-    routeBoth("GET", "/component", [m](const web::Request &req) {
+    server.route("GET", "/api/v1/component", [m](const web::Request &req) {
         std::string name = req.queryParam("name");
         if (name.empty())
             return web::Response::error(400, "missing ?name=");
@@ -113,7 +133,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         return web::Response::json(std::move(body));
     });
 
-    routeBoth("GET", "/buffers", [m](const web::Request &req) {
+    server.route("GET", "/api/v1/buffers", [m](const web::Request &req) {
         BufferSort sort = req.queryParam("sort", "percent") == "size"
                               ? BufferSort::BySize
                               : BufferSort::ByPercent;
@@ -134,24 +154,24 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             });
     });
 
-    routeBoth("GET", "/progress", [m](const web::Request &) {
+    server.route("GET", "/api/v1/progress", [m](const web::Request &) {
         std::string body;
         json::Writer w(body);
         writeProgress(w, m->progressBars());
         return web::Response::json(std::move(body));
     });
 
-    routeBoth("POST", "/pause", [m](const web::Request &) {
+    server.route("POST", "/api/v1/pause", [m](const web::Request &) {
         m->pause();
         return web::Response::json("{\"paused\":true}");
     });
 
-    routeBoth("POST", "/resume", [m](const web::Request &) {
+    server.route("POST", "/api/v1/resume", [m](const web::Request &) {
         m->kickStart();
         return web::Response::json("{\"paused\":false}");
     });
 
-    routeBoth("POST", "/tick", [m](const web::Request &req) {
+    server.route("POST", "/api/v1/tick", [m](const web::Request &req) {
         std::string name = req.queryParam("component");
         if (name.empty())
             return web::Response::error(400, "missing ?component=");
@@ -161,24 +181,24 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         return web::Response::json("{\"ticked\":true}");
     });
 
-    server.route("GET", "/api/profile", [m](const web::Request &req) {
+    server.route("GET", "/api/v1/profile", [m](const web::Request &req) {
         auto top = static_cast<std::size_t>(req.queryInt("top", 30));
         json::Json j = serializeProfile(m->profile(top));
         j.set("enabled", m->profiling());
         return jsonResponse(j);
     });
 
-    server.route("POST", "/api/profile/start", [m](const web::Request &) {
+    server.route("POST", "/api/v1/profile/start", [m](const web::Request &) {
         m->startProfiling();
         return web::Response::json("{\"profiling\":true}");
     });
 
-    server.route("POST", "/api/profile/stop", [m](const web::Request &) {
+    server.route("POST", "/api/v1/profile/stop", [m](const web::Request &) {
         m->stopProfiling();
         return web::Response::json("{\"profiling\":false}");
     });
 
-    server.route("POST", "/api/monitor/track",
+    server.route("POST", "/api/v1/monitor/track",
                  [m](const web::Request &req) {
                      std::string comp = req.queryParam("component");
                      std::string field = req.queryParam("field");
@@ -198,7 +218,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                      return jsonResponse(j);
                  });
 
-    server.route("POST", "/api/monitor/untrack",
+    server.route("POST", "/api/v1/monitor/untrack",
                  [m](const web::Request &req) {
                      auto id = static_cast<std::uint64_t>(
                          req.queryInt("id", 0));
@@ -207,17 +227,20 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                      return web::Response::json("{\"untracked\":true}");
                  });
 
-    server.route("GET", "/api/monitor/series",
+    server.route("GET", "/api/v1/monitor/series",
                  [m](const web::Request &req) {
                      auto id = static_cast<std::uint64_t>(
                          req.queryInt("id", 0));
                      TrackedSeries s = m->valueSeries(id);
                      if (s.id == 0)
                          return web::Response::error(404, "unknown id");
-                     return jsonResponse(serializeSeries(s));
+                     std::string body;
+                     json::Writer w(body);
+                     writeSeries(w, s);
+                     return web::Response::json(std::move(body));
                  });
 
-    server.route("GET", "/api/throughput", [m](const web::Request &req) {
+    server.route("GET", "/api/v1/throughput", [m](const web::Request &req) {
         std::string name = req.queryParam("component");
         if (name.empty())
             return web::Response::error(400, "missing ?component=");
@@ -243,11 +266,11 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         return jsonResponse(arr);
     });
 
-    routeBoth("GET", "/topology", [m](const web::Request &) {
+    server.route("GET", "/api/v1/topology", [m](const web::Request &) {
         return jsonResponse(m->topology());
     });
 
-    server.route("GET", "/api/monitor/export",
+    server.route("GET", "/api/v1/monitor/export",
                  [m](const web::Request &req) {
                      auto id = static_cast<std::uint64_t>(
                          req.queryInt("id", 0));
@@ -258,11 +281,14 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                                               "text/csv");
                  });
 
-    server.route("GET", "/api/monitor/all", [m](const web::Request &) {
-        json::Json arr = json::Json::array();
+    server.route("GET", "/api/v1/monitor/all", [m](const web::Request &) {
+        std::string body;
+        json::Writer w(body);
+        w.beginArray();
         for (const auto &s : m->allValueSeries())
-            arr.push(serializeSeries(s));
-        return jsonResponse(arr);
+            writeSeries(w, s);
+        w.endArray();
+        return web::Response::json(std::move(body));
     });
 
     // ---- Metrics subsystem ----
@@ -380,29 +406,11 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             std::uint64_t v = m->metrics().version();
             *seen = v > 0 ? v - 1 : 0;
             auto lei = req.headers.find("last-event-id");
-            if (lei != req.headers.end()) {
-                // Strict parse: this server only ever issues plain
-                // decimal ids, so trailing garbage ("2junk"), a
-                // leading sign, or overflow means the id is corrupt
-                // or from another server — treat it as no resume
-                // point (full replay from one pass back) rather than
-                // resuming at a bogus position and silently dropping
-                // samples.
-                const std::string &raw = lei->second;
-                errno = 0;
-                char *end = nullptr;
-                unsigned long long id =
-                    std::strtoull(raw.c_str(), &end, 10);
-                if (!raw.empty() &&
-                    raw.find_first_not_of("0123456789") ==
-                        std::string::npos &&
-                    errno == 0 && end == raw.c_str() + raw.size())
-                    *seen = id;
-            } else if (req.query.count("last_event_id")) {
-                *seen = static_cast<std::uint64_t>(req.queryInt(
-                    "last_event_id",
-                    static_cast<std::int64_t>(*seen)));
-            }
+            auto qei = req.query.find("last_event_id");
+            if (lei != req.headers.end())
+                parseEventId(lei->second, *seen);
+            else if (qei != req.query.end())
+                parseEventId(qei->second, *seen);
             web::StreamSession s;
             s.headers = {{"Content-Type", "text/event-stream"},
                          {"Cache-Control", "no-cache"}};
@@ -422,30 +430,6 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                     *seen = id;
                     return !(maxEvents > 0 && ++*sent >= maxEvents);
                 };
-                if (m->metrics().replayCapacity() == 0) {
-                    // Replay disabled: stream the latest state per
-                    // version tick (no resume guarantee).
-                    std::uint64_t v = m->metrics().version();
-                    if (v <= *seen)
-                        return true; // No new sampling pass yet.
-                    std::string body;
-                    json::Writer w(body);
-                    w.beginArray();
-                    for (const auto &sv : m->metrics().latest(name)) {
-                        w.beginObject();
-                        w.field("name", sv.desc->name);
-                        w.key("labels").beginObject();
-                        for (const auto &kv : sv.desc->labels)
-                            w.field(kv.first, kv.second);
-                        w.endObject();
-                        w.field("value", sv.value);
-                        w.field("t_ms", sv.wallMs);
-                        w.field("sim_ps", sv.simPs);
-                        w.endObject();
-                    }
-                    w.endArray();
-                    return emit(v, body);
-                }
                 for (const auto &ev :
                      m->metrics().replaySince(*seen, name)) {
                     std::string body;
@@ -480,13 +464,11 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         // the TTL-floor cadence forces a rebuild at least that often
         // while frozen; x-akita-no-cache (handled by cachedResponse)
         // bypasses even that window.
-        std::uint64_t ttl =
-            std::max<std::uint64_t>(1, m->config().hangTtlFloorMs);
         std::uint64_t gen =
             m->buffersGeneration() +
-            static_cast<std::uint64_t>(wallNowMs()) / ttl;
+            static_cast<std::uint64_t>(wallNowMs()) / kHangTtlFloorMs;
         return cachedResponse(
-            m, req, gen, "application/json", ttl, [m]() {
+            m, req, gen, "application/json", kHangTtlFloorMs, [m]() {
                 std::string body;
                 writeHangReport(body, m->hangReport());
                 return body;
@@ -580,7 +562,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                     404, "flight recorder disabled (set --record=)");
             return cachedResponse(
                 m, req, m->recorderGeneration(), "application/json",
-                m->config().recorderTtlFloorMs, [m]() {
+                kRecorderTtlFloorMs, [m]() {
                     recorder::FlightRecorder::Info inf =
                         m->recorder()->info();
                     std::string body;
@@ -631,8 +613,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             std::uint64_t gen =
                 m->metricsGeneration() + m->recorderGeneration();
             return cachedResponse(
-                m, req, gen, "application/json",
-                m->config().recorderTtlFloorMs,
+                m, req, gen, "application/json", kRecorderTtlFloorMs,
                 [m, name, filter, from, to, step]() {
                     std::string body;
                     json::Writer w(body);
@@ -699,6 +680,26 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                     return body;
                 });
         });
+
+    // The one alias: /api/<rest> answers as /api/v1/<rest>. Rewriting
+    // the target too means both spellings share one cache key. A path
+    // already under /api/v1/ is not rewritten again, and stream routes
+    // are not aliased.
+    web::Router *router = &server;
+    server.route("*", "/api/*", [router](const web::Request &req) {
+        if (req.path.rfind("/api/v1/", 0) != 0) {
+            web::Request v1 = req;
+            v1.path.insert(4, "/v1");
+            // A target that percent-encodes "/api/" keeps its own
+            // cache key; the handler still sees the rewritten path.
+            if (v1.target.rfind("/api/", 0) == 0)
+                v1.target.insert(4, "/v1");
+            web::Router::Route r;
+            if (router->find(v1, r) && r.handler)
+                return r.handler(v1);
+        }
+        return web::Response::error(404, "no route for " + req.path);
+    });
 }
 
 } // namespace rtm

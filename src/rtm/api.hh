@@ -6,31 +6,38 @@
  * language" adopt the monitor: any process that serves these endpoints
  * gets the same frontend. Endpoints, all JSON unless noted:
  *
- *   GET  /                     dashboard HTML
- *   GET  /api/status           time, events, pause/run/hang state
- *   GET  /api/resources        CPU%, RSS, threads
- *   GET  /api/components       component hierarchy
- *   GET  /api/component?name=X one component's fields/ports/buffers
- *   GET  /api/buffers?sort=percent|size&top=N   buffer analyzer table
- *   GET  /api/progress         progress bars
- *   POST /api/pause            pause the simulation
- *   POST /api/resume           resume ("Kick Start")
- *   POST /api/tick?component=X wake one component
- *   GET  /api/profile?top=N    profiler snapshot
- *   POST /api/profile/start    enable the profiler
- *   POST /api/profile/stop     disable the profiler
- *   POST /api/monitor/track?component=X&field=Y   -> {"id": n}
- *   POST /api/monitor/untrack?id=N
- *   GET  /api/monitor/series?id=N                 one time series
- *   GET  /api/monitor/all                         all tracked series
- *   GET  /api/monitor/export?id=N                 one series as CSV
- *   GET  /api/throughput?component=X              per-port rates
- *   GET  /api/topology                            connection map
+ *   GET  /                        dashboard HTML
+ *   GET  /metrics                 Prometheus text exposition
+ *   GET  /api/v1/status           time, events, pause/run/hang state
+ *   GET  /api/v1/resources        CPU%, RSS, threads
+ *   GET  /api/v1/components       component hierarchy
+ *   GET  /api/v1/component?name=X one component's fields/ports/buffers
+ *   GET  /api/v1/buffers?sort=percent|size&top=N   buffer analyzer table
+ *   GET  /api/v1/progress         progress bars
+ *   POST /api/v1/pause            pause the simulation
+ *   POST /api/v1/resume           resume ("Kick Start")
+ *   POST /api/v1/tick?component=X wake one component
+ *   GET  /api/v1/profile?top=N    profiler snapshot
+ *   POST /api/v1/profile/start    enable the profiler
+ *   POST /api/v1/profile/stop     disable the profiler
+ *   POST /api/v1/monitor/track?component=X&field=Y   -> {"id": n}
+ *   POST /api/v1/monitor/untrack?id=N
+ *   GET  /api/v1/monitor/series?id=N        one time series
+ *   GET  /api/v1/monitor/all                all tracked series
+ *   GET  /api/v1/monitor/export?id=N        one series as CSV
+ *   GET  /api/v1/throughput?component=X     per-port rates
+ *   GET  /api/v1/topology                   connection map
+ *   GET  /api/v1/metrics                    metric families
+ *   GET  /api/v1/metrics/query?name=X       downsampled range query
+ *   GET  /api/v1/metrics/stream             SSE sampling passes
+ *   GET  /api/v1/hang                       hang verdict + root cause
+ *   GET  /api/v1/domains                    per-domain engine state
+ *   GET  /api/v1/recorder/info              flight-recorder status
+ *   GET  /api/v1/recorder/range?name=X      recorded range query
  *
- * Core read/control endpoints are also served under the stable
- * versioned prefix (/api/v1/status, /api/v1/components, ...), which is
- * what fleet tooling targets; the unversioned paths remain for the
- * dashboard and existing scripts.
+ * Alias rule: any other /api/<rest> answers exactly as /api/v1/<rest>,
+ * through the same handler and the same cache key. The SSE stream has
+ * no alias.
  */
 
 #ifndef AKITA_RTM_API_HH

@@ -63,8 +63,8 @@ dashboardHtml()
   <span class="stat">RSS <b id="rss">-</b> MB</span>
   <span id="hang"></span>
   <span style="flex:1"></span>
-  <button onclick="post('api/pause')">Pause</button>
-  <button onclick="post('api/resume')">Kick Start</button>
+  <button onclick="post('api/v1/pause')">Pause</button>
+  <button onclick="post('api/v1/resume')">Kick Start</button>
   <button onclick="toggleRight()">Profiler/Buffers</button>
 </header>
 <main>
@@ -93,7 +93,7 @@ function post(u){ return fetch(u, {method:'POST'}); }
 function toggleRight(){
   const modes = ['buffers', 'profile', 'topology', 'domains'];
   rightMode = modes[(modes.indexOf(rightMode) + 1) % modes.length];
-  if (rightMode === 'profile') post('api/profile/start');
+  if (rightMode === 'profile') post('api/v1/profile/start');
   document.getElementById('rightTitle').textContent = {
     buffers: 'Buffer analyzer', profile: 'Simulator profile',
     topology: 'Topology', domains: 'PDES domains'}[rightMode];
@@ -113,12 +113,12 @@ function select(name){
   refreshDetail();
 }
 function track(comp, field){
-  post(`api/monitor/track?component=${encodeURIComponent(comp)}`+
+  post(`api/v1/monitor/track?component=${encodeURIComponent(comp)}`+
        `&field=${encodeURIComponent(field)}`);
 }
 function refreshDetail(){
   if (!selected) return;
-  get('api/component?name=' + encodeURIComponent(selected)).then(c => {
+  get('api/v1/component?name=' + encodeURIComponent(selected)).then(c => {
     document.getElementById('detailName').textContent = c.name;
     let h = '<table><tr><th>field</th><th>value</th><th></th></tr>';
     c.fields.forEach(f => {
@@ -135,11 +135,11 @@ function refreshDetail(){
            `&#9873;</button></td></tr>`;
     });
     h += '</table>';
-    if (selected) h += `<button onclick="post('api/tick?component=`+
+    if (selected) h += `<button onclick="post('api/v1/tick?component=`+
         encodeURIComponent(selected)+`')">Tick</button>`;
     document.getElementById('detail').innerHTML = h;
   });
-  get('api/throughput?component=' + encodeURIComponent(selected))
+  get('api/v1/throughput?component=' + encodeURIComponent(selected))
     .then(ports => {
       let h = '<table><tr><th>port</th><th>sent</th>'+
               '<th>msgs/sim-s</th><th>rejects</th></tr>';
@@ -162,26 +162,26 @@ function chartSvg(s){
       (i?'L':'M') + xs(i).toFixed(1) + ' ' + ys(p.v).toFixed(1)).join(' ');
   const last = s.points[s.points.length-1].v;
   return `<div><b>${s.component}.${s.field}</b> = ${last}`+
-    ` <button onclick="post('api/monitor/untrack?id=${s.id}')">x</button>`+
+    ` <button onclick="post('api/v1/monitor/untrack?id=${s.id}')">x</button>`+
     `<br><svg width="${W}" height="${H}">`+
     `<path d="${d}" fill="none" stroke="#36c" stroke-width="1.5"/>`+
     `<text x="4" y="12" font-size="10" fill="#888">max ${vmax}</text>`+
     `</svg></div>`;
 }
 function tick(){
-  get('api/status').then(s => {
+  get('api/v1/status').then(s => {
     document.getElementById('simtime').textContent = s.now;
     document.getElementById('events').textContent = s.events;
     document.getElementById('hang').innerHTML = s.hang.hanging ?
       '<span class="hang">&#9888; HANG suspected</span>' :
       (s.paused ? '(paused)' : '');
   }).catch(()=>{});
-  get('api/resources').then(r => {
+  get('api/v1/resources').then(r => {
     document.getElementById('cpu').textContent = r.cpu_percent.toFixed(0);
     document.getElementById('rss').textContent =
         (r.rss_bytes/1048576).toFixed(0);
   }).catch(()=>{});
-  get('api/progress').then(bars => {
+  get('api/v1/progress').then(bars => {
     document.getElementById('progress').innerHTML = bars.map(b => {
       const t = Math.max(b.total,1);
       return `<div class="bar">${b.label} `+
@@ -192,7 +192,7 @@ function tick(){
     }).join('');
   }).catch(()=>{});
   if (rightMode === 'buffers') {
-    get('api/buffers?sort=percent&top=30').then(rows => {
+    get('api/v1/buffers?sort=percent&top=30').then(rows => {
       let h = '<table><tr><th>Buffer</th><th>Size</th><th>Cap</th></tr>';
       rows.forEach(r => {
         const cls = r.size >= r.cap ? 'full' : '';
@@ -202,7 +202,7 @@ function tick(){
       document.getElementById('right').innerHTML = h + '</table>';
     }).catch(()=>{});
   } else if (rightMode === 'topology') {
-    get('api/topology').then(t => {
+    get('api/v1/topology').then(t => {
       let h = '';
       t.forEach(conn => {
         h += `<b>${conn.connection}</b><table>` +
@@ -247,7 +247,7 @@ function tick(){
           'engine is not domain-partitioned (run with --engine=domain)';
     });
   } else {
-    get('api/profile?top=20').then(p => {
+    get('api/v1/profile?top=20').then(p => {
       let h = '<table><tr><th>function</th><th>self ms</th>'+
               '<th>total ms</th></tr>';
       p.functions.forEach(f => {
@@ -258,12 +258,12 @@ function tick(){
       document.getElementById('right').innerHTML = h + '</table>';
     }).catch(()=>{});
   }
-  get('api/monitor/all').then(all => {
+  get('api/v1/monitor/all').then(all => {
     document.getElementById('charts').innerHTML =
         all.map(chartSvg).join('');
   }).catch(()=>{});
 }
-get('api/components').then(t => {
+get('api/v1/components').then(t => {
   const out = [];
   (t.children||[]).forEach(c => renderTree(c, 0, out));
   document.getElementById('tree').innerHTML = out.join('');

@@ -17,6 +17,14 @@ namespace rtm
 namespace
 {
 
+/**
+ * TTL floor (ms) for fleet aggregation responses. Engine event counts
+ * advance continuously, so like the per-monitor hot endpoints the fleet
+ * views fold wall time into their generation at this cadence: a polling
+ * wave costs one N-sim fan-out.
+ */
+constexpr std::uint64_t kTtlFloorMs = 50;
+
 std::int64_t
 wallNowMs()
 {
@@ -45,8 +53,6 @@ makeServerOptions(const GatewayConfig &cfg)
 {
     web::ServerOptions o;
     o.workers = cfg.httpWorkers;
-    o.maxConnections = cfg.httpMaxConnections;
-    o.listenBacklog = cfg.httpBacklog;
     return o;
 }
 
@@ -96,8 +102,7 @@ stableFragment(const std::string &id, Monitor *m)
 
 Gateway::Gateway(const GatewayConfig &cfg)
     : cfg_(cfg),
-      server_(makeServerOptions(cfg)),
-      cache_(cfg.cacheShards, cfg.shardMaxEntries)
+      server_(makeServerOptions(cfg))
 {
     installFleetRoutes();
 
@@ -307,29 +312,27 @@ Gateway::installFleetRoutes()
     // event counts advance continuously while engines run, and freeze
     // when they hang — folding wall time in keeps hang state fresh
     // (cf. the per-monitor /api/v1/hang rationale).
-    auto fleetGen = [this](std::uint64_t ttl) {
+    auto fleetGen = [this]() {
         std::uint64_t gen = 0;
         for (const Sim &s : sims())
             gen += s.monitor->buffersGeneration();
-        return gen + static_cast<std::uint64_t>(wallNowMs()) /
-                         std::max<std::uint64_t>(1, ttl);
+        return gen + static_cast<std::uint64_t>(wallNowMs()) / kTtlFloorMs;
     };
-    std::uint64_t ttl = std::max<std::uint64_t>(1, cfg_.fleetTtlFloorMs);
 
     // Per-sim status fragments are cached in the shard owned by
     // (sim id, endpoint): a flood of keys for one simulation can only
     // evict entries hashing to its shard, and each simulation's
     // fragment build coalesces independently.
-    auto cachedFragment = [this, ttl](const Sim &s) {
+    auto cachedFragment = [this](const Sim &s) {
         static const char *const kEndpoint = "/fleet/fragment";
         std::uint64_t gen =
             s.monitor->buffersGeneration() +
-            static_cast<std::uint64_t>(wallNowMs()) / ttl;
+            static_cast<std::uint64_t>(wallNowMs()) / kTtlFloorMs;
         Monitor *m = s.monitor;
         std::string id = s.id;
         return cache_.shard(s.id, kEndpoint)
             .get(s.id + "|" + kEndpoint, gen, "application/json",
-                 [id, m]() { return stableFragment(id, m); }, ttl)
+                 [id, m]() { return stableFragment(id, m); }, kTtlFloorMs)
             ->body;
     };
 
@@ -348,10 +351,10 @@ Gateway::installFleetRoutes()
 
     server_.route(
         "GET", "/api/v1/fleet",
-        [this, fleetGen, ttl, cachedFragment](const web::Request &req) {
+        [this, fleetGen, cachedFragment](const web::Request &req) {
             return serveCached(
                 cache_.shard("", "/api/v1/fleet"), req, req.target,
-                fleetGen(ttl), "application/json", ttl,
+                fleetGen(), "application/json", kTtlFloorMs,
                 [this, cachedFragment]() {
                     std::uint64_t totalEvents = 0;
                     std::string slowestId;
@@ -401,10 +404,10 @@ Gateway::installFleetRoutes()
 
     server_.route(
         "GET", "/api/v1/fleet/progress",
-        [this, fleetGen, ttl](const web::Request &req) {
+        [this, fleetGen](const web::Request &req) {
             return serveCached(
                 cache_.shard("", "/api/v1/fleet/progress"), req,
-                req.target, fleetGen(ttl), "application/json", ttl,
+                req.target, fleetGen(), "application/json", kTtlFloorMs,
                 [this]() {
                     std::string body;
                     json::Writer w(body);
@@ -432,10 +435,10 @@ Gateway::installFleetRoutes()
 
     server_.route(
         "GET", "/api/v1/fleet/slowest",
-        [this, fleetGen, ttl](const web::Request &req) {
+        [this, fleetGen](const web::Request &req) {
             return serveCached(
                 cache_.shard("", "/api/v1/fleet/slowest"), req,
-                req.target, fleetGen(ttl), "application/json", ttl,
+                req.target, fleetGen(), "application/json", kTtlFloorMs,
                 [this]() {
                     std::string slowestId;
                     std::uint64_t slowestNow =
@@ -465,10 +468,10 @@ Gateway::installFleetRoutes()
 
     server_.route(
         "GET", "/api/v1/fleet/hottest-buffer",
-        [this, fleetGen, ttl](const web::Request &req) {
+        [this, fleetGen](const web::Request &req) {
             return serveCached(
                 cache_.shard("", "/api/v1/fleet/hottest-buffer"), req,
-                req.target, fleetGen(ttl), "application/json", ttl,
+                req.target, fleetGen(), "application/json", kTtlFloorMs,
                 [this]() {
                     std::string hotSim;
                     BufferLevel hot;
@@ -503,10 +506,10 @@ Gateway::installFleetRoutes()
 
     server_.route(
         "GET", "/api/v1/fleet/engines",
-        [this, fleetGen, ttl](const web::Request &req) {
+        [this, fleetGen](const web::Request &req) {
             return serveCached(
                 cache_.shard("", "/api/v1/fleet/engines"), req,
-                req.target, fleetGen(ttl), "application/json", ttl,
+                req.target, fleetGen(), "application/json", kTtlFloorMs,
                 [this]() {
                     std::string body;
                     json::Writer w(body);
@@ -536,16 +539,16 @@ Gateway::installFleetRoutes()
                 });
         });
 
-    server_.route("GET", "/metrics", [this, ttl](const web::Request &req) {
+    server_.route("GET", "/metrics", [this](const web::Request &req) {
         // The fleet gauges are pull callbacks evaluated live at
         // exposition time (no sampler thread), so freshness comes from
         // the wall-folded generation alone.
         std::uint64_t gen =
-            static_cast<std::uint64_t>(wallNowMs()) / ttl;
+            static_cast<std::uint64_t>(wallNowMs()) / kTtlFloorMs;
         return serveCached(cache_.shard("", "/metrics"), req,
                            req.target, gen,
                            "text/plain; version=0.0.4; charset=utf-8",
-                           ttl, [this]() {
+                           kTtlFloorMs, [this]() {
                                return metrics_.renderPrometheus();
                            });
     });

@@ -54,23 +54,8 @@ struct GatewayConfig
     std::uint16_t port = 0;
     /** HTTP handler pool size; 0 means auto (see ServerOptions). */
     int httpWorkers = 0;
-    /** Concurrent HTTP connection cap. */
-    std::size_t httpMaxConnections = 256;
-    /** listen(2) backlog; 0 means SOMAXCONN. */
-    int httpBacklog = 0;
     /** Print the gateway URL on start. */
     bool announceUrl = true;
-    /** Shard count of the fleet response cache. */
-    std::size_t cacheShards = 8;
-    /** LRU cap within each shard. */
-    std::size_t shardMaxEntries = 64;
-    /**
-     * TTL floor (ms) for fleet aggregation responses. Engine event
-     * counts advance continuously, so like the per-monitor hot
-     * endpoints the fleet views fold wall time into their generation
-     * at this cadence: a polling wave costs one N-sim fan-out.
-     */
-    std::uint64_t fleetTtlFloorMs = 50;
     /** Minimum ms between fleet SSE delta scans. */
     int streamIntervalMs = 200;
 };

@@ -24,6 +24,13 @@ namespace rtm
 namespace
 {
 
+/**
+ * Sampling passes retained for SSE resume: a dashboard reconnecting to
+ * /api/v1/metrics/stream with Last-Event-ID within this window misses
+ * no samples.
+ */
+constexpr std::size_t kSseReplayPasses = 32;
+
 std::int64_t
 nowWallMs()
 {
@@ -55,45 +62,40 @@ Monitor::Monitor(const MonitorConfig &cfg)
             recorder_->recordEvent("monitor_start", nowWallMs(), 0);
         }
     }
-    if (cfg_.metricsEnabled) {
-        values_.attachStore(&metrics_);
-        metrics_.setReplayCapacity(cfg_.sseReplayPasses);
-        metrics::Desc d;
-        d.name = "akita_http_requests_total";
-        d.help = "Dashboard HTTP requests served.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), [this]() {
-            return static_cast<double>(requestsServed());
-        });
+    values_.attachStore(&metrics_);
+    metrics_.setReplayCapacity(kSseReplayPasses);
+    metrics::Desc d;
+    d.name = "akita_http_requests_total";
+    d.help = "Dashboard HTTP requests served.";
+    d.type = metrics::Type::Counter;
+    metrics_.addCallback(std::move(d), [this]() {
+        return static_cast<double>(requestsServed());
+    });
 
-        // Serving-path cache effectiveness (one family, labeled by
-        // event kind so /metrics shows the full hit/miss/coalesce/304
-        // breakdown the TTL-floor and ETag machinery produces).
-        struct CacheStat
-        {
-            const char *kind;
-            std::function<double()> fn;
-        };
-        const CacheStat stats[] = {
-            {"hit",
-             [this]() { return double(respCache_.hitCount()); }},
-            {"miss",
-             [this]() { return double(respCache_.missCount()); }},
-            {"coalesced",
-             [this]() { return double(respCache_.coalesceCount()); }},
-            {"not_modified",
-             [this]() { return double(respCache_.notModifiedCount()); }},
-            {"encode",
-             [this]() { return double(respCache_.encodeCount()); }},
-        };
-        for (const CacheStat &s : stats) {
-            metrics::Desc cd;
-            cd.name = "akita_rtm_response_cache_events_total";
-            cd.help = "Response-cache serving events by kind.";
-            cd.type = metrics::Type::Counter;
-            cd.labels = {{"kind", s.kind}};
-            metrics_.addCallback(std::move(cd), s.fn);
-        }
+    // Serving-path cache effectiveness (one family, labeled by event
+    // kind so /metrics shows the full hit/miss/coalesce/304 breakdown
+    // the TTL-floor and ETag machinery produces).
+    struct CacheStat
+    {
+        const char *kind;
+        std::function<double()> fn;
+    };
+    const CacheStat stats[] = {
+        {"hit", [this]() { return double(respCache_.hitCount()); }},
+        {"miss", [this]() { return double(respCache_.missCount()); }},
+        {"coalesced",
+         [this]() { return double(respCache_.coalesceCount()); }},
+        {"not_modified",
+         [this]() { return double(respCache_.notModifiedCount()); }},
+        {"encode", [this]() { return double(respCache_.encodeCount()); }},
+    };
+    for (const CacheStat &s : stats) {
+        metrics::Desc cd;
+        cd.name = "akita_rtm_response_cache_events_total";
+        cd.help = "Response-cache serving events by kind.";
+        cd.type = metrics::Type::Counter;
+        cd.labels = {{"kind", s.kind}};
+        metrics_.addCallback(std::move(cd), s.fn);
     }
 }
 
@@ -134,19 +136,16 @@ Monitor::registerEngine(sim::Engine *engine)
     }
     // The engine itself is inspectable but is not a Component; its
     // fields are exposed through the status endpoint instead.
-    if (cfg_.metricsEnabled) {
-        instrumentEngine();
-        if (cfg_.autoSample)
-            ensureSampler();
-    }
+    instrumentEngine();
+    if (cfg_.autoSample)
+        ensureSampler();
 }
 
 void
 Monitor::registerComponent(sim::Component *component)
 {
     registry_.add(component);
-    if (cfg_.metricsEnabled)
-        instrumentComponent(component);
+    instrumentComponent(component);
 }
 
 void
@@ -644,16 +643,11 @@ Monitor::componentSnapshot(const std::string &name) const
     sim::Component *c = registry_.find(name);
     if (c == nullptr)
         return json::Json();
-    json::Json out;
-    withEngineLock([&]() { out = serializeComponent(*c); });
-    return out;
-}
-
-json::Json
-Monitor::componentTree() const
-{
-    TreeNode root = registry_.buildTree();
-    return serializeTree(root);
+    std::string body;
+    json::Writer w(body);
+    withEngineLock([&]() { writeComponent(w, *c); });
+    // Parse outside the lock: the hold covers only the field reads.
+    return json::Json::parse(body);
 }
 
 std::vector<BufferLevel>
@@ -861,9 +855,8 @@ Monitor::samplerLoop()
         // Metrics passes run on their own (slower) cadence: a pass
         // visits every instrument, the value monitor only a handful.
         auto now = std::chrono::steady_clock::now();
-        if (cfg_.metricsEnabled &&
-            now - lastMetricsPass >=
-                std::chrono::milliseconds(cfg_.metricsIntervalMs)) {
+        if (now - lastMetricsPass >=
+            std::chrono::milliseconds(cfg_.metricsIntervalMs)) {
             lastMetricsPass = now;
             metricsSamplePass();
         }
@@ -877,8 +870,6 @@ Monitor::startServer()
         return true;
     web::ServerOptions opts;
     opts.workers = cfg_.httpWorkers;
-    opts.maxConnections = cfg_.httpMaxConnections;
-    opts.listenBacklog = cfg_.httpBacklog;
     server_ = std::make_unique<web::HttpServer>(opts);
     installApiRoutes(*server_, *this);
     if (!server_->start(cfg_.port))

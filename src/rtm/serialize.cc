@@ -8,135 +8,6 @@ namespace rtm
 {
 
 json::Json
-toJson(const introspect::Value &value)
-{
-    using Kind = introspect::Value::Kind;
-    switch (value.kind()) {
-      case Kind::Null:
-        return json::Json();
-      case Kind::Bool:
-        return json::Json(value.boolVal());
-      case Kind::Int:
-        return json::Json(value.intVal());
-      case Kind::Float:
-        return json::Json(value.floatVal());
-      case Kind::Str:
-        return json::Json(value.strVal());
-      case Kind::List: {
-        json::Json arr = json::Json::array();
-        for (const auto &item : value.items())
-            arr.push(toJson(item));
-        return arr;
-      }
-      case Kind::Dict: {
-        json::Json obj = json::Json::object();
-        for (const auto &e : value.entries())
-            obj.set(e.first, toJson(e.second));
-        return obj;
-      }
-    }
-    return json::Json();
-}
-
-json::Json
-serializeComponent(const sim::Component &component)
-{
-    json::Json obj = json::Json::object();
-    obj.set("name", component.name());
-
-    json::Json fields = json::Json::array();
-    for (const auto &f : component.fields().all()) {
-        introspect::Value v = f.getter();
-        json::Json fj = json::Json::object();
-        fj.set("name", f.name);
-        fj.set("type", v.typeName());
-        fj.set("value", toJson(v));
-        fj.set("numeric", v.numeric());
-        fields.push(std::move(fj));
-    }
-    obj.set("fields", std::move(fields));
-
-    json::Json ports = json::Json::array();
-    for (const auto &p : component.ports()) {
-        json::Json pj = json::Json::object();
-        pj.set("name", p->name());
-        pj.set("buffer", p->buf().name());
-        pj.set("size", static_cast<std::int64_t>(p->buf().size()));
-        pj.set("capacity",
-               static_cast<std::int64_t>(p->buf().capacity()));
-        pj.set("total_sent",
-               static_cast<std::int64_t>(p->totalSent()));
-        pj.set("send_rejections",
-               static_cast<std::int64_t>(p->totalSendRejections()));
-        ports.push(std::move(pj));
-    }
-    obj.set("ports", std::move(ports));
-
-    json::Json buffers = json::Json::array();
-    for (const sim::Buffer *b : component.buffers()) {
-        sim::MsgPtr head = b->peek();
-        json::Json bj = json::Json::object();
-        bj.set("name", b->name());
-        bj.set("size", static_cast<std::int64_t>(b->size()));
-        bj.set("capacity", static_cast<std::int64_t>(b->capacity()));
-        bj.set("head_kind",
-               head == nullptr ? std::string() : std::string(head->kind()));
-        buffers.push(std::move(bj));
-    }
-    obj.set("buffers", std::move(buffers));
-    return obj;
-}
-
-json::Json
-serializeTree(const TreeNode &root)
-{
-    json::Json obj = json::Json::object();
-    obj.set("label", root.label);
-    if (!root.componentName.empty())
-        obj.set("component", root.componentName);
-    if (!root.children.empty()) {
-        json::Json kids = json::Json::array();
-        for (const auto &kv : root.children)
-            kids.push(serializeTree(*kv.second));
-        obj.set("children", std::move(kids));
-    }
-    return obj;
-}
-
-json::Json
-serializeBuffers(const std::vector<BufferLevel> &levels)
-{
-    json::Json arr = json::Json::array();
-    for (const auto &l : levels) {
-        json::Json row = json::Json::object();
-        row.set("buffer", l.name);
-        row.set("size", static_cast<std::int64_t>(l.size));
-        row.set("cap", static_cast<std::int64_t>(l.capacity));
-        row.set("percent", l.percent());
-        row.set("head_kind", l.headKind);
-        arr.push(std::move(row));
-    }
-    return arr;
-}
-
-json::Json
-serializeProgress(const std::vector<ProgressBar> &bars)
-{
-    json::Json arr = json::Json::array();
-    for (const auto &b : bars) {
-        json::Json bar = json::Json::object();
-        bar.set("id", b.id);
-        bar.set("label", b.label);
-        bar.set("total", b.total);
-        bar.set("completed", b.completed);
-        bar.set("in_progress", b.inProgress);
-        bar.set("not_started", b.notStarted());
-        arr.push(std::move(bar));
-    }
-    return arr;
-}
-
-json::Json
 serializeProfile(const sim::ProfSnapshot &snapshot)
 {
     json::Json obj = json::Json::object();
@@ -174,24 +45,6 @@ serializeResources(const ResourceUsage &usage)
     obj.set("rss_bytes", usage.rssBytes);
     obj.set("vm_bytes", usage.vmBytes);
     obj.set("num_threads", usage.numThreads);
-    return obj;
-}
-
-json::Json
-serializeSeries(const TrackedSeries &series)
-{
-    json::Json obj = json::Json::object();
-    obj.set("id", series.id);
-    obj.set("component", series.componentName);
-    obj.set("field", series.fieldName);
-    json::Json pts = json::Json::array();
-    for (const auto &s : series.samples) {
-        json::Json p = json::Json::object();
-        p.set("t_ps", s.simTime);
-        p.set("v", s.value);
-        pts.push(std::move(p));
-    }
-    obj.set("points", std::move(pts));
     return obj;
 }
 

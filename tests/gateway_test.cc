@@ -325,7 +325,10 @@ TEST(ParseHardening, MalformedLastEventIdMeansFullReplay)
     // Regression: "Last-Event-ID: 1junk" used to strtoull-parse as 1
     // and resume mid-stream from a corrupt position. A malformed id
     // must be treated as no resume point (the fresh-client full
-    // replay), never as a silent partial resume.
+    // replay), never as a silent partial resume. The ?last_event_id=
+    // query parameter shares the header's strict parse: it used to
+    // read "1junk" as 1 and "-2" as 2^64-2 (a stream that never
+    // sends).
     gpu::PlatformConfig pcfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
     gpu::applyEngineEnv(pcfg);
@@ -357,11 +360,23 @@ TEST(ParseHardening, MalformedLastEventIdMeansFullReplay)
                             "Last-Event-ID: " + lastEventId + "\r\n" +
                             "Connection: close\r\n\r\n");
     };
+    auto streamWithQuery = [&](const std::string &lastEventId) {
+        std::string encoded; // '+' would decode to a space.
+        for (char ch : lastEventId)
+            encoded += ch == '+' ? std::string("%2B") : std::string(1, ch);
+        return rawFetch(mon.serverPort(),
+                        "GET " + target + "&last_event_id=" + encoded +
+                            " HTTP/1.1\r\nHost: t\r\n" +
+                            "Connection: close\r\n\r\n");
+    };
 
     // Control: a valid id resumes exactly after it.
     auto valid = sseIds(streamWith("1"));
     ASSERT_EQ(valid.size(), 1u);
     EXPECT_EQ(valid[0], 2u);
+    auto qvalid = sseIds(streamWithQuery("1"));
+    ASSERT_EQ(qvalid.size(), 1u);
+    EXPECT_EQ(qvalid[0], 2u);
 
     // Trailing garbage, signs, or overflow: fall back to the
     // fresh-client position (the newest pass), not a bogus partial
@@ -373,6 +388,9 @@ TEST(ParseHardening, MalformedLastEventIdMeansFullReplay)
         auto ids = sseIds(streamWith(bad));
         ASSERT_EQ(ids.size(), 1u) << "Last-Event-ID: " << bad;
         EXPECT_EQ(ids[0], 3u) << "Last-Event-ID: " << bad;
+        auto qids = sseIds(streamWithQuery(bad));
+        ASSERT_EQ(qids.size(), 1u) << "?last_event_id=" << bad;
+        EXPECT_EQ(qids[0], 3u) << "?last_event_id=" << bad;
     }
 
     mon.stopServer();
@@ -428,6 +446,23 @@ TEST(Gateway, MountedRoutesAreByteIdenticalToStandaloneServer)
     EXPECT_EQ(index->status, 200);
     for (const char *id : {"sim0", "sim1", "sim2", "sim3"})
         EXPECT_NE(index->body.find(id), std::string::npos) << id;
+}
+
+TEST(Gateway, MountedAliasMatchesVersionedPath)
+{
+    rtm::Fleet fleet(quietFleet(1));
+    ASSERT_TRUE(fleet.start());
+    runFleetWorkloads(fleet);
+
+    web::HttpClient gw("127.0.0.1", fleet.gateway().port());
+    auto alias = gw.get("/sim/sim0/api/components");
+    auto v1 = gw.get("/sim/sim0/api/v1/components");
+    ASSERT_TRUE(alias.has_value());
+    ASSERT_TRUE(v1.has_value());
+    EXPECT_EQ(alias->status, 200);
+    EXPECT_EQ(v1->status, 200);
+    EXPECT_EQ(alias->body, v1->body);
+    EXPECT_EQ(alias->headers.at("etag"), v1->headers.at("etag"));
 }
 
 TEST(Gateway, FleetAggregationMatchesPerSimState)

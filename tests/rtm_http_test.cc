@@ -289,7 +289,7 @@ TEST(RtmHttp, DashboardServed)
     EXPECT_NE(r->body.find("AkitaRTM"), std::string::npos);
     // Mount-relative fetch targets (no leading slash): the same HTML
     // works at / and under a fleet-gateway /sim/<id>/ prefix.
-    EXPECT_NE(r->body.find("get('api/status')"), std::string::npos);
+    EXPECT_NE(r->body.find("get('api/v1/status')"), std::string::npos);
     EXPECT_EQ(r->body.find("'/api/"), std::string::npos)
         << "absolute API URLs break gateway-mounted dashboards";
 }

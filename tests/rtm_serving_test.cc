@@ -1,24 +1,23 @@
 /**
  * @file
  * Tests for the serving fast path: the generation-stamped response
- * cache (build coalescing, ETags, LRU) and the streaming serializers'
- * byte equivalence with the Json-tree builders they replace.
+ * cache (build coalescing, ETags, LRU, TTL floors, per-encoding
+ * bodies) and the route table (every endpoint under /api/v1, reached
+ * from /api through one alias that shares its cache key).
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "gpu/platform.hh"
 #include "json/json.hh"
-#include "json/writer.hh"
-#include "rtm/progressbar.hh"
-#include "rtm/registry.hh"
 #include "rtm/respcache.hh"
-#include "rtm/serialize.hh"
-#include "rtm/valuemonitor.hh"
 
 using namespace akita;
 using rtm::ResponseCache;
@@ -173,76 +172,6 @@ TEST(ResponseCache, ClearDropsEntries)
 }
 
 // ---------------------------------------------------------------------
-// Streaming serializers vs Json-tree serializers
-// ---------------------------------------------------------------------
-
-TEST(StreamingSerialize, BuffersMatchTreePath)
-{
-    std::vector<rtm::BufferLevel> levels;
-    for (int i = 0; i < 4; i++) {
-        rtm::BufferLevel l;
-        l.name = "GPU[" + std::to_string(i) + "].L1V.Buf";
-        l.size = static_cast<std::size_t>(i * 3);
-        l.capacity = 16;
-        levels.push_back(l);
-    }
-    std::string streamed;
-    json::Writer w(streamed);
-    rtm::writeBuffers(w, levels);
-    EXPECT_EQ(streamed, rtm::serializeBuffers(levels).dump());
-}
-
-TEST(StreamingSerialize, ProgressMatchesTreePath)
-{
-    std::vector<rtm::ProgressBar> bars(2);
-    bars[0].id = 1;
-    bars[0].label = "kernel \"fir\"";
-    bars[0].total = 100;
-    bars[0].completed = 40;
-    bars[0].inProgress = 8;
-    bars[1].id = 2;
-    bars[1].label = "copy";
-    bars[1].total = 7;
-    std::string streamed;
-    json::Writer w(streamed);
-    rtm::writeProgress(w, bars);
-    EXPECT_EQ(streamed, rtm::serializeProgress(bars).dump());
-}
-
-TEST(StreamingSerialize, SeriesMatchesTreePath)
-{
-    rtm::TrackedSeries s;
-    s.id = 3;
-    s.componentName = "GPU[0].SA[1]";
-    s.fieldName = "occupancy";
-    for (int i = 0; i < 5; i++)
-        s.samples.push_back({static_cast<sim::VTime>(i * 1000),
-                             i * 0.125});
-    std::string streamed;
-    json::Writer w(streamed);
-    rtm::writeSeries(w, s);
-    EXPECT_EQ(streamed, rtm::serializeSeries(s).dump());
-}
-
-TEST(StreamingSerialize, TreeMatchesTreePath)
-{
-    rtm::TreeNode root;
-    root.label = "root";
-    auto gpu = std::make_unique<rtm::TreeNode>();
-    gpu->label = "GPU[0]";
-    auto sa = std::make_unique<rtm::TreeNode>();
-    sa->label = "SA[0]";
-    sa->componentName = "GPU[0].SA[0]";
-    gpu->children.emplace("SA[0]", std::move(sa));
-    root.children.emplace("GPU[0]", std::move(gpu));
-
-    std::string streamed;
-    json::Writer w(streamed);
-    rtm::writeTree(w, root);
-    EXPECT_EQ(streamed, rtm::serializeTree(root).dump());
-}
-
-// ---------------------------------------------------------------------
 // TTL floors, serving counters, and per-encoding bodies
 // ---------------------------------------------------------------------
 
@@ -363,7 +292,6 @@ TEST(MonitorServing, CacheCountersExportedViaMetrics)
     rtm::MonitorConfig cfg;
     cfg.port = 0;
     cfg.announceUrl = false;
-    cfg.metricsEnabled = true;
     cfg.metricsIntervalMs = 3600 * 1000; // Manual passes only.
     rtm::Monitor mon(cfg);
     ASSERT_TRUE(mon.startServer());
@@ -387,4 +315,161 @@ TEST(MonitorServing, CacheCountersExportedViaMetrics)
                   "akita_rtm_response_cache_events_total{kind=\"miss\"}"),
               std::string::npos);
     mon.stopServer();
+}
+
+// ---------------------------------------------------------------------
+// Route table: /api/v1 handlers and the /api alias
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A serving monitor over a 2-domain tiny platform with a flight
+ * recorder, so that every endpoint (including /api/v1/domains and the
+ * /api/v1/recorder views) has something to answer with.
+ */
+struct RouteRig
+{
+    std::string seg = "/tmp/akita_route_test_" +
+                      std::to_string(::getpid()) + ".seg";
+    gpu::Platform plat;
+    rtm::Monitor mon;
+
+    RouteRig() : plat(platformConfig()), mon(monitorConfig(seg))
+    {
+        mon.registerEngine(&plat.engine());
+        for (auto *c : plat.components())
+            mon.registerComponent(c);
+        for (auto *conn : plat.connections())
+            mon.registerConnection(conn);
+        EXPECT_TRUE(mon.startServer());
+    }
+
+    ~RouteRig()
+    {
+        mon.stopServer();
+        ::unlink(seg.c_str());
+    }
+
+    static gpu::PlatformConfig
+    platformConfig()
+    {
+        auto cfg = gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
+        cfg.engineKind = gpu::EngineKind::Domain;
+        cfg.domains = 2;
+        return cfg;
+    }
+
+    static rtm::MonitorConfig
+    monitorConfig(const std::string &seg)
+    {
+        rtm::MonitorConfig cfg;
+        cfg.announceUrl = false;
+        cfg.autoSample = false; // Passes only when the test asks.
+        cfg.recordPath = seg;
+        return cfg;
+    }
+};
+
+} // namespace
+
+TEST(ApiRoutes, EveryPublishedPathAnswers)
+{
+    RouteRig rig;
+    rig.mon.metricsSamplePass();
+    web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+    const std::string comp = "component=GPU%5B0%5D.RDMA";
+
+    // The ten core endpoints, served under both spellings.
+    std::vector<std::pair<std::string, std::string>> table;
+    for (const char *prefix : {"/api/", "/api/v1/"}) {
+        const std::string p = prefix;
+        for (const std::string &get :
+             {p + "status", p + "resources", p + "components",
+              p + "component?name=GPU%5B0%5D.RDMA", p + "buffers",
+              p + "progress", p + "topology"})
+            table.emplace_back("GET", get);
+        for (const std::string &post :
+             {p + "pause", p + "resume", p + "tick?" + comp})
+            table.emplace_back("POST", post);
+    }
+    // Profile, monitor and throughput, as clients have always spelled
+    // them (unversioned).
+    table.insert(table.end(),
+                 {{"GET", "/api/profile"},
+                  {"POST", "/api/profile/start"},
+                  {"POST", "/api/profile/stop"},
+                  {"GET", "/api/monitor/all"},
+                  {"GET", "/api/throughput?" + comp}});
+    // Paths published only in their versioned spelling.
+    table.insert(
+        table.end(),
+        {{"GET", "/"},
+         {"GET", "/metrics"},
+         {"GET", "/api/v1/metrics"},
+         {"GET", "/api/v1/metrics/query?name=akita_engine_events_total"},
+         {"GET", "/api/v1/metrics/stream?name=akita_engine_events_total&"
+                 "max_events=1"},
+         {"GET", "/api/v1/hang"},
+         {"GET", "/api/v1/domains"},
+         {"GET", "/api/v1/recorder/info"},
+         {"GET", "/api/v1/recorder/range?name=akita_engine_events_total"}});
+
+    for (const auto &[method, target] : table) {
+        auto r = method == "GET" ? c.get(target) : c.post(target, "");
+        ASSERT_TRUE(r.has_value()) << method << " " << target;
+        EXPECT_EQ(r->status, 200)
+            << method << " " << target << ": " << r->body;
+    }
+
+    // The series endpoints need a tracked id.
+    auto track = c.post("/api/monitor/track?" + comp + "&field=transactions",
+                        "");
+    ASSERT_TRUE(track.has_value());
+    ASSERT_EQ(track->status, 200) << track->body;
+    std::string id = std::to_string(
+        json::Json::parse(track->body).getInt("id", 0));
+    for (const std::string &get :
+         {"/api/monitor/series?id=" + id, "/api/monitor/export?id=" + id}) {
+        auto r = c.get(get);
+        ASSERT_TRUE(r.has_value()) << get;
+        EXPECT_EQ(r->status, 200) << get << ": " << r->body;
+    }
+    auto untrack = c.post("/api/monitor/untrack?id=" + id, "");
+    ASSERT_TRUE(untrack.has_value());
+    EXPECT_EQ(untrack->status, 200) << untrack->body;
+}
+
+TEST(ApiRoutes, AliasSharesTheVersionedCacheEntry)
+{
+    RouteRig rig;
+    web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+    std::uint64_t before = rig.mon.responseCache().buildCount();
+    auto a = c.get("/api/buffers");
+    auto b = c.get("/api/v1/buffers");
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(a->status, 200);
+    EXPECT_EQ(b->status, 200);
+    EXPECT_EQ(a->body, b->body);
+    EXPECT_EQ(rig.mon.responseCache().buildCount() - before, 1u)
+        << "both spellings must share one cache key";
+}
+
+TEST(ApiRoutes, UnknownPathsAreNotFound)
+{
+    RouteRig rig;
+    web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+    for (const char *target :
+         {"/api/v1/nope", "/api/v1/v1/status", "/api/nope",
+          "/api/metrics/stream"}) {
+        auto r = c.get(target);
+        ASSERT_TRUE(r.has_value()) << target;
+        EXPECT_EQ(r->status, 404) << target;
+    }
+    // A method mismatch misses through the alias too.
+    auto r = c.get("/api/pause");
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, 404);
 }

@@ -345,16 +345,39 @@ TEST(ResourceMonitorTest, CpuPercentReflectsBusyWork)
 // Serialization
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** Streams through @p write into a fresh body and parses it back. */
+template <typename WriteFn>
+json::Json
+written(WriteFn write)
+{
+    std::string body;
+    json::Writer w(body);
+    write(w);
+    return json::Json::parse(body);
+}
+
+} // namespace
+
 TEST(Serialize, ValueToJson)
 {
     using introspect::Value;
-    EXPECT_EQ(toJson(Value()).dump(), "null");
-    EXPECT_EQ(toJson(Value::ofInt(3)).dump(), "3");
-    EXPECT_EQ(toJson(Value::ofStr("s")).dump(), "\"s\"");
-    EXPECT_EQ(toJson(Value::ofList({Value::ofInt(1)})).dump(), "[1]");
-    EXPECT_EQ(
-        toJson(Value::ofDict({{"k", Value::ofBool(true)}})).dump(),
-        "{\"k\":true}");
+    auto value = [](const Value &v) {
+        return written([&](json::Writer &w) { writeValue(w, v); });
+    };
+    EXPECT_TRUE(value(Value()).isNull());
+    EXPECT_EQ(value(Value::ofInt(3)).intVal(), 3);
+    EXPECT_DOUBLE_EQ(value(Value::ofFloat(2.5)).numberVal(), 2.5);
+    EXPECT_EQ(value(Value::ofStr("s")).strVal(), "s");
+    json::Json list = value(Value::ofList({Value::ofInt(1)}));
+    ASSERT_TRUE(list.isArray());
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list.at(0).intVal(), 1);
+    json::Json dict = value(Value::ofDict({{"k", Value::ofBool(true)}}));
+    ASSERT_TRUE(dict.isObject());
+    EXPECT_TRUE(dict.getBool("k"));
 }
 
 TEST(Serialize, ComponentSnapshotShape)
@@ -362,25 +385,30 @@ TEST(Serialize, ComponentSnapshotShape)
     sim::SerialEngine eng;
     Dummy d(&eng, "GPU[0].X");
     d.level = 9;
-    json::Json j = serializeComponent(d);
+    json::Json j =
+        written([&](json::Writer &w) { writeComponent(w, d); });
     EXPECT_EQ(j.getStr("name"), "GPU[0].X");
     const json::Json *fields = j.get("fields");
     ASSERT_NE(fields, nullptr);
     ASSERT_GE(fields->size(), 1u);
     EXPECT_EQ(fields->at(0).getStr("name"), "level");
     EXPECT_EQ(fields->at(0).getInt("value", -1), 9);
+    EXPECT_DOUBLE_EQ(fields->at(0).getNumber("numeric", 0), 9.0);
     const json::Json *ports = j.get("ports");
     ASSERT_NE(ports, nullptr);
     EXPECT_EQ(ports->at(0).getStr("name"), "TopPort");
+    EXPECT_EQ(ports->at(0).getInt("capacity", 0), 4);
+    ASSERT_NE(j.get("buffers"), nullptr);
 }
 
 TEST(Serialize, BufferTableMatchesFig3Columns)
 {
     std::vector<BufferLevel> rows = {
-        {"GPU[1].SA[15].L1VROB[0].TopPort.Buf", 8, 8},
-        {"GPU[1].SA[7].L1VAddrTrans[1].TopPort.Buf", 4, 4},
+        {"GPU[1].SA[15].L1VROB[0].TopPort.Buf", 8, 8, ""},
+        {"GPU[1].SA[7].L1VAddrTrans[1].TopPort.Buf", 4, 4, ""},
     };
-    json::Json j = serializeBuffers(rows);
+    json::Json j =
+        written([&](json::Writer &w) { writeBuffers(w, rows); });
     ASSERT_EQ(j.size(), 2u);
     EXPECT_EQ(j.at(0).getStr("buffer"),
               "GPU[1].SA[15].L1VROB[0].TopPort.Buf");
@@ -396,10 +424,56 @@ TEST(Serialize, SeriesToJson)
     s.componentName = "C";
     s.fieldName = "f";
     s.samples = {{1000, 3.0}, {2000, 4.0}};
-    json::Json j = serializeSeries(s);
+    json::Json j = written([&](json::Writer &w) { writeSeries(w, s); });
     EXPECT_EQ(j.getInt("id", 0), 2);
+    EXPECT_EQ(j.getStr("component"), "C");
     EXPECT_EQ(j.get("points")->size(), 2u);
+    EXPECT_EQ(j.get("points")->at(1).getInt("t_ps", 0), 2000);
     EXPECT_DOUBLE_EQ(j.get("points")->at(1).getNumber("v", 0), 4.0);
+}
+
+TEST(Serialize, ProgressLabelIsEscaped)
+{
+    std::vector<ProgressBar> bars(1);
+    bars[0].id = 1;
+    bars[0].label = "kernel \"fir\"\n";
+    bars[0].total = 100;
+    bars[0].completed = 40;
+    bars[0].inProgress = 8;
+    json::Json j =
+        written([&](json::Writer &w) { writeProgress(w, bars); });
+    ASSERT_EQ(j.size(), 1u);
+    EXPECT_EQ(j.at(0).getStr("label"), "kernel \"fir\"\n");
+    EXPECT_EQ(j.at(0).getInt("completed", 0), 40);
+    EXPECT_EQ(j.at(0).getInt("in_progress", 0), 8);
+    EXPECT_EQ(j.at(0).getInt("not_started", 0), 52);
+}
+
+TEST(Serialize, NestedTree)
+{
+    TreeNode root;
+    root.label = "root";
+    auto gpu = std::make_unique<TreeNode>();
+    gpu->label = "GPU[0]";
+    auto sa = std::make_unique<TreeNode>();
+    sa->label = "SA[0]";
+    sa->componentName = "GPU[0].SA[0]";
+    gpu->children.emplace("SA[0]", std::move(sa));
+    root.children.emplace("GPU[0]", std::move(gpu));
+
+    json::Json j = written([&](json::Writer &w) { writeTree(w, root); });
+    EXPECT_EQ(j.getStr("label"), "root");
+    EXPECT_EQ(j.get("component"), nullptr);
+    const json::Json *kids = j.get("children");
+    ASSERT_NE(kids, nullptr);
+    ASSERT_EQ(kids->size(), 1u);
+    EXPECT_EQ(kids->at(0).getStr("label"), "GPU[0]");
+    EXPECT_EQ(kids->at(0).get("component"), nullptr);
+    const json::Json *leaves = kids->at(0).get("children");
+    ASSERT_NE(leaves, nullptr);
+    ASSERT_EQ(leaves->size(), 1u);
+    EXPECT_EQ(leaves->at(0).getStr("component"), "GPU[0].SA[0]");
+    EXPECT_EQ(leaves->at(0).get("children"), nullptr);
 }
 
 // ---------------------------------------------------------------------

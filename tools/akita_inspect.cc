@@ -360,11 +360,11 @@ run(int argc, char **argv)
     const std::string &cmd = args[0];
 
     if (cmd == "status") {
-        printStatus(mustGet(client, "/api/status"));
+        printStatus(mustGet(client, "/api/v1/status"));
         return 0;
     }
     if (cmd == "resources") {
-        Json r = mustGet(client, "/api/resources");
+        Json r = mustGet(client, "/api/v1/resources");
         std::printf("cpu %.0f%%  rss %.1f MB  vm %.1f MB  threads %lld\n",
                     r.getNumber("cpu_percent", 0),
                     r.getNumber("rss_bytes", 0) / 1048576.0,
@@ -373,14 +373,14 @@ run(int argc, char **argv)
         return 0;
     }
     if (cmd == "components") {
-        printTree(mustGet(client, "/api/components"), -1);
+        printTree(mustGet(client, "/api/v1/components"), -1);
         return 0;
     }
     if (cmd == "component") {
         if (args.size() < 2)
             return fail("usage: component <name>");
         Json c = mustGet(client,
-                         "/api/component?name=" + urlEncode(args[1]));
+                         "/api/v1/component?name=" + urlEncode(args[1]));
         std::printf("%s\n", c.getStr("name").c_str());
         for (const auto &f : c.get("fields")->items()) {
             std::printf("  %-24s %-8s %s\n", f.getStr("name").c_str(),
@@ -398,7 +398,7 @@ run(int argc, char **argv)
     if (cmd == "buffers") {
         std::string sort = args.size() > 1 ? args[1] : "percent";
         std::string top = args.size() > 2 ? args[2] : "20";
-        Json rows = mustGet(client, "/api/buffers?sort=" + sort +
+        Json rows = mustGet(client, "/api/v1/buffers?sort=" + sort +
                                         "&top=" + top);
         std::printf("%-50s %6s %5s\n", "Buffer", "Size", "Cap");
         for (const auto &row : rows.items()) {
@@ -410,7 +410,7 @@ run(int argc, char **argv)
         return 0;
     }
     if (cmd == "progress") {
-        Json bars = mustGet(client, "/api/progress");
+        Json bars = mustGet(client, "/api/v1/progress");
         for (const auto &b : bars.items()) {
             std::printf("%-28s %lld done / %lld running / %lld left\n",
                         b.getStr("label").c_str(),
@@ -426,7 +426,7 @@ run(int argc, char **argv)
         if (args.size() < 2)
             return fail("usage: throughput <component>");
         Json ports = mustGet(
-            client, "/api/throughput?component=" + urlEncode(args[1]));
+            client, "/api/v1/throughput?component=" + urlEncode(args[1]));
         std::printf("%-40s %10s %12s %10s\n", "Port", "sent",
                     "msgs/sim-s", "rejects");
         for (const auto &p : ports.items()) {
@@ -441,7 +441,7 @@ run(int argc, char **argv)
         return 0;
     }
     if (cmd == "topology") {
-        Json topo = mustGet(client, "/api/topology");
+        Json topo = mustGet(client, "/api/v1/topology");
         for (const auto &conn : topo.items()) {
             std::printf("%s\n", conn.getStr("connection").c_str());
             for (const auto &p : conn.get("ports")->items())
@@ -624,30 +624,30 @@ run(int argc, char **argv)
         return 0;
     }
     if (cmd == "pause") {
-        mustPost(client, "/api/pause");
+        mustPost(client, "/api/v1/pause");
         return 0;
     }
     if (cmd == "resume") {
-        mustPost(client, "/api/resume");
+        mustPost(client, "/api/v1/resume");
         return 0;
     }
     if (cmd == "tick") {
         if (args.size() < 2)
             return fail("usage: tick <component>");
-        mustPost(client, "/api/tick?component=" + urlEncode(args[1]));
+        mustPost(client, "/api/v1/tick?component=" + urlEncode(args[1]));
         return 0;
     }
     if (cmd == "profile-start") {
-        mustPost(client, "/api/profile/start");
+        mustPost(client, "/api/v1/profile/start");
         return 0;
     }
     if (cmd == "profile-stop") {
-        mustPost(client, "/api/profile/stop");
+        mustPost(client, "/api/v1/profile/stop");
         return 0;
     }
     if (cmd == "profile") {
         std::string top = args.size() > 1 ? args[1] : "15";
-        Json p = mustGet(client, "/api/profile?top=" + top);
+        Json p = mustGet(client, "/api/v1/profile?top=" + top);
         std::printf("profiler %s\n", p.getBool("enabled", false)
                                          ? "enabled"
                                          : "disabled");
@@ -703,7 +703,7 @@ run(int argc, char **argv)
     if (cmd == "track") {
         if (args.size() < 3)
             return fail("usage: track <component> <field>");
-        auto r = client.post("/api/monitor/track?component=" +
+        auto r = client.post("/api/v1/monitor/track?component=" +
                                  urlEncode(args[1]) +
                                  "&field=" + urlEncode(args[2]),
                              "");
@@ -717,13 +717,13 @@ run(int argc, char **argv)
     if (cmd == "untrack") {
         if (args.size() < 2)
             return fail("usage: untrack <id>");
-        mustPost(client, "/api/monitor/untrack?id=" + args[1]);
+        mustPost(client, "/api/v1/monitor/untrack?id=" + args[1]);
         return 0;
     }
     if (cmd == "series") {
         if (args.size() < 2)
             return fail("usage: series <id>");
-        Json s = mustGet(client, "/api/monitor/series?id=" + args[1]);
+        Json s = mustGet(client, "/api/v1/monitor/series?id=" + args[1]);
         std::printf("# %s.%s\n", s.getStr("component").c_str(),
                     s.getStr("field").c_str());
         for (const auto &pt : s.get("points")->items()) {
@@ -736,7 +736,7 @@ run(int argc, char **argv)
     if (cmd == "export") {
         if (args.size() < 2)
             return fail("usage: export <id>");
-        auto r = client.get("/api/monitor/export?id=" + args[1]);
+        auto r = client.get("/api/v1/monitor/export?id=" + args[1]);
         if (!r || r->status != 200)
             return fail(r ? r->body : "unreachable");
         std::fputs(r->body.c_str(), stdout);
@@ -746,7 +746,7 @@ run(int argc, char **argv)
         int seconds = args.size() > 1 ? std::atoi(args[1].c_str()) : 0;
         for (int i = 0; seconds == 0 || i < seconds; i++) {
             try {
-                printStatus(mustGet(client, "/api/status"));
+                printStatus(mustGet(client, "/api/v1/status"));
             } catch (const std::exception &e) {
                 std::printf("(%s)\n", e.what());
             }
