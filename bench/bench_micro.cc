@@ -504,6 +504,109 @@ BM_PortSendBusy(benchmark::State &state)
 }
 BENCHMARK(BM_PortSendBusy);
 
+/** A sender that keeps one message ready and retries it each tick. */
+class HerdSender : public sim::TickingComponent
+{
+  public:
+    HerdSender(sim::Engine *e, const std::string &name, sim::Port *dst)
+        : TickingComponent(e, name, sim::Freq::ghz(1)), dst_(dst)
+    {
+        out = addPort("Out", 1);
+    }
+
+    bool
+    tick() override
+    {
+        bool progress = false;
+        while (pending > 0) {
+            if (next_ == nullptr) {
+                next_ = sim::makeMsg<sim::Msg>();
+                next_->dst = dst_;
+            }
+            if (out->send(next_) != sim::SendStatus::Ok)
+                break;
+            next_ = nullptr;
+            pending--;
+            progress = true;
+        }
+        return progress;
+    }
+
+    sim::Port *out;
+    int pending = 0;
+
+  private:
+    sim::Port *dst_;
+    sim::MsgPtr next_;
+};
+
+/** Retrieves one message per cycle. */
+class HerdSink : public sim::TickingComponent
+{
+  public:
+    explicit HerdSink(sim::Engine *e)
+        : TickingComponent(e, "Sink", sim::Freq::ghz(1))
+    {
+        in = addPort("In", 4);
+    }
+
+    bool tick() override { return in->retrieveIncoming() != nullptr; }
+
+    sim::Port *in;
+};
+
+void
+BM_PortReleaseHerd(benchmark::State &state)
+{
+    // Sixteen senders blocked on a four-slot port drained once a
+    // cycle: every retrieve wakes the whole herd, and all but the
+    // first woken sender find the slot refilled.
+    sim::SerialEngine eng;
+    HerdSink sink(&eng);
+    sim::DirectConnection conn(&eng, "Conn", sim::kNanosecond);
+    conn.plugIn(sink.in);
+    std::vector<std::unique_ptr<HerdSender>> senders;
+    for (int i = 0; i < 16; i++) {
+        senders.push_back(std::make_unique<HerdSender>(
+            &eng, "S" + std::to_string(i), sink.in));
+        conn.plugIn(senders.back()->out);
+    }
+    constexpr int kPerSender = 8;
+    for (auto _ : state) {
+        for (auto &s : senders) {
+            s->pending = kPerSender;
+            s->tickLater();
+        }
+        benchmark::DoNotOptimize(eng.run());
+    }
+    state.SetItemsProcessed(state.iterations() * 16 * kPerSender);
+}
+BENCHMARK(BM_PortReleaseHerd);
+
+void
+BM_EventQueueCycleAligned(benchmark::State &state)
+{
+    // The GPU platform's queue shape: a few dozen components each pop
+    // their tick and push the next cycle's, so every timestamp holds a
+    // cohort and every push lands in the bucket the previous one used.
+    sim::EventQueue q;
+    class Nop : public sim::EventHandler
+    {
+      public:
+        void handle(sim::Event &) override {}
+    } nop;
+    constexpr sim::VTime kCycle = 1000;
+    for (int i = 0; i < 32; i++)
+        q.push(std::make_unique<sim::Event>(kCycle, &nop));
+    for (auto _ : state) {
+        sim::EventPtr ev = q.pop();
+        benchmark::DoNotOptimize(ev.get());
+        q.push(std::make_unique<sim::Event>(ev->time() + kCycle, &nop));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueCycleAligned);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -110,6 +110,7 @@ CommandProcessor::processCUs()
         auto done = sim::msgCast<WgDoneMsg>(msg);
         if (done == nullptr) {
             toCUs_->retrieveIncoming();
+            progress = true;
             continue;
         }
         if (partition_.has_value() && partition_->outstanding > 0) {

@@ -49,6 +49,7 @@ ComputeUnit::processMemResponses()
         auto rsp = sim::msgCast<mem::MemRsp>(msg);
         if (rsp == nullptr) {
             memPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         auto oit = outstanding_.find(rsp->reqId);
@@ -71,6 +72,9 @@ ComputeUnit::execute()
 {
     bool progress = false;
     std::size_t memIssued = 0;
+    // Every request goes to memDownstream_: once it refuses one, the
+    // rest of this tick's sends would be refused too.
+    bool memBlocked = false;
     std::vector<std::uint64_t> finished;
 
     for (auto &kv : wavefronts_) {
@@ -108,19 +112,21 @@ ComputeUnit::execute()
         // Memory op: pipeline up to the MLP depth.
         if (wf.outstanding >= cfg_.maxOutstandingPerWf)
             continue;
-        if (memIssued >= cfg_.memIssuePerCycle)
+        if (memBlocked || memIssued >= cfg_.memIssuePerCycle)
             continue;
         auto req =
             sim::makeMsg<mem::MemReq>(op.addr, op.size, op.isWrite);
         req->dst = memDownstream_;
-        if (memPort_->send(req) != sim::SendStatus::Ok)
-            continue; // Backpressure: retry next cycle.
+        if (memPort_->send(req) != sim::SendStatus::Ok) {
+            memBlocked = true; // Backpressure: retry next cycle.
+            continue;
+        }
         outstanding_[req->id()] = kv.first;
         wf.outstanding++;
         wf.pc++;
         wf.primed = false;
         memIssued++;
-        memReqsIssued_.fetch_add(1, std::memory_order_relaxed);
+        memReqsIssued_.incOwned();
         progress = true;
     }
 
@@ -155,7 +161,7 @@ ComputeUnit::finishWavefront(std::uint64_t uid)
         return;
     if (--wit->second == 0) {
         wgRemaining_.erase(wit);
-        completedWGs_.fetch_add(1, std::memory_order_relaxed);
+        completedWGs_.incOwned();
         doneWgQueue_.push_back(wg);
     }
 }
@@ -171,6 +177,7 @@ ComputeUnit::acceptWorkGroups()
         auto map = sim::msgCast<MapWgMsg>(msg);
         if (map == nullptr) {
             ctrlPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         std::uint32_t wfCount = map->kernel->wavefrontsPerWG;
@@ -180,7 +187,7 @@ ComputeUnit::acceptWorkGroups()
         cpPort_ = msg->src;
         if (wfCount == 0) {
             // Degenerate work-group: nothing to run, complete at once.
-            completedWGs_.fetch_add(1, std::memory_order_relaxed);
+            completedWGs_.incOwned();
             doneWgQueue_.push_back(map->wgId);
             ctrlPort_->retrieveIncoming();
             progress = true;

@@ -6,7 +6,6 @@
 #ifndef AKITA_GPU_CU_HH
 #define AKITA_GPU_CU_HH
 
-#include <atomic>
 #include <unordered_map>
 #include <vector>
 
@@ -68,18 +67,10 @@ class ComputeUnit : public sim::TickingComponent
     std::size_t residentWavefronts() const { return wavefronts_.size(); }
 
     /** Work-groups completed. Thread-safe (metrics sampler reads). */
-    std::uint64_t
-    completedWGs() const
-    {
-        return completedWGs_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t completedWGs() const { return completedWGs_.value(); }
 
     /** Memory requests issued toward the L1 pipeline. Thread-safe. */
-    std::uint64_t
-    memReqsIssued() const
-    {
-        return memReqsIssued_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t memReqsIssued() const { return memReqsIssued_.value(); }
 
   private:
     struct Wavefront
@@ -113,8 +104,8 @@ class ComputeUnit : public sim::TickingComponent
     sim::Port *cpPort_ = nullptr;
     std::vector<std::uint32_t> doneWgQueue_;
 
-    std::atomic<std::uint64_t> completedWGs_{0};
-    std::atomic<std::uint64_t> memReqsIssued_{0};
+    metrics::Counter completedWGs_;
+    metrics::Counter memReqsIssued_;
 };
 
 } // namespace gpu

@@ -157,6 +157,7 @@ Driver::processReports()
         }
 
         toGpus_->retrieveIncoming();
+        progress = true;
     }
     return progress;
 }

@@ -54,11 +54,11 @@ Directory::lookup(std::uint64_t addr)
 {
     Way *w = findWay(addr);
     if (w == nullptr) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.incOwned();
         return false;
     }
     w->lastUse = ++useClock_;
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_.incOwned();
     return true;
 }
 
@@ -215,6 +215,7 @@ Cache::processBottom()
         auto rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
 
@@ -234,6 +235,7 @@ Cache::processBottom()
         auto fit = fetchToLine_.find(rsp->reqId);
         if (fit == fetchToLine_.end()) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         std::uint64_t line = fit->second;
@@ -241,6 +243,7 @@ Cache::processBottom()
         if (mit == mshr_.end()) {
             fetchToLine_.erase(fit);
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
 
@@ -271,17 +274,20 @@ Cache::issueDownstream()
 
     // Issue line fetches for MSHR entries without one.
     for (auto &kv : mshr_) {
-        if (kv.second.fetchSent)
+        MshrEntry &e = kv.second;
+        if (e.fetchSent)
             continue;
-        auto fetch = sim::makeMsg<MemReq>(
-            kv.first, static_cast<std::uint32_t>(cfg_.lineSize), false);
-        fetch->translated = true;
-        fetch->dst = mapper_->find(kv.first);
-        if (bottomPort_->send(fetch) != sim::SendStatus::Ok)
+        if (e.fetch == nullptr) {
+            e.fetch = sim::makeMsg<MemReq>(
+                kv.first, static_cast<std::uint32_t>(cfg_.lineSize),
+                false);
+            e.fetch->translated = true;
+            e.fetch->dst = mapper_->find(kv.first);
+        }
+        if (bottomPort_->send(e.fetch) != sim::SendStatus::Ok)
             break;
-        kv.second.fetchSent = true;
-        kv.second.fetchReqId = fetch->id();
-        fetchToLine_[fetch->id()] = kv.first;
+        e.fetchSent = true;
+        fetchToLine_[e.fetch->id()] = kv.first;
         progress = true;
     }
 
@@ -313,6 +319,7 @@ Cache::admit()
         auto req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
 

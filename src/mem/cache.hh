@@ -7,7 +7,6 @@
 #ifndef AKITA_MEM_CACHE_HH
 #define AKITA_MEM_CACHE_HH
 
-#include <atomic>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -64,19 +63,11 @@ class Directory
 
     std::uint64_t lineSize() const { return lineSize_; }
 
-    /** Hit/miss counters are atomics so the metrics sampler can read
-     * them from its own thread without the engine lock. */
-    std::uint64_t
-    hits() const
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
+    /** Hit/miss counters are owned atomics so the metrics sampler can
+     * read them from its own thread without the engine lock. */
+    std::uint64_t hits() const { return hits_.value(); }
 
-    std::uint64_t
-    misses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t misses() const { return misses_.value(); }
 
   private:
     struct Way
@@ -96,8 +87,8 @@ class Directory
     std::uint64_t lineSize_;
     std::vector<std::vector<Way>> sets_;
     std::uint64_t useClock_ = 0;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
+    metrics::Counter hits_;
+    metrics::Counter misses_;
 };
 
 /**
@@ -150,8 +141,9 @@ class Cache : public sim::TickingComponent
     struct MshrEntry
     {
         std::vector<PendingReq> pending;
+        /** The line fetch, built on the first attempt and retried. */
+        MemReqPtr fetch;
         bool fetchSent = false;
-        std::uint64_t fetchReqId = 0;
     };
 
     struct ReadyRsp

@@ -44,9 +44,9 @@ DramController::tick()
             continue;
         }
         if (it->req->isWrite)
-            writes_.fetch_add(1, std::memory_order_relaxed);
+            writes_.incOwned();
         else
-            reads_.fetch_add(1, std::memory_order_relaxed);
+            reads_.incOwned();
         it = queue_.erase(it);
         progress = true;
     }
@@ -61,6 +61,7 @@ DramController::tick()
         auto req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         queue_.push_back(InFlight{

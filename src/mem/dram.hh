@@ -6,7 +6,6 @@
 #ifndef AKITA_MEM_DRAM_HH
 #define AKITA_MEM_DRAM_HH
 
-#include <atomic>
 #include <deque>
 
 #include "mem/msg.hh"
@@ -46,17 +45,9 @@ class DramController : public sim::TickingComponent
 
     std::size_t transactionCount() const { return queue_.size(); }
 
-    std::uint64_t
-    totalReads() const
-    {
-        return reads_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalReads() const { return reads_.value(); }
 
-    std::uint64_t
-    totalWrites() const
-    {
-        return writes_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalWrites() const { return writes_.value(); }
 
   private:
     struct InFlight
@@ -69,8 +60,8 @@ class DramController : public sim::TickingComponent
     Config cfg_;
     sim::Port *topPort_;
     std::deque<InFlight> queue_;
-    std::atomic<std::uint64_t> reads_{0};
-    std::atomic<std::uint64_t> writes_{0};
+    metrics::Counter reads_;
+    metrics::Counter writes_;
 };
 
 } // namespace mem

@@ -193,16 +193,20 @@ L2Cache::writeBufferTick()
 
     // Stage 3: issue line fetches for MSHR entries.
     for (auto &kv : mshr_) {
-        if (kv.second.fetchSent)
+        MshrEntry &e = kv.second;
+        if (e.fetchSent)
             continue;
-        auto fetch = sim::makeMsg<MemReq>(
-            kv.first, static_cast<std::uint32_t>(cfg_.lineSize), false);
-        fetch->translated = true;
-        fetch->dst = downstream_;
-        if (bottomPort_->send(fetch) != sim::SendStatus::Ok)
+        if (e.fetch == nullptr) {
+            e.fetch = sim::makeMsg<MemReq>(
+                kv.first, static_cast<std::uint32_t>(cfg_.lineSize),
+                false);
+            e.fetch->translated = true;
+            e.fetch->dst = downstream_;
+        }
+        if (bottomPort_->send(e.fetch) != sim::SendStatus::Ok)
             break;
-        kv.second.fetchSent = true;
-        fetchInflight_[fetch->id()] = fetch;
+        e.fetchSent = true;
+        fetchInflight_[e.fetch->id()] = e.fetch;
         progress = true;
     }
     return progress;
@@ -233,6 +237,7 @@ L2Cache::processBottom()
         auto rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
 
@@ -246,6 +251,7 @@ L2Cache::processBottom()
         auto fit = fetchInflight_.find(rsp->reqId);
         if (fit == fetchInflight_.end()) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         if (!wbFetchedBuf_.canPush())
@@ -270,6 +276,7 @@ L2Cache::admit()
         auto req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
 

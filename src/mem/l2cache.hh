@@ -108,6 +108,8 @@ class L2Cache : public sim::TickingComponent
     struct MshrEntry
     {
         std::vector<PendingReq> pending;
+        /** The line fetch, built on the first attempt and retried. */
+        MemReqPtr fetch;
         bool fetchSent = false;
     };
 

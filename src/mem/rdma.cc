@@ -54,11 +54,13 @@ RdmaEngine::processOutsideRsp()
         auto rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             toOutsideRsp_->retrieveIncoming();
+            progress = true;
             continue;
         }
         auto it = outgoing_.find(rsp->reqId);
         if (it == outgoing_.end()) {
             toOutsideRsp_->retrieveIncoming();
+            progress = true;
             continue;
         }
         rsp->finalDst = nullptr; // Leaving the switched fabric.
@@ -100,7 +102,7 @@ RdmaEngine::processInside()
             if (toOutside_->send(req) != sim::SendStatus::Ok)
                 break;
             outgoing_[req->id()] = returnTo;
-            forwardedOut_.fetch_add(1, std::memory_order_relaxed);
+            forwardedOut_.incOwned();
             toInside_->retrieveIncoming();
             progress = true;
             continue;
@@ -111,6 +113,7 @@ RdmaEngine::processInside()
             auto it = incoming_.find(rsp->reqId);
             if (it == incoming_.end()) {
                 toInside_->retrieveIncoming();
+                progress = true;
                 continue;
             }
             sim::SendStatus st;
@@ -131,6 +134,7 @@ RdmaEngine::processInside()
         }
 
         toInside_->retrieveIncoming(); // Drop foreign messages.
+        progress = true;
     }
     return progress;
 }
@@ -154,7 +158,7 @@ RdmaEngine::processOutside()
             if (toInside_->send(req) != sim::SendStatus::Ok)
                 break;
             incoming_[req->id()] = origin;
-            forwardedIn_.fetch_add(1, std::memory_order_relaxed);
+            forwardedIn_.incOwned();
             toOutside_->retrieveIncoming();
             progress = true;
             continue;
@@ -165,6 +169,7 @@ RdmaEngine::processOutside()
             auto it = outgoing_.find(rsp->reqId);
             if (it == outgoing_.end()) {
                 toOutside_->retrieveIncoming();
+                progress = true;
                 continue;
             }
             rsp->dst = it->second;
@@ -177,6 +182,7 @@ RdmaEngine::processOutside()
         }
 
         toOutside_->retrieveIncoming();
+        progress = true;
     }
     return progress;
 }

@@ -6,7 +6,6 @@
 #ifndef AKITA_MEM_RDMA_HH
 #define AKITA_MEM_RDMA_HH
 
-#include <atomic>
 #include <functional>
 #include <unordered_map>
 
@@ -90,18 +89,10 @@ class RdmaEngine : public sim::TickingComponent
     }
 
     /** Requests forwarded to remote chiplets. Thread-safe. */
-    std::uint64_t
-    totalForwardedOut() const
-    {
-        return forwardedOut_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalForwardedOut() const { return forwardedOut_.value(); }
 
     /** Remote requests serviced locally. Thread-safe. */
-    std::uint64_t
-    totalForwardedIn() const
-    {
-        return forwardedIn_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalForwardedIn() const { return forwardedIn_.value(); }
 
   private:
     bool processInside();
@@ -122,8 +113,8 @@ class RdmaEngine : public sim::TickingComponent
     /** reqId -> remote RDMA port awaiting our local response. */
     std::unordered_map<std::uint64_t, sim::Port *> incoming_;
 
-    std::atomic<std::uint64_t> forwardedOut_{0};
-    std::atomic<std::uint64_t> forwardedIn_{0};
+    metrics::Counter forwardedOut_;
+    metrics::Counter forwardedIn_;
 };
 
 } // namespace mem

@@ -65,6 +65,7 @@ ReorderBuffer::admitAndIssue()
         auto req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming(); // Drop foreign messages.
+            progress = true;
             continue;
         }
         sim::Port *returnTo = msg->src;
@@ -92,6 +93,7 @@ ReorderBuffer::collectResponses()
         auto rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         bool found = false;

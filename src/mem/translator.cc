@@ -126,6 +126,7 @@ AddressTranslator::admit()
         auto req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         Entry e;
@@ -208,11 +209,13 @@ AddressTranslator::forwardResponses()
         auto rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         auto it = returnPath_.find(rsp->reqId);
         if (it == returnPath_.end()) {
             bottomPort_->retrieveIncoming();
+            progress = true;
             continue;
         }
         rsp->dst = it->second;

@@ -16,6 +16,15 @@ namespace akita
 namespace rtm
 {
 
+/** Occupancy in percent; 0 for a zero-capacity buffer. */
+inline double
+bufferPercent(std::size_t size, std::size_t capacity)
+{
+    return capacity == 0 ? 0.0
+                         : 100.0 * static_cast<double>(size) /
+                               static_cast<double>(capacity);
+}
+
 /** One row of the buffer table (Fig. 3). */
 struct BufferLevel
 {
@@ -25,14 +34,7 @@ struct BufferLevel
     /** Kind of the oldest queued message; empty when the buffer is. */
     std::string headKind;
 
-    double
-    percent() const
-    {
-        return capacity == 0
-                   ? 0.0
-                   : 100.0 * static_cast<double>(size) /
-                         static_cast<double>(capacity);
-    }
+    double percent() const { return bufferPercent(size, capacity); }
 };
 
 /** Sort orders offered by the panel ("Sort by: Size | Percent"). */

@@ -1,5 +1,7 @@
 #include "sim/component.hh"
 
+#include <algorithm>
+
 namespace akita
 {
 namespace sim
@@ -61,6 +63,10 @@ TickingComponent::TickingComponent(Engine *engine, std::string name,
         return introspect::Value::ofInt(
             static_cast<std::int64_t>(progressTicks()));
     });
+    declareField("skipped_ticks", [this]() {
+        return introspect::Value::ofInt(
+            static_cast<std::int64_t>(skippedTicks()));
+    });
 }
 
 void
@@ -71,6 +77,13 @@ TickingComponent::tickLater()
 
 void
 TickingComponent::scheduleTickAt(VTime t)
+{
+    mustRun_ = true;
+    arm(t);
+}
+
+void
+TickingComponent::arm(VTime t)
 {
     VTime target = std::max(t, freq_.nextTick(engine()->now()));
     // Dedup only exact-time requests. Suppressing a LATER target
@@ -100,10 +113,23 @@ TickingComponent::handle(Event &)
     lastTickAt_ = now;
     everTicked_ = true;
 
-    totalTicks_.fetch_add(1, std::memory_order_relaxed);
+    // Nothing changed since a body without progress, and every port
+    // that refused it is still full: the body would fail the same
+    // sends and register the same way, so only the registration runs.
+    // Registering in refusal order up to the first free port is what
+    // that body would do before its first successful send.
+    if (!mustRun_ && !refused_.empty() &&
+        std::all_of(refused_.begin(), refused_.end(),
+                    [this](Port *p) { return p->waitForSlot(this); })) {
+        skippedTicks_.incOwned();
+        return;
+    }
+    mustRun_ = false;
+    refused_.clear();
+    totalTicks_.incOwned();
     bool progress = tick();
     if (progress) {
-        progressTicks_.fetch_add(1, std::memory_order_relaxed);
+        progressTicks_.incOwned();
         tickLater();
     }
     // No progress: stay asleep until wake() or an armed deadline tick.

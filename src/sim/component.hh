@@ -6,6 +6,7 @@
 #ifndef AKITA_SIM_COMPONENT_HH
 #define AKITA_SIM_COMPONENT_HH
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -92,11 +93,21 @@ class Component : public introspect::Inspectable
     /**
      * Requests that the component resume making progress.
      *
-     * Called when a message arrives, when backpressure clears, and by the
-     * monitor's per-component "Tick" control. The base implementation is
-     * a no-op; TickingComponent schedules a tick.
+     * Called when a message arrives and by the monitor's per-component
+     * "Tick" control. The base implementation is a no-op;
+     * TickingComponent schedules a tick.
      */
     virtual void wake() {}
+
+    /**
+     * A port this component's send was refused at has freed a slot.
+     * Defaults to wake(); TickingComponent arms a tick that may find
+     * the slot already taken (see TickingComponent::handle).
+     */
+    virtual void slotFreed() { wake(); }
+
+    /** Port::send refused a message of this component's at @p dst. */
+    virtual void sendRefused(Port *) {}
 
     /**
      * Self-reported wait-for edges for hang analysis: which internal
@@ -123,6 +134,13 @@ class Component : public introspect::Inspectable
  * silent: every component asleep, queue drained). wake() re-arms the
  * tick, which is exactly what the monitor's "Tick" button does when
  * debugging a hang.
+ *
+ * Contract for tick(): a tick that reports no progress changed no
+ * state. A tick event that arrives with nothing changed since such a
+ * tick — no delivery, no wake(), no tick armed by the component
+ * itself — while every port that refused that tick's sends is still
+ * full would repeat it exactly, so handle() skips the body and only
+ * re-registers on those ports (skippedTicks()).
  */
 class TickingComponent : public Component, public EventHandler
 {
@@ -154,6 +172,17 @@ class TickingComponent : public Component, public EventHandler
 
     void wake() override { tickLater(); }
 
+    /** Arms a tick without marking that anything changed. */
+    void slotFreed() override { arm(freq_.nextTick(engine()->now())); }
+
+    void
+    sendRefused(Port *dst) override
+    {
+        if (std::find(refused_.begin(), refused_.end(), dst) ==
+            refused_.end())
+            refused_.push_back(dst);
+    }
+
     void handle(Event &event) override;
 
     /** Interned once at construction; the profiler copies a 32-bit id. */
@@ -168,20 +197,20 @@ class TickingComponent : public Component, public EventHandler
     }
 
     /** Total ticks executed. */
-    std::uint64_t totalTicks() const
-    {
-        return totalTicks_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalTicks() const { return totalTicks_.value(); }
 
     /** Ticks that reported progress. */
-    std::uint64_t progressTicks() const
-    {
-        return progressTicks_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t progressTicks() const { return progressTicks_.value(); }
+
+    /** Tick events dispatched whose body was skipped (see above). */
+    std::uint64_t skippedTicks() const { return skippedTicks_.value(); }
 
   private:
     /** tickAt_ value of a sleeping component. */
     static constexpr VTime kNoTick = ~static_cast<VTime>(0);
+
+    /** Schedules a tick event at @p t unless one is armed for it. */
+    void arm(VTime t);
 
     Freq freq_;
     /** Interned "<name>::tick" profiler label. */
@@ -197,8 +226,18 @@ class TickingComponent : public Component, public EventHandler
     /** Cycle of the most recent executed tick (handler-only). */
     VTime lastTickAt_ = 0;
     bool everTicked_ = false;
-    std::atomic<std::uint64_t> totalTicks_{0};
-    std::atomic<std::uint64_t> progressTicks_{0};
+    /**
+     * Something changed since the last body ran: a delivery, a wake()
+     * or a tick the component armed itself. Written by the owning
+     * domain only (or under the engine lock, by the monitor).
+     */
+    bool mustRun_ = true;
+    /** Ports that refused a send since the last body started, each
+     * once, in refusal order (owner only). */
+    std::vector<Port *> refused_;
+    metrics::Counter totalTicks_;
+    metrics::Counter progressTicks_;
+    metrics::Counter skippedTicks_;
 };
 
 } // namespace sim

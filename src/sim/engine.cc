@@ -94,7 +94,10 @@ SerialEngine::schedule(EventPtr event)
                 std::to_string(event->time()) +
                 ", now=" + std::to_string(now()) + ")");
         }
-        totalScheduled_.fetch_add(1, std::memory_order_relaxed);
+        // One writer at a time (the run lock): see executeEvent().
+        totalScheduled_.store(
+            totalScheduled_.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
         queue_.push(std::move(event));
     };
     if (external()) {

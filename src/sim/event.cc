@@ -11,20 +11,27 @@ void
 EventQueue::push(EventPtr event)
 {
     VTime t = event->time();
-    auto it = buckets_.find(t);
-    if (it == buckets_.end()) {
-        if (!spareNodes_.empty()) {
-            // Reuse a drained node: the rehash-free insert keeps the
-            // bucket's vector capacity from its previous life.
-            auto nh = std::move(spareNodes_.back());
-            spareNodes_.pop_back();
-            nh.key() = t;
-            it = buckets_.insert(std::move(nh)).position;
-        } else {
-            it = buckets_.try_emplace(t).first;
+    if (last_ == nullptr || lastTime_ != t) {
+        auto it = buckets_.find(t);
+        if (it == buckets_.end()) {
+            if (!spareNodes_.empty()) {
+                // Reuse a drained node: the rehash-free insert keeps
+                // the bucket's vector capacity from its previous life.
+                auto nh = std::move(spareNodes_.back());
+                spareNodes_.pop_back();
+                nh.key() = t;
+                it = buckets_.insert(std::move(nh)).position;
+            } else {
+                it = buckets_.try_emplace(t).first;
+            }
         }
+        last_ = &it->second;
+        lastTime_ = t;
     }
-    Bucket &b = it->second;
+    // A push ahead of the cached front becomes the new front.
+    if (front_ != nullptr && t < frontTime_)
+        front_ = nullptr;
+    Bucket &b = *last_;
     bool wasLive = b.live();
     if (event->isSecondary())
         b.secondary.push_back(std::move(event));
@@ -44,15 +51,23 @@ EventQueue::push(EventPtr event)
 EventQueue::Bucket *
 EventQueue::frontBucket() const
 {
+    if (front_ != nullptr && front_->live())
+        return front_;
+    front_ = nullptr;
     while (!timesHeap_.empty()) {
         VTime t = timesHeap_.front();
         auto it = buckets_.find(t);
-        if (it != buckets_.end() && it->second.live())
-            return &it->second;
+        if (it != buckets_.end() && it->second.live()) {
+            front_ = &it->second;
+            frontTime_ = t;
+            return front_;
+        }
         std::pop_heap(timesHeap_.begin(), timesHeap_.end(),
                       std::greater<VTime>());
         timesHeap_.pop_back();
         if (it != buckets_.end() && !it->second.live()) {
+            if (last_ == &it->second)
+                last_ = nullptr;
             auto nh = buckets_.extract(it);
             if (spareNodes_.size() < kMaxSpareNodes) {
                 Bucket &b = nh.mapped();

@@ -161,6 +161,11 @@ class FuncEvent : public Event, public EventHandler
  * steady-state simulation (e.g. an event chain marching one timestamp
  * at a time) allocates nothing per timestamp.
  *
+ * The front bucket and the last-pushed bucket are cached (map nodes
+ * never move), so a cycle-aligned simulation — pop the front, push
+ * the next cycle's ticks — hashes once per timestamp, not twice per
+ * event. Both caches drop a bucket when its node is extracted.
+ *
  * Not internally synchronized: engines serialize access (the serial
  * engine with its run lock, the domain engine by giving each domain's
  * queue to its one worker).
@@ -217,6 +222,12 @@ class EventQueue
 
     // Mutable: peekTime() lazily prunes drained timestamps.
     mutable BucketMap buckets_;
+    /** Earliest live bucket, or nullptr to recompute from the heap. */
+    mutable Bucket *front_ = nullptr;
+    mutable VTime frontTime_ = 0;
+    /** Bucket of the most recent push (nullptr once extracted). */
+    mutable Bucket *last_ = nullptr;
+    VTime lastTime_ = 0;
     /** Min-heap (std::greater) of live timestamps; may hold stale dups. */
     mutable std::vector<VTime> timesHeap_;
     /** Drained map nodes kept for reuse (capacity preserved). */

@@ -46,6 +46,8 @@ Port::send(const MsgPtr &msg)
     } else {
         msg->src = prevSrc;
         totalRejected_.incOwned();
+        if (owner_ != nullptr)
+            owner_->sendRefused(msg->dst);
     }
     return st;
 }
@@ -55,31 +57,39 @@ Port::claimSlot(Component *sender)
 {
     const std::size_t cap = buf_.capacity();
     std::size_t c = claimed_.load(std::memory_order_relaxed);
-    bool registered = false;
     for (;;) {
         if (c < cap) {
             if (claimed_.compare_exchange_weak(c, c + 1))
                 return true;
             continue;
         }
-        if (registered || sender == nullptr ||
-            lastWaiter_.load(std::memory_order_relaxed) == sender)
+        if (sender == nullptr || waitForSlot(sender))
             return false;
-        {
-            std::lock_guard<std::mutex> lk(waitMu_);
-            lastWaiter_.store(sender, std::memory_order_relaxed);
-            if (std::find(waiters_.begin(), waiters_.end(), sender) !=
-                waiters_.end())
-                return false;
-            waiters_.push_back(sender);
-            hasWaiters_.store(true);
-        }
-        // Pairs with releaseSlot(): both sides are seq_cst, so either
-        // that pop sees hasWaiters_ and wakes us, or this re-read sees
-        // the slot it freed.
-        registered = true;
-        c = claimed_.load();
+        c = claimed_.load(std::memory_order_relaxed);
     }
+}
+
+bool
+Port::waitForSlot(Component *sender)
+{
+    const std::size_t cap = buf_.capacity();
+    if (claimed_.load(std::memory_order_relaxed) < cap)
+        return false;
+    if (lastWaiter_.load(std::memory_order_relaxed) == sender)
+        return true;
+    {
+        std::lock_guard<std::mutex> lk(waitMu_);
+        lastWaiter_.store(sender, std::memory_order_relaxed);
+        if (std::find(waiters_.begin(), waiters_.end(), sender) !=
+            waiters_.end())
+            return true;
+        waiters_.push_back(sender);
+        hasWaiters_.store(true);
+    }
+    // Pairs with releaseSlot(): both sides are seq_cst, so either that
+    // pop sees hasWaiters_ and wakes us, or this re-read sees the slot
+    // it freed.
+    return claimed_.load() >= cap;
 }
 
 void
@@ -98,7 +108,7 @@ Port::releaseSlot()
     // Wake outside the lock: a woken sender in this domain may tick
     // and retry right away.
     for (Component *c : toWake)
-        c->wake();
+        c->slotFreed();
 }
 
 std::vector<Component *>

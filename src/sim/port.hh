@@ -119,6 +119,16 @@ class Port : public Hookable
      */
     bool claimSlot(Component *sender);
 
+    /**
+     * Registers @p sender for a wake once a slot frees, without
+     * claiming one: TickingComponent's skipped tick re-registers this
+     * way. Re-checks the claim after registering, like claimSlot().
+     *
+     * @return True when the port is full and @p sender is registered;
+     *         false when a slot is free.
+     */
+    bool waitForSlot(Component *sender);
+
     /** Buffered plus in-flight messages addressed to this port. */
     std::size_t
     claimed() const

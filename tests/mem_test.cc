@@ -408,6 +408,29 @@ TEST(CacheTest, EvictionKeepsServingCorrectly)
     EXPECT_GE(rig.memory.reqsSeen.size(), 4u);
 }
 
+TEST(CacheTest, DroppedForeignMessagesStillAdmitTheRequest)
+{
+    // Four messages the L1 does not serve land in one cycle ahead of a
+    // read and use up the whole admit width. Dropping them changes
+    // state, so the tick must count as progress: a tick that reported
+    // none would put the cache to sleep with the read still buffered.
+    Cache::Config cfg;
+    cfg.topBufCapacity = 8;
+    cfg.width = 4;
+    CacheRig rig(cfg);
+    for (int i = 0; i < 4; i++) {
+        auto foreign = sim::makeMsg<MemRsp>(0, false, 4);
+        foreign->dst = rig.cache.topPort();
+        ASSERT_EQ(rig.req.out->send(foreign), sim::SendStatus::Ok);
+    }
+    auto req = sim::makeMsg<MemReq>(0x4000, 4, false);
+    req->dst = rig.cache.topPort();
+    ASSERT_EQ(rig.req.out->send(req), sim::SendStatus::Ok);
+    rig.eng.run();
+    EXPECT_EQ(rig.req.rspOrder, std::vector<std::uint64_t>{req->id()});
+    EXPECT_EQ(rig.cache.topPort()->buf().size(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // DRAM
 // ---------------------------------------------------------------------

@@ -132,6 +132,7 @@ class Node : public TickingComponent
             if (m == nullptr)
                 break;
             received.push_back(msgCast<TestMsg>(m)->value);
+            receivedAt.push_back(engine()->now());
             progress = true;
         }
         return progress;
@@ -141,6 +142,7 @@ class Node : public TickingComponent
     Port *target = nullptr;
     std::vector<MsgPtr> outbox;
     std::vector<int> received;
+    std::vector<VTime> receivedAt;
     std::size_t drainPerTick = 4;
     int sent = 0;
 };
@@ -539,6 +541,47 @@ TEST(PortClaim, BlockedSnapshotListsEveryPortsWaiters)
     SerialEngine e2;
     akita::net::SwitchedNetwork net(&e2, "Net", {});
     run(e2, net);
+}
+
+TEST(PortClaim, HerdOnOneSlotKeepsDeliveryOrderAndTimes)
+{
+    // Eight senders blocked on a one-slot port drained once a cycle:
+    // every retrieve wakes the whole herd, the first woken sender takes
+    // the slot and the rest find it refilled. Order and times are
+    // pinned from the engine that ran every one of those ticks.
+    SerialEngine eng;
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    Node sink(&eng, "Sink", 1);
+    conn.plugIn(sink.in);
+    sink.drainPerTick = 1;
+    std::vector<std::unique_ptr<Node>> senders;
+    for (int s = 0; s < 8; s++) {
+        auto n = std::make_unique<Node>(&eng, "S" + std::to_string(s), 1);
+        conn.plugIn(n->in);
+        n->target = sink.in;
+        for (int i = 0; i < 3; i++)
+            n->outbox.push_back(mkMsg(s * 10 + i));
+        n->tickLater();
+        senders.push_back(std::move(n));
+    }
+    eng.run();
+
+    const std::vector<int> order{0,  1,  2,  10, 11, 12, 20, 21,
+                                 22, 30, 31, 32, 40, 41, 42, 50,
+                                 51, 52, 60, 61, 62, 70, 71, 72};
+    EXPECT_EQ(sink.received, order);
+    std::vector<VTime> at;
+    for (VTime ns = 3; ns <= 72; ns += 3)
+        at.push_back(ns * kNanosecond);
+    EXPECT_EQ(sink.receivedAt, at);
+    EXPECT_EQ(eng.eventCount(), 204u);
+    EXPECT_EQ(eng.now(), 73 * kNanosecond);
+
+    // The refilled-slot wakes were dispatched but skipped their body.
+    std::uint64_t skipped = 0;
+    for (const auto &n : senders)
+        skipped += n->skippedTicks();
+    EXPECT_GT(skipped, 0u);
 }
 
 struct FanParams
