@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unordered_map>
+
 #include "json/json.hh"
 #include "rtm/serialize.hh"
 #include "sim/sim.hh"
@@ -606,6 +608,84 @@ BM_EventQueueCycleAligned(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueCycleAligned);
+
+void
+BM_PortForwardHop(benchmark::State &state)
+{
+    // The forwarding pattern of every memory component: borrow the head
+    // of a port, send it on, retrieve it. 64 messages bounce between
+    // two ports; one item is one hop, delivery event included.
+    sim::SerialEngine eng;
+    sim::Component a(&eng, "A"), b(&eng, "B");
+    sim::Port *pa = a.addPort("P", 128);
+    sim::Port *pb = b.addPort("P", 128);
+    sim::DirectConnection conn(&eng, "Conn", 0);
+    conn.plugIn(pa);
+    conn.plugIn(pb);
+    for (int i = 0; i < 64; i++) {
+        auto m = sim::makeMsg<sim::Msg>();
+        m->dst = pb;
+        pa->send(m);
+    }
+    eng.run();
+    auto forward = [](sim::Port *from, sim::Port *to) {
+        while (const sim::MsgPtr &m = from->peekIncoming()) {
+            m->dst = to;
+            from->send(m);
+            from->retrieveIncoming();
+        }
+    };
+    for (auto _ : state) {
+        forward(pb, pa);
+        eng.run();
+        forward(pa, pb);
+        eng.run();
+    }
+    state.SetItemsProcessed(state.iterations() * 128);
+}
+BENCHMARK(BM_PortForwardHop);
+
+/**
+ * The in-flight table pattern (ROB, translator, caches, RDMA): a
+ * window of Arg live request ids; each step inserts the next id, looks
+ * up and erases the oldest one.
+ */
+template <typename Map, typename Find>
+void
+idChurn(benchmark::State &state, Map &m, Find find)
+{
+    const auto window = static_cast<std::uint64_t>(state.range(0));
+    std::uint64_t next = 0;
+    for (; next < window; next++)
+        m[next] = next;
+    for (auto _ : state) {
+        m[next] = next;
+        std::uint64_t old = next - window;
+        benchmark::DoNotOptimize(find(m, old));
+        m.erase(old);
+        next++;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+BM_IdMapChurn(benchmark::State &state)
+{
+    sim::IdMap<std::uint64_t> m;
+    idChurn(state, m, [](auto &t, std::uint64_t k) { return t.find(k); });
+}
+BENCHMARK(BM_IdMapChurn)->Arg(16)->Arg(256)->Arg(4096);
+
+void
+BM_UnorderedMapChurn(benchmark::State &state)
+{
+    // Baseline for BM_IdMapChurn: the table the id maps replaced.
+    std::unordered_map<std::uint64_t, std::uint64_t> m;
+    idChurn(state, m, [](auto &t, std::uint64_t k) {
+        return t.find(k) != t.end();
+    });
+}
+BENCHMARK(BM_UnorderedMapChurn)->Arg(16)->Arg(256)->Arg(4096);
 
 } // namespace
 

@@ -46,10 +46,10 @@ CommandProcessor::processDriver()
 {
     if (partition_.has_value())
         return false; // One partition at a time.
-    sim::MsgPtr msg = toDriver_->peekIncoming();
+    const sim::MsgPtr &msg = toDriver_->peekIncoming();
     if (msg == nullptr)
         return false;
-    auto launch = sim::msgCast<LaunchKernelMsg>(msg);
+    auto *launch = sim::msgCast<LaunchKernelMsg>(msg);
     if (launch == nullptr) {
         toDriver_->retrieveIncoming();
         return true;
@@ -75,14 +75,14 @@ CommandProcessor::dispatch()
 
     for (std::size_t i = 0;
          i < cfg_.dispatchPerCycle && p.nextWg < p.endWg; i++) {
-        // Try each CU once, starting from the round-robin cursor.
+        // Try each CU once, starting from the round-robin cursor, with
+        // one message: a refusal leaves it to the next attempt.
         bool sent = false;
+        auto map = sim::makeMsg<MapWgMsg>(p.kernel, p.nextWg);
         for (std::size_t attempt = 0; attempt < cuPorts_.size();
              attempt++) {
-            sim::Port *cu = cuPorts_[rrIndex_];
+            map->dst = cuPorts_[rrIndex_];
             rrIndex_ = (rrIndex_ + 1) % cuPorts_.size();
-            auto map = sim::makeMsg<MapWgMsg>(p.kernel, p.nextWg);
-            map->dst = cu;
             if (toCUs_->send(map) == sim::SendStatus::Ok) {
                 sent = true;
                 break;
@@ -104,10 +104,10 @@ CommandProcessor::processCUs()
 {
     bool progress = false;
     while (true) {
-        sim::MsgPtr msg = toCUs_->peekIncoming();
+        const sim::MsgPtr &msg = toCUs_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto done = sim::msgCast<WgDoneMsg>(msg);
+        auto *done = sim::msgCast<WgDoneMsg>(msg);
         if (done == nullptr) {
             toCUs_->retrieveIncoming();
             progress = true;

@@ -43,23 +43,22 @@ ComputeUnit::processMemResponses()
 {
     bool progress = false;
     while (true) {
-        sim::MsgPtr msg = memPort_->peekIncoming();
+        const sim::MsgPtr &msg = memPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto rsp = sim::msgCast<mem::MemRsp>(msg);
+        auto *rsp = sim::msgCast<mem::MemRsp>(msg);
         if (rsp == nullptr) {
             memPort_->retrieveIncoming();
             progress = true;
             continue;
         }
-        auto oit = outstanding_.find(rsp->reqId);
-        if (oit != outstanding_.end()) {
-            auto wit = wavefronts_.find(oit->second);
+        if (const std::uint64_t *uid = outstanding_.find(rsp->reqId)) {
+            auto wit = wavefronts_.find(*uid);
             if (wit != wavefronts_.end() &&
                 wit->second.outstanding > 0) {
                 wit->second.outstanding--;
             }
-            outstanding_.erase(oit);
+            outstanding_.erase(rsp->reqId);
         }
         memPort_->retrieveIncoming();
         progress = true;
@@ -75,13 +74,13 @@ ComputeUnit::execute()
     // Every request goes to memDownstream_: once it refuses one, the
     // rest of this tick's sends would be refused too.
     bool memBlocked = false;
-    std::vector<std::uint64_t> finished;
+    finished_.clear();
 
     for (auto &kv : wavefronts_) {
         Wavefront &wf = kv.second;
         if (wf.pc >= wf.ops.size()) {
             if (wf.outstanding == 0)
-                finished.push_back(kv.first);
+                finished_.push_back(kv.first);
             continue;
         }
 
@@ -130,7 +129,7 @@ ComputeUnit::execute()
         progress = true;
     }
 
-    for (std::uint64_t uid : finished) {
+    for (std::uint64_t uid : finished_) {
         finishWavefront(uid);
         progress = true;
     }
@@ -156,11 +155,11 @@ ComputeUnit::finishWavefront(std::uint64_t uid)
     std::uint32_t wg = it->second.wgId;
     wavefronts_.erase(it);
 
-    auto wit = wgRemaining_.find(wg);
-    if (wit == wgRemaining_.end())
+    std::uint32_t *remaining = wgRemaining_.find(wg);
+    if (remaining == nullptr)
         return;
-    if (--wit->second == 0) {
-        wgRemaining_.erase(wit);
+    if (--*remaining == 0) {
+        wgRemaining_.erase(wg);
         completedWGs_.incOwned();
         doneWgQueue_.push_back(wg);
     }
@@ -171,10 +170,10 @@ ComputeUnit::acceptWorkGroups()
 {
     bool progress = false;
     while (true) {
-        sim::MsgPtr msg = ctrlPort_->peekIncoming();
+        const sim::MsgPtr &msg = ctrlPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto map = sim::msgCast<MapWgMsg>(msg);
+        auto *map = sim::msgCast<MapWgMsg>(msg);
         if (map == nullptr) {
             ctrlPort_->retrieveIncoming();
             progress = true;

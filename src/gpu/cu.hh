@@ -12,6 +12,7 @@
 #include "gpu/protocol.hh"
 #include "mem/msg.hh"
 #include "sim/component.hh"
+#include "sim/idmap.hh"
 
 namespace akita
 {
@@ -93,16 +94,20 @@ class ComputeUnit : public sim::TickingComponent
     sim::Port *memPort_;
     sim::Port *memDownstream_ = nullptr;
 
-    /** Resident wavefronts by a stable uid. */
+    /** Resident wavefronts by a stable uid. Iterated in execute(), so
+     * its order is part of the simulated result. */
     std::unordered_map<std::uint64_t, Wavefront> wavefronts_;
     std::uint64_t nextWfUid_ = 0;
     /** Outstanding memory request id -> wavefront uid. */
-    std::unordered_map<std::uint64_t, std::uint64_t> outstanding_;
+    sim::IdMap<std::uint64_t> outstanding_;
     /** wgId -> wavefronts still running. */
-    std::unordered_map<std::uint32_t, std::uint32_t> wgRemaining_;
+    sim::IdMap<std::uint32_t> wgRemaining_;
     /** Return port for WGDone, captured from MapWG. */
     sim::Port *cpPort_ = nullptr;
     std::vector<std::uint32_t> doneWgQueue_;
+    /** Wavefronts execute() found done; reused so a tick allocates
+     * nothing. */
+    std::vector<std::uint64_t> finished_;
 
     metrics::Counter completedWGs_;
     metrics::Counter memReqsIssued_;

@@ -118,11 +118,11 @@ Driver::processReports()
 {
     bool progress = false;
     while (true) {
-        sim::MsgPtr msg = toGpus_->peekIncoming();
+        const sim::MsgPtr &msg = toGpus_->peekIncoming();
         if (msg == nullptr)
             break;
 
-        if (auto report = sim::msgCast<WgProgressMsg>(msg)) {
+        if (auto *report = sim::msgCast<WgProgressMsg>(msg)) {
             if (active_ != nullptr && report->seq == active_->seq) {
                 active_->started += report->started;
                 active_->completed += report->completed;
@@ -137,7 +137,7 @@ Driver::processReports()
             continue;
         }
 
-        if (auto done = sim::msgCast<PartitionDoneMsg>(msg)) {
+        if (auto *done = sim::msgCast<PartitionDoneMsg>(msg)) {
             if (active_ != nullptr && done->seq == active_->seq) {
                 if (--active_->partitionsPending == 0) {
                     if (listener_ != nullptr)

@@ -195,8 +195,7 @@ Cache::deliverReady()
     sim::VTime now = engine()->now();
     bool progress = false;
     while (!hitQueue_.empty() && hitQueue_.front().readyAt <= now) {
-        MemRspPtr rsp = hitQueue_.front().rsp;
-        if (topPort_->send(rsp) != sim::SendStatus::Ok)
+        if (topPort_->send(hitQueue_.front().rsp) != sim::SendStatus::Ok)
             break;
         hitQueue_.pop_front();
         progress = true;
@@ -209,10 +208,10 @@ Cache::processBottom()
 {
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = bottomPort_->peekIncoming();
+        const sim::MsgPtr &msg = bottomPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto rsp = sim::msgCast<MemRsp>(msg);
+        auto *rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
@@ -220,28 +219,27 @@ Cache::processBottom()
         }
 
         // Write acknowledgment for a forwarded write-through.
-        auto wit = writeInflight_.find(rsp->reqId);
-        if (wit != writeInflight_.end()) {
-            rsp->dst = wit->second;
+        if (sim::Port **returnTo = writeInflight_.find(rsp->reqId)) {
+            rsp->dst = *returnTo;
             if (topPort_->send(rsp) != sim::SendStatus::Ok)
                 break;
-            writeInflight_.erase(wit);
+            writeInflight_.erase(rsp->reqId);
             bottomPort_->retrieveIncoming();
             progress = true;
             continue;
         }
 
         // Line fill completing an MSHR fetch.
-        auto fit = fetchToLine_.find(rsp->reqId);
-        if (fit == fetchToLine_.end()) {
+        const std::uint64_t *fetchedLine = fetchToLine_.find(rsp->reqId);
+        if (fetchedLine == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
             continue;
         }
-        std::uint64_t line = fit->second;
+        std::uint64_t line = *fetchedLine;
+        fetchToLine_.erase(rsp->reqId);
         auto mit = mshr_.find(line);
         if (mit == mshr_.end()) {
-            fetchToLine_.erase(fit);
             bottomPort_->retrieveIncoming();
             progress = true;
             continue;
@@ -257,10 +255,9 @@ Cache::processBottom()
         for (const auto &p : mit->second.pending) {
             MemRspPtr r = makeRsp(*p.req);
             r->dst = p.returnTo;
-            hitQueue_.push_back(ReadyRsp{r, ready});
+            hitQueue_.push_back(ReadyRsp{std::move(r), ready});
         }
         mshr_.erase(mit);
-        fetchToLine_.erase(fit);
         bottomPort_->retrieveIncoming();
         progress = true;
     }
@@ -313,10 +310,10 @@ Cache::admit()
     sim::VTime now = engine()->now();
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = topPort_->peekIncoming();
+        const sim::MsgPtr &msg = topPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto req = sim::msgCast<MemReq>(msg);
+        auto *req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
             progress = true;
@@ -327,7 +324,7 @@ Cache::admit()
             if (transactionCount() >= cfg_.mshrCapacity)
                 break; // Backpressure: leave it in the top buffer.
             directory_.markDirty(req->addr);
-            writeQueue_.push_back(PendingReq{req, msg->src});
+            writeQueue_.push_back(PendingReq{MemReqPtr(req), msg->src});
             topPort_->retrieveIncoming();
             progress = true;
             continue;
@@ -342,7 +339,7 @@ Cache::admit()
             MemRspPtr rsp = makeRsp(*req);
             rsp->dst = msg->src;
             hitQueue_.push_back(ReadyRsp{
-                rsp, now + cfg_.hitLatency * freq().period()});
+                std::move(rsp), now + cfg_.hitLatency * freq().period()});
             topPort_->retrieveIncoming();
             progress = true;
             continue;
@@ -352,7 +349,8 @@ Cache::admit()
         if (mit != mshr_.end()) {
             // Coalesce with the in-flight fetch of the same line.
             directory_.lookup(req->addr); // Count the miss.
-            mit->second.pending.push_back(PendingReq{req, msg->src});
+            mit->second.pending.push_back(
+                PendingReq{MemReqPtr(req), msg->src});
             topPort_->retrieveIncoming();
             progress = true;
             continue;
@@ -362,7 +360,7 @@ Cache::admit()
             break; // MSHR full: stall the top port (not counted).
         directory_.lookup(req->addr); // Count the miss.
         MshrEntry entry;
-        entry.pending.push_back(PendingReq{req, msg->src});
+        entry.pending.push_back(PendingReq{MemReqPtr(req), msg->src});
         mshr_.emplace(line, std::move(entry));
         topPort_->retrieveIncoming();
         progress = true;

@@ -14,6 +14,7 @@
 #include "mem/addr.hh"
 #include "mem/msg.hh"
 #include "sim/component.hh"
+#include "sim/idmap.hh"
 
 namespace akita
 {
@@ -163,10 +164,14 @@ class Cache : public sim::TickingComponent
     const AddressMapper *mapper_ = nullptr;
 
     Directory directory_;
-    std::unordered_map<std::uint64_t, MshrEntry> mshr_; // By line addr.
-    std::unordered_map<std::uint64_t, std::uint64_t> fetchToLine_;
+    /** By line address. Iterated in issueDownstream(), so its order
+     * is part of the simulated result. */
+    std::unordered_map<std::uint64_t, MshrEntry> mshr_;
+    /** Fetch id -> line address. */
+    sim::IdMap<std::uint64_t> fetchToLine_;
     std::deque<PendingReq> writeQueue_; // Write-through forwarding.
-    std::unordered_map<std::uint64_t, sim::Port *> writeInflight_;
+    /** Forwarded write id -> port to return the ack to. */
+    sim::IdMap<sim::Port *> writeInflight_;
     std::deque<ReadyRsp> hitQueue_;
 
     std::uint64_t writesForwarded_ = 0;

@@ -37,13 +37,11 @@ DramController::tick()
     for (auto it = queue_.begin(); it != queue_.end();) {
         if (it->readyAt > now)
             break; // Entries are ordered by readyAt.
-        MemRspPtr rsp = makeRsp(*it->req);
-        rsp->dst = it->returnTo;
-        if (topPort_->send(rsp) != sim::SendStatus::Ok) {
+        if (topPort_->send(it->rsp) != sim::SendStatus::Ok) {
             ++it; // Destination busy: try the next ready entry.
             continue;
         }
-        if (it->req->isWrite)
+        if (it->rsp->isWrite)
             writes_.incOwned();
         else
             reads_.incOwned();
@@ -55,18 +53,21 @@ DramController::tick()
     for (std::size_t i = 0; i < cfg_.reqPerCycle; i++) {
         if (queue_.size() >= cfg_.queueCapacity)
             break;
-        sim::MsgPtr msg = topPort_->peekIncoming();
+        const sim::MsgPtr &msg = topPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto req = sim::msgCast<MemReq>(msg);
+        auto *req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
             progress = true;
             continue;
         }
+        // The response is built once, here, and retried as is while
+        // the requester is full.
+        MemRspPtr rsp = makeRsp(*req);
+        rsp->dst = msg->src;
         queue_.push_back(InFlight{
-            req, msg->src,
-            now + cfg_.accessLatency * freq().period()});
+            std::move(rsp), now + cfg_.accessLatency * freq().period()});
         topPort_->retrieveIncoming();
         progress = true;
     }

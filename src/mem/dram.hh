@@ -52,8 +52,8 @@ class DramController : public sim::TickingComponent
   private:
     struct InFlight
     {
-        MemReqPtr req;
-        sim::Port *returnTo;
+        /** The answer, addressed to the requester. */
+        MemRspPtr rsp;
         sim::VTime readyAt;
     };
 

@@ -70,8 +70,7 @@ L2Cache::deliverReady()
     sim::VTime now = engine()->now();
     bool progress = false;
     while (!hitQueue_.empty() && hitQueue_.front().readyAt <= now) {
-        MemRspPtr rsp = hitQueue_.front().rsp;
-        if (topPort_->send(rsp) != sim::SendStatus::Ok)
+        if (topPort_->send(hitQueue_.front().rsp) != sim::SendStatus::Ok)
             break;
         hitQueue_.pop_front();
         progress = true;
@@ -91,7 +90,7 @@ L2Cache::completeLine(std::uint64_t line)
             directory_.markDirty(p.req->addr);
         MemRspPtr r = makeRsp(*p.req);
         r->dst = p.returnTo;
-        hitQueue_.push_back(ReadyRsp{r, ready});
+        hitQueue_.push_back(ReadyRsp{std::move(r), ready});
     }
     mshr_.erase(mit);
     fills_++;
@@ -106,14 +105,13 @@ L2Cache::storageTick()
     if (pendingEvict_ != nullptr) {
         if (!wbInBuf_.canPush())
             return false; // Still stalled: the deadlock participant.
-        wbInBuf_.push(pendingEvict_);
-        pendingEvict_ = nullptr;
+        wbInBuf_.push(std::move(pendingEvict_));
         progress = true;
     }
 
     // Install fetched lines delivered by the write buffer.
     while (!installBuf_.empty()) {
-        auto fetched = sim::msgCast<MemReq>(installBuf_.peek());
+        auto *fetched = sim::msgCast<MemReq>(installBuf_.peek());
         std::uint64_t line = fetched->addr;
 
         bool victimDirty = false;
@@ -128,7 +126,7 @@ L2Cache::storageTick()
                 victimAddr, static_cast<std::uint32_t>(cfg_.lineSize),
                 true);
             evict->translated = true;
-            pendingEvict_ = evict;
+            pendingEvict_ = std::move(evict);
             // Install the line now (data is staged); the eviction is the
             // only thing still owed to the write buffer.
             bool ed = false;
@@ -148,7 +146,7 @@ L2Cache::storageTick()
                 evictedAddr, static_cast<std::uint32_t>(cfg_.lineSize),
                 true);
             evict->translated = true;
-            wbInBuf_.push(evict);
+            wbInBuf_.push(std::move(evict));
             writebacks_++;
         }
         installBuf_.pop();
@@ -182,11 +180,11 @@ L2Cache::writeBufferTick()
     // Stage 2: drain evictions to DRAM.
     while (!wbInBuf_.empty() &&
            dramWriteInflight_.size() < cfg_.dramWriteInflightMax) {
-        auto evict = sim::msgCast<MemReq>(wbInBuf_.peek());
+        auto *evict = sim::msgCast<MemReq>(wbInBuf_.peek());
         evict->dst = downstream_;
         if (wbPort_->send(evict) != sim::SendStatus::Ok)
             break;
-        dramWriteInflight_.insert(evict->id());
+        dramWriteInflight_[evict->id()] = true;
         wbInBuf_.pop();
         progress = true;
     }
@@ -206,7 +204,8 @@ L2Cache::writeBufferTick()
         if (bottomPort_->send(e.fetch) != sim::SendStatus::Ok)
             break;
         e.fetchSent = true;
-        fetchInflight_[e.fetch->id()] = e.fetch;
+        const std::uint64_t id = e.fetch->id();
+        fetchInflight_[id] = std::move(e.fetch); // Kept for the fill.
         progress = true;
     }
     return progress;
@@ -220,10 +219,10 @@ L2Cache::processBottom()
     // Write acknowledgments return on the dedicated write-back channel,
     // so a blocked fetched-data path never stalls write-back credits.
     while (true) {
-        sim::MsgPtr msg = wbPort_->peekIncoming();
+        const sim::MsgPtr &msg = wbPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto ack = sim::msgCast<MemRsp>(msg);
+        auto *ack = sim::msgCast<MemRsp>(msg);
         if (ack != nullptr && ack->isWrite)
             dramWriteInflight_.erase(ack->reqId);
         wbPort_->retrieveIncoming();
@@ -231,10 +230,10 @@ L2Cache::processBottom()
     }
 
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = bottomPort_->peekIncoming();
+        const sim::MsgPtr &msg = bottomPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto rsp = sim::msgCast<MemRsp>(msg);
+        auto *rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
@@ -248,16 +247,16 @@ L2Cache::processBottom()
             continue;
         }
 
-        auto fit = fetchInflight_.find(rsp->reqId);
-        if (fit == fetchInflight_.end()) {
+        MemReqPtr *fetch = fetchInflight_.find(rsp->reqId);
+        if (fetch == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
             continue;
         }
         if (!wbFetchedBuf_.canPush())
             break; // Backpressure into DRAM via the bottom port buffer.
-        wbFetchedBuf_.push(fit->second);
-        fetchInflight_.erase(fit);
+        wbFetchedBuf_.push(std::move(*fetch));
+        fetchInflight_.erase(rsp->reqId);
         bottomPort_->retrieveIncoming();
         progress = true;
     }
@@ -270,10 +269,10 @@ L2Cache::admit()
     sim::VTime now = engine()->now();
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = topPort_->peekIncoming();
+        const sim::MsgPtr &msg = topPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto req = sim::msgCast<MemReq>(msg);
+        auto *req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
             progress = true;
@@ -289,8 +288,8 @@ L2Cache::admit()
                 directory_.markDirty(req->addr);
             MemRspPtr rsp = makeRsp(*req);
             rsp->dst = msg->src;
-            hitQueue_.push_back(
-                ReadyRsp{rsp, now + cfg_.latency * freq().period()});
+            hitQueue_.push_back(ReadyRsp{
+                std::move(rsp), now + cfg_.latency * freq().period()});
             topPort_->retrieveIncoming();
             progress = true;
             continue;
@@ -300,7 +299,8 @@ L2Cache::admit()
         auto mit = mshr_.find(line);
         if (mit != mshr_.end()) {
             directory_.lookup(req->addr); // Count the miss.
-            mit->second.pending.push_back(PendingReq{req, msg->src});
+            mit->second.pending.push_back(
+                PendingReq{MemReqPtr(req), msg->src});
             topPort_->retrieveIncoming();
             progress = true;
             continue;
@@ -309,7 +309,7 @@ L2Cache::admit()
             break; // Stall the top port (not counted).
         directory_.lookup(req->addr); // Count the miss.
         MshrEntry entry;
-        entry.pending.push_back(PendingReq{req, msg->src});
+        entry.pending.push_back(PendingReq{MemReqPtr(req), msg->src});
         mshr_.emplace(line, std::move(entry));
         topPort_->retrieveIncoming();
         progress = true;

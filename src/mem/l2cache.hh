@@ -9,10 +9,10 @@
 
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "mem/cache.hh"
 #include "sim/component.hh"
+#include "sim/idmap.hh"
 
 namespace akita
 {
@@ -108,7 +108,8 @@ class L2Cache : public sim::TickingComponent
     struct MshrEntry
     {
         std::vector<PendingReq> pending;
-        /** The line fetch, built on the first attempt and retried. */
+        /** The line fetch, built on the first attempt and retried;
+         * moves to fetchInflight_ once sent. */
         MemReqPtr fetch;
         bool fetchSent = false;
     };
@@ -134,13 +135,18 @@ class L2Cache : public sim::TickingComponent
     sim::Port *downstream_ = nullptr;
 
     Directory directory_;
-    std::unordered_map<std::uint64_t, MshrEntry> mshr_; // By line addr.
-    std::unordered_map<std::uint64_t, MemReqPtr> fetchInflight_;
+    /** By line address. Iterated in writeBufferTick(), so its order is
+     * part of the simulated result. */
+    std::unordered_map<std::uint64_t, MshrEntry> mshr_;
+    /** Fetch id -> the fetch, handed to the write buffer on fill. */
+    sim::IdMap<MemReqPtr> fetchInflight_;
 
     sim::Buffer wbInBuf_;      // Evictions: storage -> write buffer.
     sim::Buffer wbFetchedBuf_; // DRAM fills staged in the write buffer.
     sim::Buffer installBuf_;   // Fetched lines: write buffer -> storage.
-    std::unordered_set<std::uint64_t> dramWriteInflight_;
+    /** Ids of the write-backs DRAM has not acknowledged (a set: the
+     * value is unused). */
+    sim::IdMap<bool> dramWriteInflight_;
 
     /** Eviction local storage created but could not enqueue yet. */
     MemReqPtr pendingEvict_;

@@ -48,26 +48,26 @@ RdmaEngine::processOutsideRsp()
     // Responses arriving on the dedicated response network.
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = toOutsideRsp_->peekIncoming();
+        const sim::MsgPtr &msg = toOutsideRsp_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto rsp = sim::msgCast<MemRsp>(msg);
+        auto *rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             toOutsideRsp_->retrieveIncoming();
             progress = true;
             continue;
         }
-        auto it = outgoing_.find(rsp->reqId);
-        if (it == outgoing_.end()) {
+        sim::Port **requester = outgoing_.find(rsp->reqId);
+        if (requester == nullptr) {
             toOutsideRsp_->retrieveIncoming();
             progress = true;
             continue;
         }
         rsp->finalDst = nullptr; // Leaving the switched fabric.
-        rsp->dst = it->second;
+        rsp->dst = *requester;
         if (toInside_->send(rsp) != sim::SendStatus::Ok)
             break;
-        outgoing_.erase(it);
+        outgoing_.erase(rsp->reqId);
         toOutsideRsp_->retrieveIncoming();
         progress = true;
     }
@@ -79,11 +79,11 @@ RdmaEngine::processInside()
 {
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = toInside_->peekIncoming();
+        const sim::MsgPtr &msg = toInside_->peekIncoming();
         if (msg == nullptr)
             break;
 
-        if (auto req = sim::msgCast<MemReq>(msg)) {
+        if (auto *req = sim::msgCast<MemReq>(msg)) {
             // Local requester accessing a remote page.
             if (outgoing_.size() >= cfg_.maxOutstanding)
                 break;
@@ -108,26 +108,26 @@ RdmaEngine::processInside()
             continue;
         }
 
-        if (auto rsp = sim::msgCast<MemRsp>(msg)) {
+        if (auto *rsp = sim::msgCast<MemRsp>(msg)) {
             // Local L2 answered a remote chiplet's request.
-            auto it = incoming_.find(rsp->reqId);
-            if (it == incoming_.end()) {
+            sim::Port **origin = incoming_.find(rsp->reqId);
+            if (origin == nullptr) {
                 toInside_->retrieveIncoming();
                 progress = true;
                 continue;
             }
             sim::SendStatus st;
             if (outsideRspFirstHop_ != nullptr) {
-                rsp->finalDst = it->second;
+                rsp->finalDst = *origin;
                 rsp->dst = outsideRspFirstHop_;
                 st = toOutsideRsp_->send(rsp);
             } else {
-                rsp->dst = it->second;
+                rsp->dst = *origin;
                 st = toOutside_->send(rsp);
             }
             if (st != sim::SendStatus::Ok)
                 break;
-            incoming_.erase(it);
+            incoming_.erase(rsp->reqId);
             toInside_->retrieveIncoming();
             progress = true;
             continue;
@@ -144,11 +144,11 @@ RdmaEngine::processOutside()
 {
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = toOutside_->peekIncoming();
+        const sim::MsgPtr &msg = toOutside_->peekIncoming();
         if (msg == nullptr)
             break;
 
-        if (auto req = sim::msgCast<MemReq>(msg)) {
+        if (auto *req = sim::msgCast<MemReq>(msg)) {
             // Remote chiplet accessing our memory. On a switched fabric
             // src is the last hop, so the origin travels in replyTo.
             sim::Port *origin =
@@ -164,18 +164,18 @@ RdmaEngine::processOutside()
             continue;
         }
 
-        if (auto rsp = sim::msgCast<MemRsp>(msg)) {
+        if (auto *rsp = sim::msgCast<MemRsp>(msg)) {
             // Remote chiplet answered one of our outgoing requests.
-            auto it = outgoing_.find(rsp->reqId);
-            if (it == outgoing_.end()) {
+            sim::Port **requester = outgoing_.find(rsp->reqId);
+            if (requester == nullptr) {
                 toOutside_->retrieveIncoming();
                 progress = true;
                 continue;
             }
-            rsp->dst = it->second;
+            rsp->dst = *requester;
             if (toInside_->send(rsp) != sim::SendStatus::Ok)
                 break;
-            outgoing_.erase(it);
+            outgoing_.erase(rsp->reqId);
             toOutside_->retrieveIncoming();
             progress = true;
             continue;

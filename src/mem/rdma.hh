@@ -7,11 +7,11 @@
 #define AKITA_MEM_RDMA_HH
 
 #include <functional>
-#include <unordered_map>
 
 #include "mem/addr.hh"
 #include "mem/msg.hh"
 #include "sim/component.hh"
+#include "sim/idmap.hh"
 
 namespace akita
 {
@@ -109,9 +109,9 @@ class RdmaEngine : public sim::TickingComponent
     sim::Port *outsideRspFirstHop_ = nullptr;
 
     /** reqId -> local port awaiting the remote response. */
-    std::unordered_map<std::uint64_t, sim::Port *> outgoing_;
+    sim::IdMap<sim::Port *> outgoing_;
     /** reqId -> remote RDMA port awaiting our local response. */
-    std::unordered_map<std::uint64_t, sim::Port *> incoming_;
+    sim::IdMap<sim::Port *> incoming_;
 
     metrics::Counter forwardedOut_;
     metrics::Counter forwardedIn_;

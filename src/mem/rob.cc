@@ -59,10 +59,10 @@ ReorderBuffer::admitAndIssue()
     for (std::size_t i = 0; i < cfg_.width; i++) {
         if (entries_.size() >= cfg_.capacity)
             break;
-        sim::MsgPtr msg = topPort_->peekIncoming();
+        const sim::MsgPtr &msg = topPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto req = sim::msgCast<MemReq>(msg);
+        auto *req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming(); // Drop foreign messages.
             progress = true;
@@ -72,10 +72,7 @@ ReorderBuffer::admitAndIssue()
         req->dst = downstream_;
         if (bottomPort_->send(req) != sim::SendStatus::Ok)
             break; // Downstream full: stall the top port.
-        Entry e;
-        e.req = req;
-        e.returnTo = returnTo;
-        entries_.push_back(e);
+        entries_.push_back(Entry{MemReqPtr(req), returnTo});
         topPort_->retrieveIncoming();
         progress = true;
     }
@@ -87,10 +84,10 @@ ReorderBuffer::collectResponses()
 {
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = bottomPort_->peekIncoming();
+        const sim::MsgPtr &msg = bottomPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto rsp = sim::msgCast<MemRsp>(msg);
+        auto *rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
@@ -119,10 +116,12 @@ ReorderBuffer::retire()
         if (entries_.empty() || !entries_.front().done)
             break;
         Entry &e = entries_.front();
-        MemRspPtr rsp = makeRsp(*e.req);
-        rsp->dst = e.returnTo;
-        if (topPort_->send(rsp) != sim::SendStatus::Ok)
-            break;
+        if (e.rsp == nullptr) {
+            e.rsp = makeRsp(*e.req);
+            e.rsp->dst = e.returnTo;
+        }
+        if (topPort_->send(e.rsp) != sim::SendStatus::Ok)
+            break; // Keep the built response for the retry.
         entries_.pop_front();
         retired_++;
         progress = true;

@@ -7,7 +7,6 @@
 #define AKITA_MEM_ROB_HH
 
 #include <deque>
-#include <unordered_map>
 
 #include "mem/msg.hh"
 #include "sim/component.hh"
@@ -63,6 +62,9 @@ class ReorderBuffer : public sim::TickingComponent
         MemReqPtr req;
         sim::Port *returnTo;
         bool done = false;
+        /** The response, built on the first retire attempt and retried
+         * until the CU accepts it. */
+        MemRspPtr rsp;
     };
 
     bool admitAndIssue();

@@ -120,17 +120,17 @@ AddressTranslator::admit()
     for (std::size_t i = 0; i < cfg_.width; i++) {
         if (inflight_.size() >= cfg_.maxInflight)
             break; // Translation queue full: stall the top port.
-        sim::MsgPtr msg = topPort_->peekIncoming();
+        const sim::MsgPtr &msg = topPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto req = sim::msgCast<MemReq>(msg);
+        auto *req = sim::msgCast<MemReq>(msg);
         if (req == nullptr) {
             topPort_->retrieveIncoming();
             progress = true;
             continue;
         }
         Entry e;
-        e.req = req;
+        e.req = MemReqPtr(req);
         e.returnTo = msg->src;
         if (tlb_.lookup(req->addr)) {
             e.readyTick = freq().nextTick(now);
@@ -143,7 +143,7 @@ AddressTranslator::admit()
             e.walking = false;
             e.readyTick = 0; // Queued for a walker.
         }
-        inflight_.push_back(e);
+        inflight_.push_back(std::move(e));
         topPort_->retrieveIncoming();
         progress = true;
     }
@@ -172,7 +172,7 @@ AddressTranslator::stage()
         Entry &e = inflight_.front();
         if (e.walking || e.readyTick == 0 || e.readyTick > now)
             break;
-        issueQueue_.push_back(e);
+        issueQueue_.push_back(std::move(e));
         inflight_.pop_front();
         progress = true;
     }
@@ -203,25 +203,25 @@ AddressTranslator::forwardResponses()
 {
     bool progress = false;
     for (std::size_t i = 0; i < cfg_.width; i++) {
-        sim::MsgPtr msg = bottomPort_->peekIncoming();
+        const sim::MsgPtr &msg = bottomPort_->peekIncoming();
         if (msg == nullptr)
             break;
-        auto rsp = sim::msgCast<MemRsp>(msg);
+        auto *rsp = sim::msgCast<MemRsp>(msg);
         if (rsp == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
             continue;
         }
-        auto it = returnPath_.find(rsp->reqId);
-        if (it == returnPath_.end()) {
+        sim::Port **returnTo = returnPath_.find(rsp->reqId);
+        if (returnTo == nullptr) {
             bottomPort_->retrieveIncoming();
             progress = true;
             continue;
         }
-        rsp->dst = it->second;
+        rsp->dst = *returnTo;
         if (topPort_->send(rsp) != sim::SendStatus::Ok)
             break;
-        returnPath_.erase(it);
+        returnPath_.erase(rsp->reqId);
         bottomPort_->retrieveIncoming();
         progress = true;
     }

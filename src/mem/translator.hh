@@ -10,10 +10,10 @@
 #include <deque>
 #include <list>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "mem/msg.hh"
 #include "sim/component.hh"
+#include "sim/idmap.hh"
 
 namespace akita
 {
@@ -129,7 +129,7 @@ class AddressTranslator : public sim::TickingComponent
     std::deque<Entry> issueQueue_;
     std::size_t activeWalkers_ = 0;
     /** reqId -> port to return the response to. */
-    std::unordered_map<std::uint64_t, sim::Port *> returnPath_;
+    sim::IdMap<sim::Port *> returnPath_;
 };
 
 } // namespace mem

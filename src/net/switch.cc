@@ -28,7 +28,6 @@ Switch::addLink(const std::string &link_name)
     egress.queue = std::make_unique<sim::Buffer>(
         port->fullName() + ".EgressBuf", cfg_.egressQueueCapacity);
     registerBuffer(egress.queue.get());
-    egressOf_[port] = egresses_.size();
     egresses_.push_back(std::move(egress));
     return port;
 }
@@ -48,12 +47,12 @@ Switch::drainEgress()
     bool progress = false;
     for (auto &egress : egresses_) {
         for (std::size_t i = 0; i < cfg_.forwardPerCycle; i++) {
-            sim::MsgPtr msg = egress.queue->peek();
+            const sim::MsgPtr &msg = egress.queue->peek();
             if (msg == nullptr)
                 break;
             if (egress.port->send(msg) != sim::SendStatus::Ok)
                 break;
-            egress.queue->pop();
+            egress.queue->pop(); // Ends the borrow of msg.
             forwarded_++;
             progress = true;
         }
@@ -67,7 +66,7 @@ Switch::routeIngress()
     bool progress = false;
     for (const auto &port : ports()) {
         for (std::size_t i = 0; i < cfg_.forwardPerCycle; i++) {
-            sim::MsgPtr msg = port->peekIncoming();
+            const sim::MsgPtr &msg = port->peekIncoming();
             if (msg == nullptr)
                 break;
 
@@ -82,15 +81,15 @@ Switch::routeIngress()
             }
 
             // Choose the egress whose link reaches the next hop.
-            sim::Port *egressPort = nullptr;
+            Egress *out = nullptr;
             for (auto &egress : egresses_) {
                 if (egress.port->connection() ==
                     nextHop->connection()) {
-                    egressPort = egress.port;
+                    out = &egress;
                     break;
                 }
             }
-            if (egressPort == nullptr || egressPort == port.get()) {
+            if (out == nullptr || out->port == port.get()) {
                 // Unroutable, or the route points back out the arrival
                 // port: a routing loop. Drop rather than livelock; the
                 // `dropped` counter makes misconfiguration visible.
@@ -99,14 +98,12 @@ Switch::routeIngress()
                 progress = true;
                 continue;
             }
-            sim::Buffer &q =
-                *egresses_[egressOf_[egressPort]].queue;
+            sim::Buffer &q = *out->queue;
             if (!q.canPush())
                 break; // Backpressure: leave it in the ingress buffer.
 
             msg->dst = nextHop;
-            q.push(msg);
-            port->retrieveIncoming();
+            q.push(port->retrieveIncoming()); // Moves; ends the borrow.
             progress = true;
         }
     }

@@ -15,7 +15,6 @@
 #define AKITA_NET_SWITCH_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -80,8 +79,6 @@ class Switch : public sim::TickingComponent
     Config cfg_;
     RouteFn route_;
     std::vector<Egress> egresses_;
-    /** Link port -> egress record (same port object). */
-    std::map<sim::Port *, std::size_t> egressOf_;
 
     std::uint64_t forwarded_ = 0;
     std::uint64_t dropped_ = 0;

@@ -43,7 +43,7 @@ SwitchedNetwork::plugIn(sim::Port *port)
 }
 
 sim::SendStatus
-SwitchedNetwork::send(const sim::MsgPtr &msg)
+SwitchedNetwork::send(sim::Msg *msg)
 {
     sim::Port *dst = msg->dst;
     if (dst->connection() != this) {
@@ -71,7 +71,7 @@ SwitchedNetwork::send(const sim::MsgPtr &msg)
     msg->sendTime = now;
 
     engine_->schedule(std::make_unique<sim::DeliverEvent>(
-        done + cfg_.latency, this, msg));
+        done + cfg_.latency, this, sim::MsgPtr(msg)));
     return sim::SendStatus::Ok;
 }
 

@@ -52,7 +52,7 @@ BufferAnalyzer::snapshot(BufferSort sort, std::size_t top_n,
         out[i].name = rows[i].buf->name();
         out[i].size = rows[i].size;
         out[i].capacity = rows[i].capacity;
-        if (sim::MsgPtr head = rows[i].buf->peek())
+        if (const sim::MsgPtr &head = rows[i].buf->peek())
             out[i].headKind = head->kind();
     }
     return out;

@@ -122,7 +122,7 @@ writeComponent(json::Writer &w, const sim::Component &component)
 
     w.key("buffers").beginArray();
     for (const sim::Buffer *b : component.buffers()) {
-        sim::MsgPtr head = b->peek();
+        const sim::MsgPtr &head = b->peek();
         w.beginObject();
         w.field("name", b->name());
         w.field("size", static_cast<std::int64_t>(b->size()));

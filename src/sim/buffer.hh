@@ -76,8 +76,12 @@ class Buffer : public introspect::Inspectable
      */
     void push(MsgPtr msg);
 
-    /** The oldest message without removing it; nullptr when empty. */
-    MsgPtr peek() const { return q_.empty() ? nullptr : q_.front(); }
+    /**
+     * The oldest message without removing it; a null pointer when
+     * empty. Borrowed: the reference dies with the next pop, so a
+     * caller that keeps the message copies it.
+     */
+    const MsgPtr &peek() const { return q_.empty() ? kNoMsg : q_.front(); }
 
     /** Removes and returns the oldest message; nullptr when empty. */
     MsgPtr pop();
@@ -114,6 +118,9 @@ class Buffer : public introspect::Inspectable
     std::size_t peakSize() const { return peakSize_; }
 
   private:
+    /** What peek() returns when the buffer is empty. */
+    static inline const MsgPtr kNoMsg{};
+
     std::string name_;
     std::size_t capacity_;
     std::deque<MsgPtr> q_;

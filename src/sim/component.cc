@@ -91,8 +91,11 @@ TickingComponent::arm(VTime t)
     // earlier tick may find nothing to do and sleep without re-arming
     // (e.g. a wake lands between handle() clearing the slot and tick()
     // arming its service deadline — the deadline event would never
-    // exist and the component freezes).
-    if (tickAt_.exchange(target, std::memory_order_relaxed) == target)
+    // exist and the component freezes). The plain load first lets a
+    // duplicate arm skip the locked exchange, which would only have
+    // stored the value already there.
+    if (tickAt_.load(std::memory_order_relaxed) == target ||
+        tickAt_.exchange(target, std::memory_order_relaxed) == target)
         return;
     engine()->schedule(std::make_unique<Event>(target, this));
 }

@@ -28,7 +28,7 @@ DirectConnection::plugIn(Port *port)
 }
 
 SendStatus
-DirectConnection::send(const MsgPtr &msg)
+DirectConnection::send(Msg *msg)
 {
     Port *dst = msg->dst;
     if (dst->connection() != this) {
@@ -46,7 +46,7 @@ DirectConnection::send(const MsgPtr &msg)
     // A typed pooled event owns the message until delivery: no lambda,
     // no std::function allocation, no per-message name build.
     engine_->schedule(std::make_unique<DeliverEvent>(
-        engine_->now() + latency_, this, msg));
+        engine_->now() + latency_, this, MsgPtr(msg)));
     return SendStatus::Ok;
 }
 

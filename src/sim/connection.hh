@@ -28,6 +28,8 @@ class Component;
  * per-message name-string build. A typed event carries the message
  * directly: the pool serves the event, the intrusive pointer moves, and
  * the connection (an EventHandler with a pre-interned name) delivers.
+ * The event holds the hop's one reference and moves it into the
+ * destination buffer.
  */
 class DeliverEvent : public Event
 {
@@ -58,12 +60,14 @@ class Connection
     virtual void plugIn(Port *port) = 0;
 
     /**
-     * Attempts to transmit; called by Port::send.
+     * Attempts to transmit; called by Port::send with a borrowed
+     * message. On Ok the connection retains it once, for the
+     * DeliverEvent that carries it; on Busy it touches no refcount.
      *
      * @return Busy when the destination (or the connection itself)
      *         cannot accept the message now.
      */
-    virtual SendStatus send(const MsgPtr &msg) = 0;
+    virtual SendStatus send(Msg *msg) = 0;
 
     /**
      * Lower bound on the delivery latency of any message this
@@ -131,7 +135,7 @@ class DirectConnection : public Connection, public EventHandler
     }
 
     void plugIn(Port *port) override;
-    SendStatus send(const MsgPtr &msg) override;
+    SendStatus send(Msg *msg) override;
 
     VTime minLatency() const override { return latency_; }
 

@@ -7,7 +7,9 @@
  * served by the per-thread slab pool; `MsgPtr` is an intrusive pointer
  * whose copy is a relaxed increment (no shared_ptr control block, no
  * separate allocation); and downcasts go through a `MsgKind` tag compare
- * instead of RTTI `dynamic_pointer_cast`.
+ * instead of RTTI `dynamic_pointer_cast`. Reads borrow (`peek` returns
+ * a reference, `msgCast` a raw pointer); only keeping a message and
+ * sending it take a reference.
  */
 
 #ifndef AKITA_SIM_MSG_HH
@@ -301,19 +303,22 @@ makeMsg(Args &&...args)
 }
 
 /**
- * Downcast helper with null propagation.
+ * Borrowing downcast with null propagation.
  *
  * RTTI-free: compares the message's kind tag against T::kKind. A cast
  * to the wrong kind returns null, exactly like the old
- * dynamic_pointer_cast.
+ * dynamic_pointer_cast. The result borrows @p msg's reference and
+ * touches no refcount: it is valid only while @p msg (or the buffer
+ * slot it names) holds the message. A site that keeps the message
+ * builds an IntrusivePtr<T> from it explicitly.
  */
 template <typename T>
-IntrusivePtr<T>
+T *
 msgCast(const MsgPtr &msg)
 {
     if (msg == nullptr || msg->kindTag() != T::kKind)
         return nullptr;
-    return IntrusivePtr<T>(static_cast<T *>(msg.get()));
+    return static_cast<T *>(msg.get());
 }
 
 } // namespace sim

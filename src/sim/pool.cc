@@ -6,6 +6,23 @@
 #include <new>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define AKITA_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AKITA_POOL_ASAN 1
+#endif
+#endif
+
+#ifdef AKITA_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#define AKITA_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define AKITA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define AKITA_POISON(p, n) ((void)(p), (void)(n))
+#define AKITA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace akita
 {
 namespace sim
@@ -40,6 +57,28 @@ struct FreeNode
 {
     FreeNode *next;
 };
+
+// Under AddressSanitizer a free block's payload is poisoned, so a
+// message or event used after its last release faults at that use
+// instead of reading a recycled block. The freelist link lives in the
+// poisoned payload; these two open it for the one access.
+
+FreeNode *
+linkOf(FreeNode *n)
+{
+    AKITA_UNPOISON(n, sizeof(FreeNode));
+    FreeNode *next = n->next;
+    AKITA_POISON(n, sizeof(FreeNode));
+    return next;
+}
+
+void
+setLink(FreeNode *n, FreeNode *next)
+{
+    AKITA_UNPOISON(n, sizeof(FreeNode));
+    n->next = next;
+    AKITA_POISON(n, sizeof(FreeNode));
+}
 
 /**
  * Owner-thread-only counter readable from other threads: a plain
@@ -173,9 +212,9 @@ drainRemote(ThreadPool *p)
     // thread's last writes to the block happen-before its reuse here.
     FreeNode *n = p->remote.exchange(nullptr, std::memory_order_acquire);
     while (n != nullptr) {
-        FreeNode *next = n->next;
+        FreeNode *next = linkOf(n);
         std::uint32_t cls = headerOf(n)->cls;
-        n->next = p->free[cls];
+        setLink(n, p->free[cls]);
         p->free[cls] = n;
         n = next;
     }
@@ -219,8 +258,9 @@ poolAlloc(std::size_t n)
         // Freelist nodes live in the payload, so step back to the
         // block start; the header survives from the original carve.
         FreeNode *node = p->free[cls];
-        p->free[cls] = node->next;
+        p->free[cls] = linkOf(node);
         block = reinterpret_cast<char *>(node) - kHeaderSize;
+        AKITA_UNPOISON(node, kClassSizes[cls] - kHeaderSize);
     } else {
         std::size_t sz = kClassSizes[cls];
         if (static_cast<std::size_t>(p->bumpEnd - p->bump) < sz)
@@ -247,8 +287,11 @@ poolFree(void *payload) noexcept
     }
     ThreadPool *owner = h->owner;
     auto *node = static_cast<FreeNode *>(payload);
+    // Poison before the block is published: once on a list, the owner
+    // may hand it out (and unpoison it) at any moment.
+    AKITA_POISON(node, kClassSizes[h->cls] - kHeaderSize);
     if (owner == tlsPool) {
-        node->next = owner->free[h->cls];
+        setLink(node, owner->free[h->cls]);
         owner->free[h->cls] = node;
         owner->frees.inc();
         return;
@@ -259,7 +302,7 @@ poolFree(void *payload) noexcept
     // takes the entire stack in one exchange.
     FreeNode *head = owner->remote.load(std::memory_order_relaxed);
     do {
-        node->next = head;
+        setLink(node, head);
     } while (!owner->remote.compare_exchange_weak(
         head, node, std::memory_order_release, std::memory_order_relaxed));
     owner->remoteFrees.fetch_add(1, std::memory_order_relaxed);

@@ -22,6 +22,9 @@
  *  - Pools are never destroyed. A dying thread parks its pool on an
  *    orphan list and the next new thread adopts it, so blocks may safely
  *    outlive the thread that allocated them.
+ *  - Built with AddressSanitizer, a freed block's payload is poisoned
+ *    until it is handed out again, so a use after the last release is
+ *    reported instead of reading a recycled block.
  *
  * Blocks carry a 16-byte header (owner pool + size class) so poolFree
  * needs no size argument and works from any thread. Requests larger

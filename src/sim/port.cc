@@ -21,7 +21,7 @@ Port::Port(Component *owner, std::string name, std::size_t buf_capacity)
 }
 
 SendStatus
-Port::send(const MsgPtr &msg)
+Port::send(Msg *msg)
 {
     if (conn_ == nullptr) {
         throw std::runtime_error("port " + fullName_ +
@@ -98,7 +98,11 @@ Port::releaseSlot()
     claimed_.fetch_sub(1);
     if (!hasWaiters_.load())
         return;
+    // Take waking_ for the duration: a wake that re-enters here (a
+    // component retrieving from its own port inside wake()) then finds
+    // it empty instead of mutating the list being walked.
     std::vector<Component *> toWake;
+    toWake.swap(waking_);
     {
         std::lock_guard<std::mutex> lk(waitMu_);
         toWake.swap(waiters_);
@@ -109,6 +113,8 @@ Port::releaseSlot()
     // and retry right away.
     for (Component *c : toWake)
         c->slotFreed();
+    toWake.clear();
+    waking_.swap(toWake);
 }
 
 std::vector<Component *>

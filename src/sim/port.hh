@@ -70,17 +70,33 @@ class Port : public Hookable
     /**
      * Sends a message; msg->dst must identify the destination port.
      *
+     * The message is borrowed: on Ok the connection takes the one
+     * reference the hop holds until delivery; on Busy nothing is
+     * retained or released, and the caller's reference (or buffer
+     * slot) still owns the message for a retry.
+     *
      * On Busy the sender's component is registered for a wake when the
      * destination frees space, so sleeping senders are re-ticked.
      */
-    SendStatus send(const MsgPtr &msg);
+    SendStatus send(Msg *msg);
+
+    /** send() of an owned message, with no converting MsgPtr copy. */
+    template <typename T>
+    SendStatus
+    send(const IntrusivePtr<T> &msg)
+    {
+        return send(static_cast<Msg *>(msg.get()));
+    }
 
     /** Incoming buffer (exposed for monitoring and tests). */
     Buffer &buf() { return buf_; }
     const Buffer &buf() const { return buf_; }
 
-    /** The oldest delivered message without consuming it. */
-    MsgPtr peekIncoming() const { return buf_.peek(); }
+    /**
+     * The oldest delivered message without consuming it. Borrowed:
+     * never use it (or a msgCast of it) after retrieveIncoming*().
+     */
+    const MsgPtr &peekIncoming() const { return buf_.peek(); }
 
     /**
      * Consumes the oldest delivered message.
@@ -183,6 +199,12 @@ class Port : public Hookable
      * wake order must be deterministic.
      */
     std::vector<Component *> waiters_;
+    /**
+     * The waiters releaseSlot() is waking, swapped out of waiters_.
+     * Owner only; both vectors keep their capacity, so a wait
+     * allocates nothing once the two have grown.
+     */
+    std::vector<Component *> waking_;
     std::atomic<bool> hasWaiters_{false};
     /**
      * The most recently registered waiter while it is still listed, so

@@ -14,6 +14,7 @@
 #include "sim/engine.hh"
 #include "sim/event.hh"
 #include "sim/hook.hh"
+#include "sim/idmap.hh"
 #include "sim/msg.hh"
 #include "sim/name.hh"
 #include "sim/pool.hh"

@@ -138,7 +138,7 @@ class FakeMemory : public sim::TickingComponent
                 continue;
             }
             queue_.push_back(
-                {req, msg->src,
+                {mem::MemReqPtr(req), msg->src,
                  now + delayCycles_ * freq().period()});
             reqsSeen.push_back(req->addr);
             top->retrieveIncoming();

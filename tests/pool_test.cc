@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -200,6 +201,45 @@ TEST(Pool, DomainEngineFreesCrossDomainAllocationsRemotely)
     EXPECT_GT(after.remoteFrees, before.remoteFrees);
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+#define AKITA_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AKITA_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef AKITA_TEST_ASAN
+// Only AddressSanitizer builds poison freed pool blocks.
+
+/** Reads a borrowed message after the retrieve that freed it. */
+void
+useBorrowedAfterRetrieve()
+{
+    // Ownerless ports: nothing ticks and consumes the delivery.
+    SerialEngine eng;
+    Port a(nullptr, "A", 4);
+    Port b(nullptr, "B", 4);
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    conn.plugIn(&a);
+    conn.plugIn(&b);
+    auto m = makeMsg<AlphaMsg>(5);
+    m->dst = &b;
+    a.send(m);
+    m.reset(); // The hop's reference is now the only one.
+    eng.run();
+    auto *borrowed = msgCast<AlphaMsg>(b.peekIncoming());
+    b.retrieveIncoming(); // Drops the last reference.
+    std::fprintf(stderr, "%d\n", borrowed->value);
+}
+
+TEST(PoolAsanDeathTest, BorrowedMessageUsedAfterRetrieveFaults)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(useBorrowedAfterRetrieve(), "use-after-poison");
+}
+#endif
+
 // ---------------------------------------------------------------------
 // Intrusive message pointer
 // ---------------------------------------------------------------------
@@ -250,7 +290,7 @@ TEST(MsgCast, WrongKindReturnsNull)
     auto back = msgCast<AlphaMsg>(alpha);
     ASSERT_NE(back, nullptr);
     EXPECT_EQ(back->value, 3);
-    EXPECT_EQ(back.get(), alpha.get());
+    EXPECT_EQ(back, alpha.get()); // Borrowed: the same object.
 }
 
 TEST(MsgCast, TagsSurviveTransportFields)

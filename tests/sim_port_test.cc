@@ -277,6 +277,111 @@ TEST(Port, FailedSendRestoresSource)
     EXPECT_EQ(m->src, b.in); // Restored, not clobbered to a.in.
 }
 
+namespace
+{
+
+/** A TestMsg that counts constructions and destructions. */
+class CountedMsg : public TestMsg
+{
+  public:
+    explicit CountedMsg(int v) : TestMsg(v) { made++; }
+    ~CountedMsg() override { destroyed++; }
+
+    static inline int made = 0;
+    static inline int destroyed = 0;
+};
+
+/**
+ * send -> deliver -> retrieve -> drop over @p conn: the message lives
+ * while in flight and buffered, and is destroyed exactly once, when
+ * the retrieved reference drops.
+ */
+void
+expectDestroyedOnceAfterRetrieve(Engine &eng, Connection &conn)
+{
+    CountedMsg::made = CountedMsg::destroyed = 0;
+    Node a(&eng, "A", 4), b(&eng, "B", 4);
+    conn.plugIn(a.in);
+    conn.plugIn(b.in);
+    a.target = b.in;
+    b.drainPerTick = 0; // Leave it buffered.
+    a.outbox.push_back(makeMsg<CountedMsg>(5));
+    a.tickLater();
+    eng.run();
+    ASSERT_EQ(a.sent, 1);
+    ASSERT_EQ(b.in->buf().size(), 1u);
+    EXPECT_EQ(CountedMsg::destroyed, 0); // The buffer holds it.
+
+    MsgPtr m = b.in->retrieveIncoming();
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(msgCast<TestMsg>(m)->value, 5);
+    EXPECT_EQ(CountedMsg::destroyed, 0);
+    m.reset();
+    EXPECT_EQ(CountedMsg::made, 1);
+    EXPECT_EQ(CountedMsg::destroyed, 1);
+}
+
+/**
+ * A refused send takes no reference: the sender's pointer stays the
+ * only owner, so dropping it destroys the message at once.
+ */
+void
+expectRefusedSendKeepsSenderReference(Engine &eng, Connection &conn)
+{
+    CountedMsg::made = CountedMsg::destroyed = 0;
+    Node a(&eng, "A", 4), b(&eng, "B", 1);
+    conn.plugIn(a.in);
+    conn.plugIn(b.in);
+    auto fill = makeMsg<CountedMsg>(1);
+    fill->dst = b.in;
+    ASSERT_EQ(a.in->send(fill), SendStatus::Ok);
+    fill.reset(); // The hop's reference keeps it alive.
+    EXPECT_EQ(CountedMsg::destroyed, 0);
+
+    auto refused = makeMsg<CountedMsg>(2);
+    refused->dst = b.in;
+    ASSERT_EQ(a.in->send(refused), SendStatus::Busy);
+    EXPECT_EQ(CountedMsg::destroyed, 0);
+    refused.reset();
+    EXPECT_EQ(CountedMsg::destroyed, 1); // Only ours was holding it.
+
+    b.drainPerTick = 1;
+    eng.run();
+    EXPECT_EQ(b.received, (std::vector<int>{1}));
+    EXPECT_EQ(CountedMsg::made, 2);
+    EXPECT_EQ(CountedMsg::destroyed, 2);
+}
+
+} // namespace
+
+TEST(MsgLifetime, DestroyedOnceAfterRetrieveOverDirectConnection)
+{
+    SerialEngine eng;
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    expectDestroyedOnceAfterRetrieve(eng, conn);
+}
+
+TEST(MsgLifetime, DestroyedOnceAfterRetrieveOverSwitchedNetwork)
+{
+    SerialEngine eng;
+    akita::net::SwitchedNetwork net(&eng, "Net", {});
+    expectDestroyedOnceAfterRetrieve(eng, net);
+}
+
+TEST(MsgLifetime, RefusedSendKeepsSenderReferenceDirect)
+{
+    SerialEngine eng;
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    expectRefusedSendKeepsSenderReference(eng, conn);
+}
+
+TEST(MsgLifetime, RefusedSendKeepsSenderReferenceSwitched)
+{
+    SerialEngine eng;
+    akita::net::SwitchedNetwork net(&eng, "Net", {});
+    expectRefusedSendKeepsSenderReference(eng, net);
+}
+
 TEST(Ticking, SleepsWithoutWorkAndWakesOnDelivery)
 {
     SerialEngine eng;
