@@ -119,8 +119,7 @@ main(int argc, char **argv)
     bench::parseCli(argc, argv);
     using bench::section;
 
-    auto engine = bench::makeEngine();
-    sim::Engine &eng = *engine;
+    sim::SerialEngine eng;
     sim::DirectConnection conn(&eng, "Chain", sim::kNanosecond);
 
     // Service rates: A, B, D fast (1 cycle); C slow (6 cycles).

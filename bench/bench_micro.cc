@@ -105,237 +105,6 @@ BM_EngineLockBatchSweep(benchmark::State &state)
 }
 BENCHMARK(BM_EngineLockBatchSweep)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-namespace
-{
-
-/** Self-rescheduling spin chain as a named handler, so it can be
- * routed to a specific domain with assignHandler(). */
-class SpinChain : public sim::EventHandler
-{
-  public:
-    explicit SpinChain(sim::Engine *eng) : eng_(eng) {}
-
-    void
-    handle(sim::Event &ev) override
-    {
-        volatile std::uint64_t h = 0;
-        for (int j = 0; j < 200; j++)
-            h = h * 31 + static_cast<std::uint64_t>(j);
-        if (++fired < limit) {
-            eng_->schedule(
-                std::make_unique<sim::Event>(ev.time() + 1, this));
-        }
-    }
-
-    int fired = 0;
-    int limit = 0;
-
-  private:
-    sim::Engine *eng_;
-};
-
-} // namespace
-
-void
-BM_DomainEngineSingleChain(benchmark::State &state)
-{
-    // One chain in one domain: the conservative engine's sequential
-    // fast path (no cross-domain edges, safe window unbounded).
-    // Compare against BM_EngineThroughputSingleThread for the cost of
-    // the domain bookkeeping.
-    sim::DomainEngine eng(1);
-    SpinChain chain(&eng);
-    for (auto _ : state) {
-        chain.fired = 0;
-        chain.limit = 10000;
-        eng.schedule(
-            std::make_unique<sim::Event>(eng.now() + 1, &chain));
-        eng.run();
-        benchmark::DoNotOptimize(chain.fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_DomainEngineSingleChain);
-
-void
-BM_DomainEngineFanout(benchmark::State &state)
-{
-    // Eight independent chains spread round-robin over N domains.
-    // With no cross-domain edges every domain free-runs its whole
-    // queue — the embarrassingly-parallel upper bound for the
-    // conservative engine (needs real cores to show speedup; on one
-    // core it bounds the synchronization overhead).
-    const int domains = static_cast<int>(state.range(0));
-    constexpr int kChains = 8;
-    constexpr int kFires = 500;
-    sim::DomainEngine eng(domains);
-    std::vector<std::unique_ptr<SpinChain>> chains;
-    for (int i = 0; i < kChains; i++) {
-        chains.push_back(std::make_unique<SpinChain>(&eng));
-        eng.assignHandler(chains.back().get(), i % domains);
-    }
-    for (auto _ : state) {
-        sim::VTime start = eng.now() + 1;
-        for (auto &c : chains) {
-            c->fired = 0;
-            c->limit = kFires;
-            eng.schedule(
-                std::make_unique<sim::Event>(start, c.get()));
-        }
-        eng.run();
-        benchmark::DoNotOptimize(chains[0]->fired);
-    }
-    state.SetItemsProcessed(state.iterations() * kChains * kFires);
-}
-BENCHMARK(BM_DomainEngineFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-namespace
-{
-
-/** Token with a hop budget for the mailbox micro-cells. */
-class BounceMsg : public sim::Msg
-{
-  public:
-    static constexpr sim::MsgKind kKind = sim::MsgKind::TestA;
-
-    explicit BounceMsg(int ttl) : Msg(kKind), ttl(ttl) {}
-
-    const char *kind() const override { return "BounceMsg"; }
-
-    int ttl;
-};
-
-/** Forwards every received token to `next` until its ttl dies; no
- * handler work, so the cell prices pure cross-domain delivery. */
-class BounceNode : public sim::TickingComponent
-{
-  public:
-    BounceNode(sim::Engine *eng, const std::string &name)
-        : TickingComponent(eng, name, sim::Freq::ghz(1))
-    {
-        in = addPort("In", 64);
-        out = addPort("Out", 64);
-    }
-
-    bool
-    tick() override
-    {
-        bool progress = false;
-        while (!outbox.empty()) {
-            sim::MsgPtr m = outbox.front();
-            m->dst = next;
-            if (out->send(m) != sim::SendStatus::Ok)
-                break;
-            outbox.erase(outbox.begin());
-            progress = true;
-        }
-        for (;;) {
-            sim::MsgPtr m = in->retrieveIncoming();
-            if (m == nullptr)
-                break;
-            hops++;
-            auto bm = sim::msgCast<BounceMsg>(m);
-            if (--bm->ttl > 0)
-                outbox.push_back(m);
-            progress = true;
-        }
-        return progress;
-    }
-
-    sim::Port *in = nullptr;
-    sim::Port *out = nullptr;
-    sim::Port *next = nullptr;
-    std::vector<sim::MsgPtr> outbox;
-    std::uint64_t hops = 0;
-};
-
-} // namespace
-
-void
-BM_DomainEngineMailboxPingPong(benchmark::State &state)
-{
-    // Two domains joined by a long-latency wire pair with K tokens
-    // bouncing between them: every hop is one cross-domain delivery,
-    // steady-state on the SPSC ring fast path. items/sec is the
-    // mailbox hop rate; the fast/slow counters pin the path split.
-    constexpr int kTokens = 8;
-    constexpr int kTtl = 200;
-    sim::DomainEngine eng(2);
-    BounceNode a(&eng, "PingA");
-    BounceNode b(&eng, "PingB");
-    eng.pinComponent(&a, 0);
-    eng.pinComponent(&b, 1);
-    sim::DirectConnection w0(&eng, "PingWire0",
-                             500 * sim::kNanosecond);
-    sim::DirectConnection w1(&eng, "PingWire1",
-                             500 * sim::kNanosecond);
-    w0.plugIn(a.out);
-    w0.plugIn(b.in);
-    w1.plugIn(b.out);
-    w1.plugIn(a.in);
-    a.next = b.in;
-    b.next = a.in;
-    for (auto _ : state) {
-        for (int t = 0; t < kTokens; t++)
-            a.outbox.push_back(sim::makeMsg<BounceMsg>(kTtl));
-        a.tickLater();
-        eng.run();
-        benchmark::DoNotOptimize(a.hops);
-    }
-    state.SetItemsProcessed(state.iterations() * kTokens * kTtl);
-    state.counters["fast"] = benchmark::Counter(
-        static_cast<double>(eng.mailboxFastTotal()));
-    state.counters["slow"] = benchmark::Counter(
-        static_cast<double>(eng.mailboxSlowTotal()));
-}
-BENCHMARK(BM_DomainEngineMailboxPingPong);
-
-void
-BM_DomainEngineMailboxStorm(benchmark::State &state)
-{
-    // One node per domain, every token forwarded to the next domain
-    // around the full circle of N: all workers produce and consume
-    // cross-domain traffic at once, so ring drains, horizon wakes,
-    // and the safe-window scan are all contended.
-    const int domains = static_cast<int>(state.range(0));
-    constexpr int kTokens = 8;
-    constexpr int kTtl = 100;
-    sim::DomainEngine eng(domains);
-    std::vector<std::unique_ptr<BounceNode>> nodes;
-    std::vector<std::unique_ptr<sim::DirectConnection>> wires;
-    for (int i = 0; i < domains; i++) {
-        nodes.push_back(std::make_unique<BounceNode>(
-            &eng, "Storm" + std::to_string(i)));
-        eng.pinComponent(nodes.back().get(), i);
-    }
-    for (int i = 0; i < domains; i++) {
-        int j = (i + 1) % domains;
-        wires.push_back(std::make_unique<sim::DirectConnection>(
-            &eng, "StormWire" + std::to_string(i),
-            500 * sim::kNanosecond));
-        wires.back()->plugIn(nodes[static_cast<std::size_t>(i)]->out);
-        wires.back()->plugIn(nodes[static_cast<std::size_t>(j)]->in);
-        nodes[static_cast<std::size_t>(i)]->next =
-            nodes[static_cast<std::size_t>(j)]->in;
-    }
-    for (auto _ : state) {
-        for (auto &n : nodes) {
-            for (int t = 0; t < kTokens; t++)
-                n->outbox.push_back(sim::makeMsg<BounceMsg>(kTtl));
-            n->tickLater();
-        }
-        eng.run();
-        benchmark::DoNotOptimize(nodes[0]->hops);
-    }
-    state.SetItemsProcessed(state.iterations() * domains * kTokens *
-                            kTtl);
-    state.counters["fast"] = benchmark::Counter(
-        static_cast<double>(eng.mailboxFastTotal()));
-    state.counters["slow"] = benchmark::Counter(
-        static_cast<double>(eng.mailboxSlowTotal()));
-}
-BENCHMARK(BM_DomainEngineMailboxStorm)->Arg(2)->Arg(4);
-
 void
 BM_BufferPushPop(benchmark::State &state)
 {

@@ -23,9 +23,9 @@ namespace bench
 {
 
 /** @{ Remembered argv so platform factories deep inside a harness can
- * honor --engine=serial|domain and --domains=N (the AKITA_ENGINE /
- * AKITA_DOMAINS env vars work too; flags win). Call parseCli() first
- * thing in main(). */
+ * honor --record=, --record-bytes= and --fleet= (the AKITA_RECORD /
+ * AKITA_RECORD_BYTES / AKITA_FLEET env vars work too; flags win). Call
+ * parseCli() first thing in main(). */
 inline int &
 cliArgc()
 {
@@ -58,8 +58,8 @@ parseCli(int argc, char **argv)
 }
 /** @} */
 
-/** Applies the engine selection (env vars, then CLI flags) to a
- * platform configuration. */
+/** Applies the run flags (env vars, then CLI flags) to a platform
+ * configuration. */
 inline gpu::PlatformConfig
 applyEngine(gpu::PlatformConfig cfg)
 {
@@ -68,17 +68,6 @@ applyEngine(gpu::PlatformConfig cfg)
     else
         gpu::applyEngineEnv(cfg);
     return cfg;
-}
-
-/** Builds a bare engine honoring the same selection, for harnesses
- * that drive sim components without a gpu::Platform. */
-inline std::unique_ptr<sim::Engine>
-makeEngine()
-{
-    gpu::PlatformConfig cfg = applyEngine(gpu::PlatformConfig{});
-    if (cfg.engineKind == gpu::EngineKind::Domain)
-        return std::make_unique<sim::DomainEngine>(cfg.domains);
-    return std::make_unique<sim::SerialEngine>();
 }
 
 /** Reads a double from the environment with a default. */

@@ -40,7 +40,7 @@ main(int argc, char **argv)
     cfg.gpu.l2.installCapacity = 2;
     cfg.gpu.l2.wbFetchedCapacity = 2;
     cfg.gpu.l2.dramWriteInflightMax = 1;
-    gpu::applyEngineArgs(cfg, argc, argv); // --engine= / --domains=
+    gpu::applyEngineArgs(cfg, argc, argv); // --record= / --fleet= / ...
 
     gpu::Platform platform(cfg);
 

@@ -39,7 +39,7 @@ main(int argc, char **argv)
 {
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::medium());
-    gpu::applyEngineArgs(cfg, argc, argv); // --engine= / --domains=
+    gpu::applyEngineArgs(cfg, argc, argv); // --record= / --fleet= / ...
     gpu::Platform platform(cfg);
 
     rtm::Monitor monitor;

@@ -95,7 +95,7 @@ main(int argc, char **argv)
     //    quickstart runs in seconds.
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    gpu::applyEngineArgs(cfg, argc, argv); // --engine= / --fleet= / ...
+    gpu::applyEngineArgs(cfg, argc, argv); // --record= / --fleet= / ...
 
     const char *portEnv = std::getenv("AKITA_PORT");
     std::uint16_t port =

@@ -1,7 +1,6 @@
 #include "gpu/platform.hh"
 
 #include <cstdlib>
-#include <stdexcept>
 
 namespace akita
 {
@@ -66,10 +65,7 @@ PlatformConfig::mcm4(const GpuConfig &chip)
 
 Platform::Platform(const PlatformConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.engineKind == EngineKind::Domain)
-        engine_ = std::make_unique<sim::DomainEngine>(cfg_.domains);
-    else
-        engine_ = std::make_unique<sim::SerialEngine>();
+    engine_ = std::make_unique<sim::SerialEngine>();
     driver_ = std::make_unique<Driver>(engine_.get(), "Driver", cfg_.freq);
     network_ = std::make_unique<net::SwitchedNetwork>(
         engine_.get(), "Network", cfg_.network);
@@ -359,30 +355,9 @@ Platform::run()
                                              : RunStatus::Hung;
 }
 
-namespace
-{
-
-void
-applyEngineChoice(PlatformConfig &cfg, const std::string &kind)
-{
-    if (kind == "domain")
-        cfg.engineKind = EngineKind::Domain;
-    else if (kind == "serial")
-        cfg.engineKind = EngineKind::Serial;
-    else
-        throw std::invalid_argument("unknown engine '" + kind +
-                                    "' (expected serial|domain)");
-}
-
-} // namespace
-
 void
 applyEngineEnv(PlatformConfig &cfg)
 {
-    if (const char *e = std::getenv("AKITA_ENGINE"))
-        applyEngineChoice(cfg, e);
-    if (const char *d = std::getenv("AKITA_DOMAINS"))
-        cfg.domains = std::atoi(d);
     if (const char *r = std::getenv("AKITA_RECORD"))
         cfg.recordPath = r;
     if (const char *b = std::getenv("AKITA_RECORD_BYTES")) {
@@ -400,11 +375,7 @@ applyEngineArgs(PlatformConfig &cfg, int argc, char **argv)
     applyEngineEnv(cfg);
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
-        if (arg.rfind("--engine=", 0) == 0)
-            applyEngineChoice(cfg, arg.substr(9));
-        else if (arg.rfind("--domains=", 0) == 0)
-            cfg.domains = std::atoi(arg.c_str() + 10);
-        else if (arg.rfind("--record=", 0) == 0)
+        if (arg.rfind("--record=", 0) == 0)
             cfg.recordPath = arg.substr(9);
         else if (arg.rfind("--record-bytes=", 0) == 0) {
             long long v = std::atoll(arg.c_str() + 15);

@@ -69,22 +69,9 @@ enum class NetworkTopology
     Ring,
 };
 
-/** Which event engine drives the platform. */
-enum class EngineKind
-{
-    /** Single-threaded SerialEngine (default; deterministic). */
-    Serial,
-    /** Conservative-PDES DomainEngine (latency-partitioned domains). */
-    Domain,
-};
-
 /** Whole-platform shape. */
 struct PlatformConfig
 {
-    /** Event engine implementation. */
-    EngineKind engineKind = EngineKind::Serial;
-    /** Domain-engine target domain count; 0 = hardware concurrency. */
-    int domains = 0;
     std::size_t numGpus = 1;
     GpuConfig gpu;
     net::SwitchedNetwork::Config network;
@@ -208,24 +195,18 @@ class Platform
 };
 
 /**
- * Applies the standard engine-selection flags/environment to a config.
+ * Applies the standard run flags/environment to a config.
  *
  * Recognized argv flags (consumed semantically, not removed):
- *   --engine=serial|domain
- *   --domains=N            domain-engine partition target
  *   --record=PATH          flight-recorder segment file
  *   --record-bytes=N       segment size in bytes
  *   --fleet=N              simulation instances behind one gateway
  * Environment (lower precedence than flags):
- *   AKITA_ENGINE=serial|domain
- *   AKITA_DOMAINS=N
  *   AKITA_RECORD=PATH
  *   AKITA_RECORD_BYTES=N
  *   AKITA_FLEET=N
  *
- * Lets every bench/example binary opt into the domain engine with the
- * same switches. An unknown engine name throws std::invalid_argument
- * rather than silently running serial.
+ * Lets every bench/example binary take the same switches.
  */
 void applyEngineArgs(PlatformConfig &cfg, int argc, char **argv);
 

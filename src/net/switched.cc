@@ -23,16 +23,9 @@ SwitchedNetwork::SwitchedNetwork(sim::Engine *engine, std::string name,
             static_cast<std::int64_t>(totalBytes()));
     });
     declareField("total_msgs", [this]() {
-        std::lock_guard<std::mutex> lk(mu_);
         return introspect::Value::ofInt(
-            static_cast<std::int64_t>(totalMsgs_));
+            static_cast<std::int64_t>(totalMsgs_.value()));
     });
-    engine_->noteConnection(this);
-}
-
-SwitchedNetwork::~SwitchedNetwork()
-{
-    engine_->noteConnectionDestroyed(this);
 }
 
 void
@@ -55,19 +48,14 @@ SwitchedNetwork::send(sim::Msg *msg)
         return sim::SendStatus::Busy;
 
     sim::VTime now = engine_->now();
-    sim::VTime done;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        sim::VTime &freeAt = linkFreeAt_[dst];
-        sim::VTime start = std::max(now, freeAt);
-        auto serialize = static_cast<sim::VTime>(
-            static_cast<double>(msg->trafficBytes) * psPerByte_);
-        done = start + std::max<sim::VTime>(serialize, 1);
-        freeAt = done;
-
-        totalBytes_ += msg->trafficBytes;
-        totalMsgs_++;
-    }
+    sim::VTime &freeAt = linkFreeAt_[dst];
+    sim::VTime start = std::max(now, freeAt);
+    auto serialize = static_cast<sim::VTime>(
+        static_cast<double>(msg->trafficBytes) * psPerByte_);
+    sim::VTime done = start + std::max<sim::VTime>(serialize, 1);
+    freeAt = done;
+    totalBytes_.incOwned(msg->trafficBytes);
+    totalMsgs_.incOwned();
     msg->sendTime = now;
 
     engine_->schedule(std::make_unique<sim::DeliverEvent>(
@@ -78,7 +66,6 @@ SwitchedNetwork::send(sim::Msg *msg)
 void
 SwitchedNetwork::handle(sim::Event &event)
 {
-    // Runs on the destination's domain, which owns its buffer.
     auto &de = static_cast<sim::DeliverEvent &>(event);
     sim::Port *dst = de.msg->dst;
     dst->deliver(std::move(de.msg));

@@ -7,11 +7,11 @@
 #define AKITA_NET_SWITCHED_HH
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "introspect/field.hh"
+#include "metrics/instrument.hh"
 #include "sim/connection.hh"
 #include "sim/engine.hh"
 
@@ -31,9 +31,9 @@ namespace net
  * the "slow network" whose effect case study 1 observes as ~1000
  * transactions piling up in the RDMA engine.
  *
- * The ingress links and the traffic totals are shared by senders in
- * every domain, so a successful send books them under one mutex.
- * Rejected sends and deliveries take no lock.
+ * Single-owner like every piece of simulation state: only the
+ * simulation thread sends and delivers. The traffic totals are
+ * incOwned counters, so monitor threads read them without a lock.
  */
 class SwitchedNetwork : public sim::Connection,
                         public sim::EventHandler,
@@ -50,7 +50,6 @@ class SwitchedNetwork : public sim::Connection,
 
     SwitchedNetwork(sim::Engine *engine, std::string name,
                     const Config &cfg);
-    ~SwitchedNetwork() override;
 
     const std::string &name() const { return name_; }
 
@@ -64,8 +63,6 @@ class SwitchedNetwork : public sim::Connection,
     void plugIn(sim::Port *port) override;
     sim::SendStatus send(sim::Msg *msg) override;
 
-    sim::VTime minLatency() const override { return cfg_.latency; }
-
     /** Delivery: the engine hands back the DeliverEvents send() queued. */
     void handle(sim::Event &event) override;
 
@@ -74,12 +71,7 @@ class SwitchedNetwork : public sim::Connection,
     std::string handlerName() const override { return deliverName_.str(); }
 
     /** Total bytes ever transferred. */
-    std::uint64_t
-    totalBytes() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return totalBytes_;
-    }
+    std::uint64_t totalBytes() const { return totalBytes_.value(); }
 
   private:
     sim::Engine *engine_;
@@ -91,12 +83,10 @@ class SwitchedNetwork : public sim::Connection,
     double psPerByte_;
 
     std::vector<sim::Port *> ports_;
-    /** Guards linkFreeAt_ and the totals. Leaf lock. */
-    mutable std::mutex mu_;
     /** Earliest time each destination's ingress link is free. */
     std::map<sim::Port *, sim::VTime> linkFreeAt_;
-    std::uint64_t totalBytes_ = 0;
-    std::uint64_t totalMsgs_ = 0;
+    metrics::Counter totalBytes_;
+    metrics::Counter totalMsgs_;
 };
 
 } // namespace net

@@ -8,7 +8,6 @@
 
 #include "rtm/monitor.hh"
 #include "rtm/serialize.hh"
-#include "sim/domain_engine.hh"
 #include "web/encoding.hh"
 
 namespace akita
@@ -471,86 +470,6 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             m, req, gen, "application/json", kHangTtlFloorMs, [m]() {
                 std::string body;
                 writeHangReport(body, m->hangReport());
-                return body;
-            });
-    });
-
-    server.route("GET", "/api/v1/domains", [m](const web::Request &req) {
-        auto *de = dynamic_cast<sim::DomainEngine *>(m->engine());
-        if (de == nullptr)
-            return web::Response::error(
-                404, "engine is not domain-partitioned "
-                     "(run with --engine=domain)");
-        // Coalesced like every other hot endpoint: a dashboard wave
-        // polling per-domain lag costs one build per TTL window. The
-        // generation folds wall time (cf. /api/v1/hang) because
-        // horizons, ring occupancy and the drain-time clock sync all
-        // move without the event count moving.
-        std::uint64_t ttl =
-            std::max<std::uint64_t>(1, m->config().domainsTtlFloorMs);
-        std::uint64_t gen =
-            m->buffersGeneration() +
-            static_cast<std::uint64_t>(wallNowMs()) / ttl;
-        return cachedResponse(
-            m, req, gen, "application/json", ttl, [de]() {
-                const auto &members = de->domainMemberNames();
-                const auto edges = de->edgeInfos();
-                std::string body;
-                json::Writer w(body);
-                w.beginObject();
-                w.field("num_domains",
-                        static_cast<std::uint64_t>(de->numDomains()));
-                w.field("mailbox_fast_total", de->mailboxFastTotal());
-                w.field("mailbox_slow_total", de->mailboxSlowTotal());
-                // lag_ps is served rather than left to the client: the
-                // dashboard colors a domain by how far it trails the
-                // slowest-relative-fastest clock, and every consumer
-                // should agree on the reference point.
-                sim::VTime maxClock = 0;
-                std::vector<sim::DomainEngine::DomainStatus> sts;
-                sts.reserve(
-                    static_cast<std::size_t>(de->numDomains()));
-                for (int i = 0; i < de->numDomains(); i++) {
-                    sts.push_back(de->domainStatus(i));
-                    maxClock = std::max(maxClock, sts.back().clock);
-                }
-                w.key("domains").beginArray();
-                for (int i = 0; i < de->numDomains(); i++) {
-                    const sim::DomainEngine::DomainStatus &st =
-                        sts[static_cast<std::size_t>(i)];
-                    w.beginObject();
-                    w.field("id", static_cast<std::uint64_t>(i));
-                    w.field("clock_ps", st.clock);
-                    w.field("horizon_ps", st.horizon);
-                    w.field("lag_ps", maxClock - st.clock);
-                    w.field("events", st.events);
-                    w.field("queue_len",
-                            static_cast<std::uint64_t>(st.queueLen));
-                    w.field("ring_occupancy",
-                            static_cast<std::uint64_t>(
-                                st.ringOccupancy));
-                    w.field("ring_capacity",
-                            static_cast<std::uint64_t>(
-                                st.ringCapacity));
-                    w.key("members").beginArray();
-                    for (const std::string &name :
-                         members[static_cast<std::size_t>(i)])
-                        w.value(name);
-                    w.endArray();
-                    w.endObject();
-                }
-                w.endArray();
-                w.key("edges").beginArray();
-                for (const auto &e : edges) {
-                    w.beginObject();
-                    w.field("src", static_cast<std::uint64_t>(e.src));
-                    w.field("dst", static_cast<std::uint64_t>(e.dst));
-                    w.field("lookahead_ps", e.lookahead);
-                    w.field("connection", e.connection);
-                    w.endObject();
-                }
-                w.endArray();
-                w.endObject();
                 return body;
             });
     });

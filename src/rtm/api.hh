@@ -31,7 +31,6 @@
  *   GET  /api/v1/metrics/query?name=X       downsampled range query
  *   GET  /api/v1/metrics/stream             SSE sampling passes
  *   GET  /api/v1/hang                       hang verdict + root cause
- *   GET  /api/v1/domains                    per-domain engine state
  *   GET  /api/v1/recorder/info              flight-recorder status
  *   GET  /api/v1/recorder/range?name=X      recorded range query
  *

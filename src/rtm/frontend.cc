@@ -41,14 +41,10 @@ dashboardHtml()
   td, th { border-bottom: 1px solid #eee; padding: 2px 6px;
            text-align: left; font-size: 12px; }
   .full { color: #b22; font-weight: bold; }
-  .warn { color: #b70; font-weight: bold; }
   .bars .bar { margin: 4px 0; }
   .bar .track { display: flex; height: 14px; border-radius: 3px;
                 overflow: hidden; background: #cfd4da; }
   .bar .done { background: #3a4; } .bar .run { background: #36c; }
-  .lagbar { width: 64px; height: 7px; background: #cfd4da;
-            border-radius: 3px; overflow: hidden; }
-  .lagbar div { height: 100%; }
   footer { padding: 4px 14px; }
   svg { background: #fbfcfe; border: 1px solid #e4e7ec; }
   .hang { color: #f66; font-weight: bold; }
@@ -91,12 +87,12 @@ let selected = null;
 function get(u){ return fetch(u).then(r=>r.json()); }
 function post(u){ return fetch(u, {method:'POST'}); }
 function toggleRight(){
-  const modes = ['buffers', 'profile', 'topology', 'domains'];
+  const modes = ['buffers', 'profile', 'topology'];
   rightMode = modes[(modes.indexOf(rightMode) + 1) % modes.length];
   if (rightMode === 'profile') post('api/v1/profile/start');
   document.getElementById('rightTitle').textContent = {
     buffers: 'Buffer analyzer', profile: 'Simulator profile',
-    topology: 'Topology', domains: 'PDES domains'}[rightMode];
+    topology: 'Topology'}[rightMode];
 }
 function renderTree(node, depth, out){
   if (node.label) {
@@ -212,40 +208,6 @@ function tick(){
       document.getElementById('right').innerHTML =
           h || 'no connections registered';
     }).catch(()=>{});
-  } else if (rightMode === 'domains') {
-    get('api/v1/domains').then(d => {
-      // Lag fullness, server-driven: lag_ps is each domain's distance
-      // behind the fastest clock, so the slowest domain defines 100%
-      // and wears the same gradient a full buffer does — red at the
-      // straggler holding everyone's lookahead window, amber past
-      // halfway, plus a mini track bar ramping green to red.
-      const maxLag = Math.max(...d.domains.map(x => x.lag_ps), 1);
-      let h = `<div>mailbox fast/slow `+
-              `${d.mailbox_fast_total}/${d.mailbox_slow_total}</div>`;
-      h += '<table><tr><th>dom</th><th>clock ps</th><th>lag ps</th>'+
-           '<th>events</th><th>queue</th><th>ring</th></tr>';
-      d.domains.forEach(x => {
-        const frac = x.lag_ps / maxLag;
-        const cls = frac >= 0.99 ? 'full' : (frac >= 0.5 ? 'warn' : '');
-        const hue = Math.round(120 * (1 - frac));
-        const bar = `<div class="lagbar"><div style="width:`+
-            `${Math.round(100*frac)}%;background:hsl(${hue},70%,42%)">`+
-            `</div></div>`;
-        const rfrac = x.ring_capacity ?
-            x.ring_occupancy / x.ring_capacity : 0;
-        const rcls = rfrac >= 0.99 ? 'full' :
-                     (rfrac >= 0.5 ? 'warn' : '');
-        h += `<tr><td>${x.id}</td><td>${x.clock_ps}</td>`+
-             `<td class="${cls}">${x.lag_ps}${bar}</td>`+
-             `<td>${x.events}</td><td>${x.queue_len}</td>`+
-             `<td class="${rcls}">${x.ring_occupancy}/`+
-             `${x.ring_capacity}</td></tr>`;
-      });
-      document.getElementById('right').innerHTML = h + '</table>';
-    }).catch(()=>{
-      document.getElementById('right').innerHTML =
-          'engine is not domain-partitioned (run with --engine=domain)';
-    });
   } else {
     get('api/v1/profile?top=20').then(p => {
       let h = '<table><tr><th>function</th><th>self ms</th>'+

@@ -13,7 +13,6 @@
 #include "rtm/serialize.hh"
 #include "sim/component.hh"
 #include "sim/connection.hh"
-#include "sim/domain_engine.hh"
 #include "sim/pool.hh"
 
 namespace akita
@@ -305,87 +304,6 @@ Monitor::instrumentEngine()
         metrics_.addCallback(std::move(d), []() {
             return static_cast<double>(sim::poolStats().liveBlocks);
         });
-    }
-
-    // Domain-engine health: one labeled series per domain. Lag (how far
-    // a domain trails the furthest clock) is the load-balance signal —
-    // a permanently lagging domain is the partition's critical path.
-    if (auto *de = dynamic_cast<sim::DomainEngine *>(engine_)) {
-        const int n = de->numDomains();
-        for (int i = 0; i < n; i++) {
-            metrics::Labels labels = {{"domain", std::to_string(i)}};
-            metrics::Desc d;
-            d.name = "akita_sim_domain_clock_ps";
-            d.help = "Local virtual clock of the domain.";
-            d.type = metrics::Type::Gauge;
-            d.labels = labels;
-            metrics_.addCallback(std::move(d), [de, i]() {
-                return static_cast<double>(de->domainStatus(i).clock);
-            });
-            d = metrics::Desc{};
-            d.name = "akita_sim_domain_lag_ps";
-            d.help = "Distance behind the furthest domain clock.";
-            d.type = metrics::Type::Gauge;
-            d.labels = labels;
-            d.series = metrics::SeriesMode::Full;
-            metrics_.addCallback(std::move(d), [de, n, i]() {
-                sim::VTime maxClock = 0;
-                for (int j = 0; j < n; j++)
-                    maxClock = std::max(maxClock,
-                                        de->domainStatus(j).clock);
-                return static_cast<double>(maxClock -
-                                           de->domainStatus(i).clock);
-            });
-            d = metrics::Desc{};
-            d.name = "akita_sim_domain_events_total";
-            d.help = "Events executed by the domain's worker.";
-            d.type = metrics::Type::Counter;
-            d.labels = labels;
-            metrics_.addCallback(std::move(d), [de, i]() {
-                return static_cast<double>(de->domainStatus(i).events);
-            });
-            d = metrics::Desc{};
-            d.name = "akita_sim_domain_queue_length";
-            d.help = "Events queued for the domain (incl. mailbox).";
-            d.type = metrics::Type::Gauge;
-            d.labels = labels;
-            metrics_.addCallback(std::move(d), [de, i]() {
-                return static_cast<double>(de->domainStatus(i).queueLen);
-            });
-            d = metrics::Desc{};
-            d.name = "akita_sim_domain_ring_occupancy";
-            d.help = "Events parked in the domain's incoming SPSC "
-                     "mailbox rings (fast cross-domain path).";
-            d.type = metrics::Type::Gauge;
-            d.labels = labels;
-            metrics_.addCallback(std::move(d), [de, i]() {
-                return static_cast<double>(
-                    de->domainStatus(i).ringOccupancy);
-            });
-        }
-
-        // Fast/slow mailbox split: a growing slow share means the
-        // rings are overflowing (or traffic comes from external
-        // threads) and cross-domain hops are paying the mutex price.
-        {
-            metrics::Desc d;
-            d.name = "akita_sim_domain_mailbox_fast_total";
-            d.help = "Cross-domain events delivered via the lock-free "
-                     "SPSC ring fast path.";
-            d.type = metrics::Type::Counter;
-            metrics_.addCallback(std::move(d), [de]() {
-                return static_cast<double>(de->mailboxFastTotal());
-            });
-            d = metrics::Desc{};
-            d.name = "akita_sim_domain_mailbox_slow_total";
-            d.help = "Cross-domain events delivered via the locked "
-                     "mailbox slow path (overflow, external threads, "
-                     "spill epochs).";
-            d.type = metrics::Type::Counter;
-            metrics_.addCallback(std::move(d), [de]() {
-                return static_cast<double>(de->mailboxSlowTotal());
-            });
-        }
     }
 }
 

@@ -106,14 +106,6 @@ struct MonitorConfig
     std::string recordPath;
     /** Segment file size; bounds disk use, older records wrap away. */
     std::size_t recordSegmentBytes = 8 * 1024 * 1024;
-    /**
-     * Cache TTL floor (ms) for /api/v1/domains. Per-domain counters
-     * move continuously while the engine runs, and some (horizons,
-     * ring occupancy, the drain-time clock sync) move without the
-     * event count — the endpoint folds wall time at this cadence (like
-     * /api/v1/hang) so the view never goes stale.
-     */
-    std::uint64_t domainsTtlFloorMs = 100;
 };
 
 /**

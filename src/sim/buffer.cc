@@ -8,7 +8,8 @@ namespace sim
 {
 
 Buffer::Buffer(std::string name, std::size_t capacity)
-    : name_(std::move(name)), capacity_(capacity == 0 ? 1 : capacity)
+    : name_(std::move(name)), capacity_(capacity == 0 ? 1 : capacity),
+      slots_(std::make_unique<MsgPtr[]>(capacity_))
 {
     declareField("size", [this]() {
         return introspect::Value::ofInt(static_cast<std::int64_t>(size()));
@@ -28,42 +29,38 @@ Buffer::Buffer(std::string name, std::size_t capacity)
 }
 
 void
-Buffer::push(MsgPtr msg)
+Buffer::overflow() const
 {
-    if (q_.size() >= capacity_) {
-        throw std::runtime_error("buffer overflow on " + name_ +
-                                 ": push on a full buffer");
-    }
-    q_.push_back(std::move(msg));
-    totalPushed_.incOwned();
-    occupancy_.set(static_cast<double>(q_.size()));
-    if (q_.size() > peakSize_)
-        peakSize_ = q_.size();
+    throw std::runtime_error("buffer overflow on " + name_ +
+                             ": push on a full buffer");
 }
 
 MsgPtr
 Buffer::popMatching(const std::function<bool(const Msg &)> &pred)
 {
-    for (auto it = q_.begin(); it != q_.end(); ++it) {
-        if (pred(**it)) {
-            MsgPtr m = std::move(*it);
-            q_.erase(it);
-            occupancy_.set(static_cast<double>(q_.size()));
-            return m;
-        }
+    for (std::size_t i = 0; i < size_; i++) {
+        if (!pred(*slots_[slot(i)]))
+            continue;
+        MsgPtr m = std::move(slots_[slot(i)]);
+        // Close the gap: the younger messages each move up one slot,
+        // so the rest stay in FIFO order.
+        for (std::size_t j = i + 1; j < size_; j++)
+            slots_[slot(j - 1)] = std::move(slots_[slot(j)]);
+        size_--;
+        occupancy_.set(static_cast<double>(size_));
+        return m;
     }
     return nullptr;
 }
 
-MsgPtr
-Buffer::pop()
+void
+Buffer::clear()
 {
-    if (q_.empty())
-        return nullptr;
-    MsgPtr m = std::move(q_.front());
-    q_.pop_front();
-    occupancy_.set(static_cast<double>(q_.size()));
-    return m;
+    for (std::size_t i = 0; i < size_; i++)
+        slots_[slot(i)] = nullptr;
+    head_ = 0;
+    size_ = 0;
+    occupancy_.set(0);
 }
 
 } // namespace sim

@@ -11,8 +11,8 @@
 #ifndef AKITA_SIM_BUFFER_HH
 #define AKITA_SIM_BUFFER_HH
 
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "introspect/field.hh"
@@ -31,14 +31,13 @@ namespace sim
  * canPush first); this is what forces explicit backpressure handling in
  * components.
  *
- * Single-owner, unsynchronized: only the owning component's worker
- * touches a buffer. A port buffer is pushed by Port::deliver, which
- * runs on the destination's domain (delivery events route by
- * destination port), and popped by its owner. Monitor threads read it
- * under Engine::withLock, which stops every worker at an event
- * boundary; approxSize() is the one lock-free reader. Cross-domain
- * senders never read a buffer: they claim a slot on the port
- * (Port::claimSlot).
+ * A fixed ring of `capacity` slots, allocated once at construction:
+ * push and pop move one pointer and never allocate.
+ *
+ * Single-owner, unsynchronized: only the simulation thread touches a
+ * buffer. Monitor threads read it under Engine::withLock, which stops
+ * the simulation at an event boundary; approxSize() is the one
+ * lock-free reader.
  */
 class Buffer : public introspect::Inspectable
 {
@@ -52,39 +51,59 @@ class Buffer : public introspect::Inspectable
     const std::string &name() const { return name_; }
     std::size_t capacity() const { return capacity_; }
 
-    std::size_t size() const { return q_.size(); }
+    std::size_t size() const { return size_; }
 
-    bool empty() const { return q_.empty(); }
+    bool empty() const { return size_ == 0; }
 
-    bool full() const { return q_.size() >= capacity_; }
+    bool full() const { return size_ >= capacity_; }
 
     /** Occupancy in [0,1]. */
     double
     fullness() const
     {
-        return static_cast<double>(q_.size()) /
-               static_cast<double>(capacity_);
+        return static_cast<double>(size_) / static_cast<double>(capacity_);
     }
 
     /** True when at least one more message fits. */
-    bool canPush() const { return q_.size() < capacity_; }
+    bool canPush() const { return size_ < capacity_; }
 
     /**
      * Appends a message.
      *
      * @throws std::runtime_error when full (backpressure violation).
      */
-    void push(MsgPtr msg);
+    void
+    push(MsgPtr msg)
+    {
+        if (size_ >= capacity_)
+            overflow();
+        slots_[slot(size_)] = std::move(msg);
+        size_++;
+        totalPushed_.incOwned();
+        occupancy_.set(static_cast<double>(size_));
+        if (size_ > peakSize_)
+            peakSize_ = size_;
+    }
 
     /**
      * The oldest message without removing it; a null pointer when
      * empty. Borrowed: the reference dies with the next pop, so a
      * caller that keeps the message copies it.
      */
-    const MsgPtr &peek() const { return q_.empty() ? kNoMsg : q_.front(); }
+    const MsgPtr &peek() const { return size_ == 0 ? kNoMsg : slots_[head_]; }
 
     /** Removes and returns the oldest message; nullptr when empty. */
-    MsgPtr pop();
+    MsgPtr
+    pop()
+    {
+        if (size_ == 0)
+            return nullptr;
+        MsgPtr m = std::move(slots_[head_]);
+        head_ = slot(1);
+        size_--;
+        occupancy_.set(static_cast<double>(size_));
+        return m;
+    }
 
     /**
      * Removes and returns the oldest message satisfying @p pred;
@@ -94,12 +113,7 @@ class Buffer : public introspect::Inspectable
     MsgPtr popMatching(const std::function<bool(const Msg &)> &pred);
 
     /** Removes all messages. */
-    void
-    clear()
-    {
-        q_.clear();
-        occupancy_.set(0);
-    }
+    void clear();
 
     /** Total number of messages ever pushed. */
     std::uint64_t totalPushed() const { return totalPushed_.value(); }
@@ -118,12 +132,26 @@ class Buffer : public introspect::Inspectable
     std::size_t peakSize() const { return peakSize_; }
 
   private:
+    /** Throws the push-on-full error. */
+    [[noreturn]] void overflow() const;
+
     /** What peek() returns when the buffer is empty. */
     static inline const MsgPtr kNoMsg{};
 
+    /** Slot @p i places after the head (i < capacity). */
+    std::size_t
+    slot(std::size_t i) const
+    {
+        std::size_t s = head_ + i;
+        return s >= capacity_ ? s - capacity_ : s;
+    }
+
     std::string name_;
     std::size_t capacity_;
-    std::deque<MsgPtr> q_;
+    std::unique_ptr<MsgPtr[]> slots_;
+    /** Slot of the oldest message. */
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
     metrics::Counter totalPushed_;
     metrics::Gauge occupancy_;
     std::size_t peakSize_ = 0;

@@ -10,12 +10,6 @@ namespace sim
 Component::Component(Engine *engine, std::string name)
     : engine_(engine), name_(std::move(name))
 {
-    engine_->noteComponent(this);
-}
-
-Component::~Component()
-{
-    engine_->noteComponentDestroyed(this);
 }
 
 Port *
@@ -91,12 +85,10 @@ TickingComponent::arm(VTime t)
     // earlier tick may find nothing to do and sleep without re-arming
     // (e.g. a wake lands between handle() clearing the slot and tick()
     // arming its service deadline — the deadline event would never
-    // exist and the component freezes). The plain load first lets a
-    // duplicate arm skip the locked exchange, which would only have
-    // stored the value already there.
-    if (tickAt_.load(std::memory_order_relaxed) == target ||
-        tickAt_.exchange(target, std::memory_order_relaxed) == target)
+    // exist and the component freezes).
+    if (tickAt_.load(std::memory_order_relaxed) == target)
         return;
+    tickAt_.store(target, std::memory_order_relaxed);
     engine()->schedule(std::make_unique<Event>(target, this));
 }
 
@@ -104,13 +96,9 @@ void
 TickingComponent::handle(Event &)
 {
     VTime now = engine()->now();
-    // Fall asleep unless a later tick is armed; a failed CAS reloads
-    // the slot a concurrent wake just wrote and re-tests it.
-    VTime armed = tickAt_.load(std::memory_order_relaxed);
-    while (now >= armed &&
-           !tickAt_.compare_exchange_weak(armed, kNoTick,
-                                          std::memory_order_relaxed)) {
-    }
+    // Fall asleep unless a later tick is armed.
+    if (now >= tickAt_.load(std::memory_order_relaxed))
+        tickAt_.store(kNoTick, std::memory_order_relaxed);
     if (everTicked_ && lastTickAt_ == now)
         return; // Duplicate event in the same cycle: already ticked.
     lastTickAt_ = now;

@@ -56,8 +56,6 @@ class Component : public introspect::Inspectable
      */
     Component(Engine *engine, std::string name);
 
-    ~Component() override;
-
     Component(const Component &) = delete;
     Component &operator=(const Component &) = delete;
 
@@ -217,10 +215,9 @@ class TickingComponent : public Component, public EventHandler
     NameRef tickName_;
     /**
      * Time of the most recently armed tick event, kNoTick while
-     * asleep. The one piece of component state other threads write:
-     * under the domain engine, wake() arrives from other domains'
-     * workers (and from monitor threads) while this component's own
-     * tick handler runs.
+     * asleep. Written by the simulation thread (or a monitor thread
+     * under Engine::withLock) with a load plus store; atomic only so
+     * asleep() may be read without the lock.
      */
     std::atomic<VTime> tickAt_{kNoTick};
     /** Cycle of the most recent executed tick (handler-only). */
@@ -228,8 +225,8 @@ class TickingComponent : public Component, public EventHandler
     bool everTicked_ = false;
     /**
      * Something changed since the last body ran: a delivery, a wake()
-     * or a tick the component armed itself. Written by the owning
-     * domain only (or under the engine lock, by the monitor).
+     * or a tick the component armed itself. Written by the simulation
+     * thread only (or under the engine lock, by the monitor).
      */
     bool mustRun_ = true;
     /** Ports that refused a send since the last body started, each

@@ -12,12 +12,6 @@ DirectConnection::DirectConnection(Engine *engine, std::string name,
     : engine_(engine), name_(std::move(name)), latency_(latency),
       deliverName_(name_ + "::deliver")
 {
-    engine_->noteConnection(this);
-}
-
-DirectConnection::~DirectConnection()
-{
-    engine_->noteConnectionDestroyed(this);
 }
 
 void
@@ -53,8 +47,7 @@ DirectConnection::send(Msg *msg)
 void
 DirectConnection::handle(Event &event)
 {
-    // Only DeliverEvents are ever scheduled with this handler; they run
-    // on the destination's domain, which owns its buffer.
+    // Only DeliverEvents are ever scheduled with this handler.
     auto &de = static_cast<DeliverEvent &>(event);
     Port *dst = de.msg->dst;
     dst->deliver(std::move(de.msg));

@@ -39,8 +39,6 @@ class DeliverEvent : public Event
     {
     }
 
-    Port *deliveryDst() const override { return msg ? msg->dst : nullptr; }
-
     MsgPtr msg;
 };
 
@@ -68,15 +66,6 @@ class Connection
      *         cannot accept the message now.
      */
     virtual SendStatus send(Msg *msg) = 0;
-
-    /**
-     * Lower bound on the delivery latency of any message this
-     * connection carries — the lookahead the domain engine may exploit
-     * when the connection crosses a domain boundary. The conservative
-     * default (0) forces the partitioner to keep all attached
-     * components in one domain.
-     */
-    virtual VTime minLatency() const { return 0; }
 
     /** One sender currently blocked on a full destination port. */
     struct BlockedSender
@@ -111,9 +100,7 @@ class Connection
  * messages never overflow the destination: when no slot remains, send
  * returns Busy and the sending component is woken once one frees.
  *
- * Stateless beyond its wiring, so it needs no lock: the claim is the
- * only state a send shares with the destination's domain, and the
- * delivery event runs on that domain.
+ * Stateless beyond its wiring, so it needs no lock.
  */
 class DirectConnection : public Connection, public EventHandler
 {
@@ -123,8 +110,6 @@ class DirectConnection : public Connection, public EventHandler
      *        (still through the event queue, preserving order).
      */
     DirectConnection(Engine *engine, std::string name, VTime latency);
-    ~DirectConnection() override;
-
     const std::string &name() const { return name_; }
 
     const std::string &connectionName() const override { return name_; }
@@ -136,8 +121,6 @@ class DirectConnection : public Connection, public EventHandler
 
     void plugIn(Port *port) override;
     SendStatus send(Msg *msg) override;
-
-    VTime minLatency() const override { return latency_; }
 
     /** Delivery: the engine hands back the DeliverEvents send() queued. */
     void handle(Event &event) override;

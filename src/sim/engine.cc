@@ -94,11 +94,12 @@ SerialEngine::schedule(EventPtr event)
                 std::to_string(event->time()) +
                 ", now=" + std::to_string(now()) + ")");
         }
+        // Throws on the reserved time ~0 before counting the event.
+        queue_.push(std::move(event));
         // One writer at a time (the run lock): see executeEvent().
         totalScheduled_.store(
             totalScheduled_.load(std::memory_order_relaxed) + 1,
             std::memory_order_relaxed);
-        queue_.push(std::move(event));
     };
     if (external()) {
         // The past-check must run under the lock: a cross-thread
@@ -174,11 +175,9 @@ SerialEngine::executeEvent(Event &event)
         event.handler()->handle(event);
     }
     invokeHook(hookPosAfterEvent, &event);
-    // Single-writer counter (only the sim thread executes events in
-    // the serial engine): a load+store pair compiles to plain MOVs,
-    // unlike fetch_add's lock-prefixed RMW, and stays readable from
-    // monitor threads. The domain engine's workers share their counter
-    // and settle it with a real RMW once per batch instead.
+    // Single-writer counter (only the sim thread executes events): a
+    // load+store pair compiles to plain MOVs, unlike fetch_add's
+    // lock-prefixed RMW, and stays readable from monitor threads.
     totalEvents_.store(
         totalEvents_.load(std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);

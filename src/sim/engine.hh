@@ -22,9 +22,6 @@ namespace akita
 namespace sim
 {
 
-class Component;
-class Connection;
-
 /** Why Engine::run returned. */
 enum class RunResult
 {
@@ -38,7 +35,7 @@ enum class RunResult
  * Abstract engine interface (mirrors Akita's Engine).
  *
  * RTM's registerEngine accepts this interface, so alternative engines
- * (e.g. the domain engine) reuse the monitor unchanged. Beyond the
+ * would reuse the monitor unchanged. Beyond the
  * core schedule/run surface, the interface carries the *monitor
  * contract*: concurrent-access mode, pause/resume, wait-when-empty,
  * drained-waiting (the hang signature), and withLock — the consistent
@@ -126,28 +123,6 @@ class Engine : public Hookable, public introspect::Inspectable
      * thread. May be called from event handlers.
      */
     virtual void withLock(const std::function<void()> &fn) const = 0;
-
-    // ---- Topology notes ----
-    //
-    // Components and connections announce themselves to the engine at
-    // construction (and retract at destruction). Engines that partition
-    // the simulation graph — the domain engine derives its domains and
-    // lookahead windows from exactly this information — override these;
-    // the serial engine ignores them. Called with the object
-    // under construction: implementations must only record the pointer,
-    // never call virtuals on it.
-
-    /** A component was constructed against this engine. */
-    virtual void noteComponent(Component *) {}
-
-    /** A component registered via noteComponent is being destroyed. */
-    virtual void noteComponentDestroyed(Component *) {}
-
-    /** A connection was constructed against this engine. */
-    virtual void noteConnection(Connection *) {}
-
-    /** A connection registered via noteConnection is being destroyed. */
-    virtual void noteConnectionDestroyed(Connection *) {}
 
     /**
      * Observes cold lifecycle transitions: "run_start", "run_end",

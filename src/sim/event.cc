@@ -1,50 +1,53 @@
 #include "sim/event.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace akita
 {
 namespace sim
 {
 
+EventQueue::Bucket *
+EventQueue::bucketAt(VTime t)
+{
+    if (t == kReservedTime) {
+        throw std::runtime_error("cannot schedule event at t=" +
+                                 std::to_string(t) +
+                                 " (reserved time)");
+    }
+    Bucket *&b = buckets_[t];
+    if (b == nullptr) {
+        if (spare_.empty()) {
+            pool_.push_back(std::make_unique<Bucket>());
+            b = pool_.back().get();
+        } else {
+            b = spare_.back();
+            spare_.pop_back();
+        }
+        // Invariant: the heap holds every timestamp in the map once.
+        timesHeap_.push_back(t);
+        std::push_heap(timesHeap_.begin(), timesHeap_.end(),
+                       std::greater<VTime>());
+    }
+    return b;
+}
+
 void
 EventQueue::push(EventPtr event)
 {
     VTime t = event->time();
     if (last_ == nullptr || lastTime_ != t) {
-        auto it = buckets_.find(t);
-        if (it == buckets_.end()) {
-            if (!spareNodes_.empty()) {
-                // Reuse a drained node: the rehash-free insert keeps
-                // the bucket's vector capacity from its previous life.
-                auto nh = std::move(spareNodes_.back());
-                spareNodes_.pop_back();
-                nh.key() = t;
-                it = buckets_.insert(std::move(nh)).position;
-            } else {
-                it = buckets_.try_emplace(t).first;
-            }
-        }
-        last_ = &it->second;
+        last_ = bucketAt(t);
         lastTime_ = t;
     }
     // A push ahead of the cached front becomes the new front.
     if (front_ != nullptr && t < frontTime_)
         front_ = nullptr;
-    Bucket &b = *last_;
-    bool wasLive = b.live();
     if (event->isSecondary())
-        b.secondary.push_back(std::move(event));
+        last_->secondary.push_back(std::move(event));
     else
-        b.primary.push_back(std::move(event));
-    if (!wasLive) {
-        // Invariant: the heap holds every live timestamp at least once.
-        // Re-pushing a timestamp whose stale entry is still queued only
-        // creates a harmless duplicate that pruning discards later.
-        timesHeap_.push_back(t);
-        std::push_heap(timesHeap_.begin(), timesHeap_.end(),
-                       std::greater<VTime>());
-    }
+        last_->primary.push_back(std::move(event));
     size_++;
 }
 
@@ -56,28 +59,20 @@ EventQueue::frontBucket() const
     front_ = nullptr;
     while (!timesHeap_.empty()) {
         VTime t = timesHeap_.front();
-        auto it = buckets_.find(t);
-        if (it != buckets_.end() && it->second.live()) {
-            front_ = &it->second;
+        Bucket *b = *buckets_.find(t);
+        if (b->live()) {
+            front_ = b;
             frontTime_ = t;
             return front_;
         }
         std::pop_heap(timesHeap_.begin(), timesHeap_.end(),
                       std::greater<VTime>());
         timesHeap_.pop_back();
-        if (it != buckets_.end() && !it->second.live()) {
-            if (last_ == &it->second)
-                last_ = nullptr;
-            auto nh = buckets_.extract(it);
-            if (spareNodes_.size() < kMaxSpareNodes) {
-                Bucket &b = nh.mapped();
-                b.primary.clear();
-                b.secondary.clear();
-                b.primaryHead = 0;
-                b.secondaryHead = 0;
-                spareNodes_.push_back(std::move(nh));
-            }
-        }
+        buckets_.erase(t);
+        if (last_ == b)
+            last_ = nullptr;
+        // pop() already emptied the drained vectors.
+        spare_.push_back(b);
     }
     return nullptr;
 }

@@ -11,10 +11,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/idmap.hh"
 #include "sim/name.hh"
 #include "sim/pool.hh"
 #include "sim/time.hh"
@@ -25,8 +25,6 @@ namespace sim
 {
 
 class Event;
-class Port;
-class DomainEngine;
 
 /** Receiver of scheduled events. */
 class EventHandler
@@ -85,23 +83,7 @@ class Event
     EventHandler *handler() const { return handler_; }
     bool isSecondary() const { return secondary_; }
 
-    /**
-     * Destination port for message-delivery events (DeliverEvent
-     * overrides), nullptr otherwise. The domain engine routes delivery
-     * events to the domain owning the destination component without
-     * needing RTTI on the hot path.
-     */
-    virtual Port *deliveryDst() const { return nullptr; }
-
   private:
-    /**
-     * The domain engine floors cross-domain wake/tick events up to the
-     * destination domain's published horizon (see domain_engine.hh); no
-     * one else may rewrite an event's time.
-     */
-    friend class DomainEngine;
-    void setTime(VTime t) { time_ = t; }
-
     VTime time_;
     EventHandler *handler_;
     bool secondary_;
@@ -149,31 +131,40 @@ class FuncEvent : public Event, public EventHandler
 /**
  * Time-ordered queue of events: (time, primary-before-secondary, FIFO).
  *
- * Two-level structure replacing the former single binary heap. Events
- * land in per-timestamp buckets (append-only vectors, one for each
- * phase), and a small min-heap orders only the *distinct* live
- * timestamps. Pushing costs one hash lookup and a vector append —
- * co-timed events (the common case in cycle-aligned simulations) never
- * pay a per-event heap sift.
+ * Two-level structure. Events land in per-timestamp buckets
+ * (append-only vectors, one for each phase), and a small min-heap
+ * orders only the *distinct* timestamps, one entry each. Pushing costs
+ * one IdMap lookup (a multiply and a shift, no division) and a vector
+ * append — co-timed events (the common case in cycle-aligned
+ * simulations) never pay a per-event heap sift.
  *
- * Drained buckets are recycled: the map node and the vectors' capacity
- * survive in a small spare list instead of being freed, so a
- * steady-state simulation (e.g. an event chain marching one timestamp
- * at a time) allocates nothing per timestamp.
+ * Buckets live in a stable pool: the map holds pointers, so a bucket
+ * never moves, and a drained bucket returns to a spare list with its
+ * vectors' capacity, so a steady-state simulation (e.g. an event chain
+ * marching one timestamp at a time) allocates nothing per timestamp.
  *
- * The front bucket and the last-pushed bucket are cached (map nodes
- * never move), so a cycle-aligned simulation — pop the front, push
- * the next cycle's ticks — hashes once per timestamp, not twice per
- * event. Both caches drop a bucket when its node is extracted.
+ * The front bucket and the last-pushed bucket are cached, so a
+ * cycle-aligned simulation — pop the front, push the next cycle's
+ * ticks — looks up once per timestamp, not twice per event. Both
+ * caches drop a bucket when it returns to the pool.
  *
- * Not internally synchronized: engines serialize access (the serial
- * engine with its run lock, the domain engine by giving each domain's
- * queue to its one worker).
+ * Time ~0 is reserved (the map's empty key); push throws on it.
+ *
+ * Not internally synchronized: the serial engine serializes access
+ * with its run lock.
  */
 class EventQueue
 {
   public:
-    /** Inserts an event. */
+    /** The one time no event may carry. */
+    static constexpr VTime kReservedTime = IdMap<void *>::kEmptyKey;
+
+    /**
+     * Inserts an event.
+     *
+     * @throws std::runtime_error when the event's time is
+     *         kReservedTime.
+     */
     void push(EventPtr event);
 
     /**
@@ -209,29 +200,33 @@ class EventQueue
         bool live() const { return livePrimary() || liveSecondary(); }
     };
 
-    using BucketMap = std::unordered_map<VTime, Bucket>;
+    /** The bucket of time @p t, taken from the pool if it is new. */
+    Bucket *bucketAt(VTime t);
 
     /**
-     * Bucket of the earliest live time, pruning drained heap entries;
-     * nullptr when the queue is empty.
+     * Bucket of the earliest live time, returning drained buckets to
+     * the pool; nullptr when the queue is empty.
      */
     Bucket *frontBucket() const;
 
-    /** Caps the spare-node list (and the vector capacity it pins). */
-    static constexpr std::size_t kMaxSpareNodes = 64;
-
     // Mutable: peekTime() lazily prunes drained timestamps.
-    mutable BucketMap buckets_;
+    /** Time -> bucket for every timestamp in timesHeap_. */
+    mutable IdMap<Bucket *> buckets_;
+    /** Owns every bucket ever made; addresses never change. */
+    std::vector<std::unique_ptr<Bucket>> pool_;
+    /** Drained buckets ready for reuse (capacity preserved). */
+    mutable std::vector<Bucket *> spare_;
     /** Earliest live bucket, or nullptr to recompute from the heap. */
     mutable Bucket *front_ = nullptr;
     mutable VTime frontTime_ = 0;
-    /** Bucket of the most recent push (nullptr once extracted). */
+    /** Bucket of the most recent push (nullptr once recycled). */
     mutable Bucket *last_ = nullptr;
     VTime lastTime_ = 0;
-    /** Min-heap (std::greater) of live timestamps; may hold stale dups. */
+    /**
+     * Min-heap (std::greater) of the timestamps in buckets_, each once;
+     * an entry stays until its bucket has drained and reaches the top.
+     */
     mutable std::vector<VTime> timesHeap_;
-    /** Drained map nodes kept for reuse (capacity preserved). */
-    mutable std::vector<BucketMap::node_type> spareNodes_;
     std::size_t size_ = 0;
 };
 

@@ -5,11 +5,11 @@
  * Hot-path memory model (DESIGN.md §10): messages are pooled,
  * intrusively refcounted, and tagged. Every `new` of a Msg subclass is
  * served by the per-thread slab pool; `MsgPtr` is an intrusive pointer
- * whose copy is a relaxed increment (no shared_ptr control block, no
- * separate allocation); and downcasts go through a `MsgKind` tag compare
- * instead of RTTI `dynamic_pointer_cast`. Reads borrow (`peek` returns
- * a reference, `msgCast` a raw pointer); only keeping a message and
- * sending it take a reference.
+ * whose copy is a plain increment (no shared_ptr control block, no
+ * separate allocation, no atomic); and downcasts go through a `MsgKind`
+ * tag compare instead of RTTI `dynamic_pointer_cast`. Reads borrow
+ * (`peek` returns a reference, `msgCast` a raw pointer); only keeping a
+ * message and sending it take a reference.
  */
 
 #ifndef AKITA_SIM_MSG_HH
@@ -96,18 +96,15 @@ class Msg
 
     // Intrusive refcount, managed by IntrusivePtr. Public methods so
     // the pointer template needs no friendship into every subclass.
-    void
-    retain() const
-    {
-        refs_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // A plain counter: a message belongs to one simulation, and only
+    // its simulation thread takes or drops references (monitor threads
+    // borrow under Engine::withLock and never copy a MsgPtr).
+    void retain() const { refs_++; }
 
     void
     release() const
     {
-        // acq_rel: the last release must observe every other thread's
-        // final writes to the message before the destructor runs.
-        if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (--refs_ == 0)
             delete this;
     }
 
@@ -153,7 +150,7 @@ class Msg
     }
 
     static std::atomic<std::uint64_t> nextId_;
-    mutable std::atomic<std::uint32_t> refs_{0};
+    mutable std::uint32_t refs_ = 0;
     std::uint64_t id_;
     MsgKind kindTag_ = MsgKind::Generic;
 };
@@ -161,11 +158,10 @@ class Msg
 /**
  * Intrusive refcounted pointer to a Msg subclass.
  *
- * Copying costs one relaxed atomic increment against the count embedded
- * in the message itself — no control block, no second allocation, no
+ * Copying costs one plain increment of the count embedded in the
+ * message itself — no control block, no second allocation, no
  * weak-count bookkeeping (the simulation never needs weak references).
- * The last destruction (acq_rel decrement) deletes the message back to
- * the pool.
+ * The last destruction deletes the message back to the pool.
  */
 template <typename T>
 class IntrusivePtr

@@ -12,10 +12,10 @@
  *  - Allocation is a thread-local freelist pop (or bump-pointer carve on
  *    a cold path); no lock, no atomic RMW.
  *  - A free from the owning thread is a freelist push.
- *  - A free from *another* thread (a domain-engine worker executing an
- *    event another domain's worker allocated, or a message dropping its
- *    last reference on a different worker) pushes the block onto the
- *    owner's lock-free return stack (Treiber stack, release push /
+ *  - A free from *another* thread (an event a monitor thread scheduled
+ *    and the simulation thread executed, or a test that builds
+ *    messages on one thread and runs the engine on another) pushes the
+ *    block onto the owner's lock-free return stack (Treiber stack, release push /
  *    acquire drain-all), which the owner drains when a freelist runs
  *    empty. Draining pops the whole stack at once, so there is no ABA
  *    window.

@@ -36,8 +36,6 @@ Port::send(Msg *msg)
     // sender when they re-peek it.
     Port *prevSrc = msg->src;
     msg->src = this;
-    // Read before the send: once delivery is scheduled, another
-    // domain's worker may own the message.
     const std::uint64_t bytes = msg->trafficBytes;
     SendStatus st = conn_->send(msg);
     if (st == SendStatus::Ok) {
@@ -52,76 +50,29 @@ Port::send(Msg *msg)
     return st;
 }
 
-bool
-Port::claimSlot(Component *sender)
+void
+Port::addWaiterSlow(Component *sender)
 {
-    const std::size_t cap = buf_.capacity();
-    std::size_t c = claimed_.load(std::memory_order_relaxed);
-    for (;;) {
-        if (c < cap) {
-            if (claimed_.compare_exchange_weak(c, c + 1))
-                return true;
-            continue;
-        }
-        if (sender == nullptr || waitForSlot(sender))
-            return false;
-        c = claimed_.load(std::memory_order_relaxed);
-    }
-}
-
-bool
-Port::waitForSlot(Component *sender)
-{
-    const std::size_t cap = buf_.capacity();
-    if (claimed_.load(std::memory_order_relaxed) < cap)
-        return false;
-    if (lastWaiter_.load(std::memory_order_relaxed) == sender)
-        return true;
-    {
-        std::lock_guard<std::mutex> lk(waitMu_);
-        lastWaiter_.store(sender, std::memory_order_relaxed);
-        if (std::find(waiters_.begin(), waiters_.end(), sender) !=
-            waiters_.end())
-            return true;
+    lastWaiter_ = sender;
+    if (std::find(waiters_.begin(), waiters_.end(), sender) ==
+        waiters_.end())
         waiters_.push_back(sender);
-        hasWaiters_.store(true);
-    }
-    // Pairs with releaseSlot(): both sides are seq_cst, so either that
-    // pop sees hasWaiters_ and wakes us, or this re-read sees the slot
-    // it freed.
-    return claimed_.load() >= cap;
 }
 
 void
-Port::releaseSlot()
+Port::wakeWaiters()
 {
-    claimed_.fetch_sub(1);
-    if (!hasWaiters_.load())
-        return;
     // Take waking_ for the duration: a wake that re-enters here (a
     // component retrieving from its own port inside wake()) then finds
     // it empty instead of mutating the list being walked.
     std::vector<Component *> toWake;
     toWake.swap(waking_);
-    {
-        std::lock_guard<std::mutex> lk(waitMu_);
-        toWake.swap(waiters_);
-        lastWaiter_.store(nullptr, std::memory_order_relaxed);
-        hasWaiters_.store(false, std::memory_order_relaxed);
-    }
-    // Wake outside the lock: a woken sender in this domain may tick
-    // and retry right away.
+    toWake.swap(waiters_);
+    lastWaiter_ = nullptr;
     for (Component *c : toWake)
         c->slotFreed();
     toWake.clear();
     waking_.swap(toWake);
-}
-
-std::vector<Component *>
-Port::blockedSenders() const
-{
-    std::lock_guard<std::mutex> lk(waitMu_);
-    return waiters_;
 }
 
 MsgPtr

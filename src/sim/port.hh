@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,10 +40,11 @@ enum class SendStatus
  * visible to the bottleneck analyzer (the Go original discovers it via
  * reflection; here the component base class enumerates its ports).
  *
- * The buffer belongs to the owner's worker alone. The two pieces of
- * port state a sender in another domain may touch are the slot claim
- * (an atomic count of buffered plus in-flight messages) and the list
- * of senders waiting for a slot.
+ * Single-owner: only the simulation thread touches a port, or a
+ * monitor thread under Engine::withLock. The slot claim and the
+ * traffic counters are relaxed atomics written by load plus store, so
+ * monitor threads may read them without the lock; nothing on the
+ * send path takes a lock or a locked read-modify-write.
  */
 class Port : public Hookable
 {
@@ -121,29 +121,45 @@ class Port : public Hookable
 
     /**
      * Claims one incoming-buffer slot for a message about to be sent
-     * here; connections call it from the sender's worker. The slot
-     * stays claimed while the message is in flight and buffered, and
-     * retrieveIncoming*() releases it, so claimed() never exceeds the
-     * capacity and a delivery can never overflow the buffer.
+     * here; connections call it on send. The slot stays claimed while
+     * the message is in flight and buffered, and retrieveIncoming*()
+     * releases it, so claimed() never exceeds the capacity and a
+     * delivery can never overflow the buffer.
      *
      * On failure @p sender (when non-null) is registered for a wake
-     * once a slot frees. Registering re-checks the claim, so a slot
-     * freed concurrently by another domain is either taken here or
-     * wakes the sender: no wake is lost.
+     * once a slot frees.
      *
      * @return True when a slot was claimed.
      */
-    bool claimSlot(Component *sender);
+    bool
+    claimSlot(Component *sender)
+    {
+        const std::size_t c = claimed_.load(std::memory_order_relaxed);
+        if (c < buf_.capacity()) {
+            claimed_.store(c + 1, std::memory_order_relaxed);
+            return true;
+        }
+        if (sender != nullptr)
+            addWaiter(sender);
+        return false;
+    }
 
     /**
      * Registers @p sender for a wake once a slot frees, without
      * claiming one: TickingComponent's skipped tick re-registers this
-     * way. Re-checks the claim after registering, like claimSlot().
+     * way.
      *
      * @return True when the port is full and @p sender is registered;
      *         false when a slot is free.
      */
-    bool waitForSlot(Component *sender);
+    bool
+    waitForSlot(Component *sender)
+    {
+        if (claimed_.load(std::memory_order_relaxed) < buf_.capacity())
+            return false;
+        addWaiter(sender);
+        return true;
+    }
 
     /** Buffered plus in-flight messages addressed to this port. */
     std::size_t
@@ -153,7 +169,10 @@ class Port : public Hookable
     }
 
     /** Senders waiting for a free slot, in registration order. */
-    std::vector<Component *> blockedSenders() const;
+    const std::vector<Component *> &blockedSenders() const
+    {
+        return waiters_;
+    }
 
     /**
      * Traffic counters. Backed by relaxed atomics so monitor threads
@@ -173,10 +192,29 @@ class Port : public Hookable
     std::uint64_t totalReceived() const { return totalReceived_.value(); }
 
   private:
-    friend class DomainEngine;
+    /** Lists @p sender (once) for a wake when a slot frees. */
+    void
+    addWaiter(Component *sender)
+    {
+        // A sender retrying a full port is usually the one listed last.
+        if (lastWaiter_ == sender)
+            return;
+        addWaiterSlow(sender);
+    }
+
+    void addWaiterSlow(Component *sender);
 
     /** Frees the slot of a retrieved message and wakes the waiters. */
-    void releaseSlot();
+    void
+    releaseSlot()
+    {
+        claimed_.store(claimed_.load(std::memory_order_relaxed) - 1,
+                       std::memory_order_relaxed);
+        if (!waiters_.empty())
+            wakeWaiters();
+    }
+
+    void wakeWaiters();
 
     Component *owner_;
     std::string name_;
@@ -190,11 +228,6 @@ class Port : public Hookable
     /** Buffered plus in-flight messages (see claimSlot). */
     std::atomic<std::size_t> claimed_{0};
     /**
-     * Guards waiters_. Taken only to register a new waiter and to
-     * drain the list; hasWaiters_ lets a pop skip it otherwise.
-     */
-    mutable std::mutex waitMu_;
-    /**
      * Senders to wake when a slot frees. Insertion-ordered (not a set):
      * wake order must be deterministic.
      */
@@ -205,23 +238,11 @@ class Port : public Hookable
      * allocates nothing once the two have grown.
      */
     std::vector<Component *> waking_;
-    std::atomic<bool> hasWaiters_{false};
     /**
      * The most recently registered waiter while it is still listed, so
-     * a sender retrying a full port skips the lock.
+     * a sender retrying a full port skips the list scan.
      */
-    std::atomic<Component *> lastWaiter_{nullptr};
-    /**
-     * DomainEngine routing cache: (partition epoch << 32) | domain
-     * index. Delivery events route by destination port; hashing the
-     * owning component on every cross-domain send is measurable on
-     * the hot path, so the engine memoizes the answer here, tagged
-     * with a process-unique per-partition epoch so a hint left by
-     * another engine instance never validates. Multiple
-     * workers may race to fill it with the same value — hence the
-     * relaxed atomic, not a plain field.
-     */
-    mutable std::atomic<std::uint64_t> routeHint_{0};
+    Component *lastWaiter_ = nullptr;
 };
 
 } // namespace sim

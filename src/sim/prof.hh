@@ -16,9 +16,9 @@
  *
  * Collection is per-thread: each thread aggregates into its own table
  * (guarded by an uncontended per-thread mutex), and snapshot() merges
- * the tables. This keeps the hot path contention-free under the
- * domain engine, where event handlers profile concurrently from many
- * workers.
+ * the tables. This keeps the hot path contention-free when several
+ * simulations (a fleet behind one gateway) profile concurrently from
+ * their own threads.
  *
  * When disabled (the default), entering a scope costs a single relaxed
  * atomic load, so unmonitored simulations pay essentially nothing.

@@ -9,8 +9,6 @@
 #include "sim/buffer.hh"
 #include "sim/component.hh"
 #include "sim/connection.hh"
-#include "sim/domain.hh"
-#include "sim/domain_engine.hh"
 #include "sim/engine.hh"
 #include "sim/event.hh"
 #include "sim/hook.hh"

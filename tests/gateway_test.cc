@@ -120,7 +120,6 @@ quietFleet(std::size_t n)
     rtm::FleetConfig f;
     f.numSims = n;
     f.platform = gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    gpu::applyEngineEnv(f.platform); // AKITA_ENGINE (CI TSan job).
     f.monitor.announceUrl = false;
     f.monitor.sampleIntervalMs = 10;
     f.gateway.announceUrl = false;
@@ -331,7 +330,6 @@ TEST(ParseHardening, MalformedLastEventIdMeansFullReplay)
     // sends).
     gpu::PlatformConfig pcfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    gpu::applyEngineEnv(pcfg);
     gpu::Platform plat(pcfg);
     rtm::MonitorConfig mcfg;
     mcfg.announceUrl = false;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Hang root-cause tests: the wait-for-graph analyzer on the paper's L2
- * write-buffer deadlock (case study 2), HangWatch under the domain
- * engine, and the live /api/v1/hang + /api/v1/recorder endpoints with
+ * write-buffer deadlock (case study 2), HangWatch on a full platform,
+ * and the live /api/v1/hang + /api/v1/recorder endpoints with
  * their no-stale-verdict cache behavior.
  */
 
@@ -231,19 +231,17 @@ TEST(WaitFor, ReportSerializesToJson)
 }
 
 // ---------------------------------------------------------------------
-// HangWatch + analyzer on a full platform, domain engine included
+// HangWatch + analyzer on a full platform
 // ---------------------------------------------------------------------
 
 namespace
 {
 
 gpu::PlatformConfig
-deadlockPlatformConfig(gpu::EngineKind kind)
+deadlockPlatformConfig()
 {
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    cfg.engineKind = kind;
-    cfg.domains = 2;
     cfg.legacyL2Deadlock = true;
     cfg.gpu.l2.numSets = 1;
     cfg.gpu.l2.ways = 4;
@@ -262,9 +260,8 @@ struct HangRig
     gpu::KernelDescriptor kernel;
     std::thread simThread;
 
-    explicit HangRig(gpu::EngineKind kind,
-                     const std::string &record_path = "")
-        : plat(deadlockPlatformConfig(kind)), mon(monitorConfig(record_path)),
+    explicit HangRig(const std::string &record_path = "")
+        : plat(deadlockPlatformConfig()), mon(monitorConfig(record_path)),
           kernel(makeKernel())
     {
         mon.registerEngine(&plat.engine());
@@ -325,9 +322,9 @@ struct HangRig
 
 } // namespace
 
-TEST(HangWatch, DomainEngineDeadlockAnalyzed)
+TEST(HangWatch, SerialEngineDeadlockAnalyzed)
 {
-    HangRig rig(gpu::EngineKind::Domain);
+    HangRig rig;
     rig.run();
     ASSERT_TRUE(rig.waitForHang()) << "HangWatch did not fire";
 
@@ -391,7 +388,7 @@ TEST(HangApi, EndpointNamesCycleAndRecorderServes)
     ::unlink(seg.c_str());
 
     {
-        HangRig rig(gpu::EngineKind::Serial, seg);
+        HangRig rig(seg);
         ASSERT_TRUE(rig.mon.startServer());
         rig.run();
         ASSERT_TRUE(rig.waitForHang()) << "HangWatch did not fire";

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,46 +50,6 @@ class BetaMsg : public Msg
     BetaMsg() : Msg(kKind) {}
 
     const char *kind() const override { return "Beta"; }
-};
-
-/**
- * Ticking endpoint: sends @p to_send fresh messages to its target, one
- * per tick, and drops whatever it receives.
- */
-class PingNode : public TickingComponent
-{
-  public:
-    PingNode(Engine *engine, const std::string &name, int to_send)
-        : TickingComponent(engine, name, Freq::ghz(1)), toSend_(to_send)
-    {
-        port = addPort("Port", 4);
-    }
-
-    bool
-    tick() override
-    {
-        bool progress = false;
-        if (toSend_ > 0) {
-            MsgPtr m = makeMsg<BetaMsg>();
-            m->dst = target;
-            if (port->send(m) == SendStatus::Ok) {
-                toSend_--;
-                progress = true;
-            }
-        }
-        while (port->retrieveIncoming() != nullptr) {
-            received++;
-            progress = true;
-        }
-        return progress;
-    }
-
-    Port *port = nullptr;
-    Port *target = nullptr;
-    int received = 0;
-
-  private:
-    int toSend_;
 };
 
 } // namespace
@@ -178,27 +139,27 @@ TEST(Pool, CrossThreadFreeTakesRemotePath)
         poolFree(q);
 }
 
-TEST(Pool, DomainEngineFreesCrossDomainAllocationsRemotely)
+TEST(Pool, MonitorScheduledEventsFreeRemotely)
 {
-    // A and B are pinned to different domains. A's worker allocates
-    // each message and its delivery event; B's worker executes the
-    // delivery and drops the message, so both are freed on a thread
-    // that does not own them.
+    // The external-thread handoff: this thread allocates each event
+    // from its own pool and schedules it into a running engine, and
+    // the simulation thread executes and frees it, so every event is
+    // freed on a thread that does not own it.
     PoolStats before = poolStats();
-    DomainEngine eng(2);
-    PingNode a(&eng, "A", 200), b(&eng, "B", 0);
-    DirectConnection conn(&eng, "Conn", 5 * kNanosecond);
-    conn.plugIn(a.port);
-    conn.plugIn(b.port);
-    eng.pinComponent(&a, 0);
-    eng.pinComponent(&b, 1);
-    a.target = b.port;
-    a.tickLater();
-    EXPECT_EQ(eng.run(), RunResult::Drained);
-    EXPECT_EQ(b.received, 200);
+    SerialEngine eng;
+    eng.setConcurrentAccess(true);
+    eng.setWaitWhenEmpty(true);
+    std::atomic<int> fired{0};
+    std::thread sim([&eng]() { eng.run(); });
+    for (int i = 0; i < 200; i++)
+        eng.scheduleAt(0, "remote", [&fired]() { fired++; });
+    while (fired.load() < 200)
+        std::this_thread::yield();
+    eng.stop();
+    sim.join();
     PoolStats after = poolStats();
-    EXPECT_GT(after.allocs, before.allocs);
-    EXPECT_GT(after.remoteFrees, before.remoteFrees);
+    EXPECT_GE(after.allocs, before.allocs + 200);
+    EXPECT_GE(after.remoteFrees, before.remoteFrees + 200);
 }
 
 #if defined(__SANITIZE_ADDRESS__)

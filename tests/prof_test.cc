@@ -149,8 +149,8 @@ TEST_F(ProfilerTest, WallTimeAdvances)
 
 TEST_F(ProfilerTest, MergesPerThreadTables)
 {
-    // Domain-engine workers profile concurrently into thread-local
-    // tables; a snapshot must merge every thread's calls for the same
+    // Simulations on separate threads profile concurrently into
+    // thread-local tables; a snapshot must merge every thread's calls for the same
     // name into one entry.
     constexpr int kThreads = 4;
     constexpr int kCallsPerThread = 25;

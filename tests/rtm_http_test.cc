@@ -52,21 +52,13 @@ struct LiveRig
     explicit LiveRig(gpu::PlatformConfig cfg =
                          gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny()),
                      rtm::MonitorConfig mcfg = quietConfig())
-        : plat(withEngineEnv(std::move(cfg))), mon(mcfg)
+        : plat(cfg), mon(mcfg)
     {
         mon.registerEngine(&plat.engine());
         for (auto *c : plat.components())
             mon.registerComponent(c);
         plat.driver().setProgressListener(&mon);
         EXPECT_TRUE(mon.startServer());
-    }
-
-    /** AKITA_ENGINE/AKITA_DOMAINS select the engine (CI TSan job). */
-    static gpu::PlatformConfig
-    withEngineEnv(gpu::PlatformConfig cfg)
-    {
-        gpu::applyEngineEnv(cfg);
-        return cfg;
     }
 
     static rtm::MonitorConfig

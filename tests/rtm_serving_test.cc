@@ -325,9 +325,9 @@ namespace
 {
 
 /**
- * A serving monitor over a 2-domain tiny platform with a flight
- * recorder, so that every endpoint (including /api/v1/domains and the
- * /api/v1/recorder views) has something to answer with.
+ * A serving monitor over a tiny platform with a flight recorder, so
+ * that every endpoint (including the /api/v1/recorder views) has
+ * something to answer with.
  */
 struct RouteRig
 {
@@ -336,7 +336,9 @@ struct RouteRig
     gpu::Platform plat;
     rtm::Monitor mon;
 
-    RouteRig() : plat(platformConfig()), mon(monitorConfig(seg))
+    RouteRig()
+        : plat(gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny())),
+          mon(monitorConfig(seg))
     {
         mon.registerEngine(&plat.engine());
         for (auto *c : plat.components())
@@ -350,15 +352,6 @@ struct RouteRig
     {
         mon.stopServer();
         ::unlink(seg.c_str());
-    }
-
-    static gpu::PlatformConfig
-    platformConfig()
-    {
-        auto cfg = gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-        cfg.engineKind = gpu::EngineKind::Domain;
-        cfg.domains = 2;
-        return cfg;
     }
 
     static rtm::MonitorConfig
@@ -412,7 +405,6 @@ TEST(ApiRoutes, EveryPublishedPathAnswers)
          {"GET", "/api/v1/metrics/stream?name=akita_engine_events_total&"
                  "max_events=1"},
          {"GET", "/api/v1/hang"},
-         {"GET", "/api/v1/domains"},
          {"GET", "/api/v1/recorder/info"},
          {"GET", "/api/v1/recorder/range?name=akita_engine_events_total"}});
 

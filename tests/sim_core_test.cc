@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "sim/component.hh"
 #include "sim/engine.hh"
@@ -383,6 +386,199 @@ TEST(EventQueue, SecondaryAfterPrimaryWithInterleavedPushes)
     }
     EXPECT_EQ(order, (std::vector<std::string>{"p0", "p1", "p2", "s0",
                                                "s1"}));
+}
+
+// ---- Differential test against a reference (time, phase, FIFO) model ----
+
+namespace
+{
+
+/** An event that remembers its scheduling sequence number. */
+class SeqEvent : public Event
+{
+  public:
+    SeqEvent(VTime t, EventHandler *h, bool secondary, std::uint64_t seq)
+        : Event(t, h, secondary), seq(seq)
+    {
+    }
+
+    std::uint64_t seq;
+};
+
+/**
+ * The queue's contract written the slow, obvious way: every live event
+ * in one list, popped by the smallest (time, secondary, seq).
+ */
+struct ReferenceQueue
+{
+    struct Entry
+    {
+        VTime time;
+        bool secondary;
+        std::uint64_t seq;
+    };
+
+    void push(VTime t, bool secondary, std::uint64_t seq)
+    {
+        live.push_back({t, secondary, seq});
+    }
+
+    Entry
+    pop()
+    {
+        auto it = std::min_element(
+            live.begin(), live.end(), [](const Entry &a, const Entry &b) {
+                return std::tie(a.time, a.secondary, a.seq) <
+                       std::tie(b.time, b.secondary, b.seq);
+            });
+        Entry e = *it;
+        live.erase(it);
+        return e;
+    }
+
+    std::size_t
+    distinctTimes() const
+    {
+        std::vector<VTime> ts;
+        for (const Entry &e : live)
+            ts.push_back(e.time);
+        std::sort(ts.begin(), ts.end());
+        return static_cast<std::size_t>(
+            std::unique(ts.begin(), ts.end()) - ts.begin());
+    }
+
+    std::vector<Entry> live;
+};
+
+/** Pops one event from both queues and checks they agree. */
+void
+popBoth(EventQueue &q, ReferenceQueue &ref)
+{
+    ASSERT_FALSE(q.empty());
+    ReferenceQueue::Entry want = ref.pop();
+    EXPECT_EQ(q.peekTime(), want.time);
+    EventPtr got = q.pop();
+    auto &ev = static_cast<SeqEvent &>(*got);
+    ASSERT_EQ(ev.time(), want.time);
+    ASSERT_EQ(ev.isSecondary(), want.secondary);
+    ASSERT_EQ(ev.seq, want.seq);
+}
+
+} // namespace
+
+TEST(EventQueue, MatchesReferenceModelUnderRandomTraffic)
+{
+    // Pushes land anywhere in a 400-ps window past the last pop, so the
+    // queue holds well over 100 distinct timestamps at once, drained
+    // buckets are reused for later times, and many pushes land ahead
+    // of the cached front.
+    EventQueue q;
+    ReferenceQueue ref;
+    Recorder r;
+    std::uint64_t state = 2024;
+    auto rnd = [&state](std::uint64_t n) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % n;
+    };
+    std::uint64_t seq = 0;
+    VTime base = 0;
+    std::size_t peakDistinct = 0;
+    for (int round = 0; round < 20000; round++) {
+        int pushes = static_cast<int>(rnd(4));
+        for (int i = 0; i < pushes; i++) {
+            VTime t = base + rnd(400);
+            bool secondary = rnd(4) == 0;
+            q.push(std::make_unique<SeqEvent>(t, &r, secondary, seq));
+            ref.push(t, secondary, seq);
+            seq++;
+        }
+        if (round % 500 == 0)
+            peakDistinct = std::max(peakDistinct, ref.distinctTimes());
+        // Pop a little faster than the pushes once ~300 are queued.
+        int pops = static_cast<int>(ref.live.size() > 300 ? rnd(5)
+                                                           : rnd(3));
+        for (int i = 0; i < pops && !ref.live.empty(); i++)
+            ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+        ASSERT_EQ(q.size(), ref.live.size());
+        if (!ref.live.empty())
+            base = std::max(base, q.peekTime() > 200 ? q.peekTime() - 200
+                                                     : VTime{0});
+    }
+    EXPECT_GT(peakDistinct, 100u);
+    while (!ref.live.empty())
+        ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DrainedBucketIsReusedForALaterTime)
+{
+    EventQueue q;
+    ReferenceQueue ref;
+    Recorder r;
+    std::uint64_t seq = 0;
+    auto push = [&](VTime t, bool secondary) {
+        q.push(std::make_unique<SeqEvent>(t, &r, secondary, seq));
+        ref.push(t, secondary, seq);
+        seq++;
+    };
+    // Drain time 10 completely, then push to 10 again (the drained
+    // bucket may still be indexed) and to a fresh time that takes the
+    // recycled bucket once 10 is pruned.
+    push(10, false);
+    push(10, true);
+    push(20, false);
+    popBoth(q, ref);
+    popBoth(q, ref);
+    push(10, true);
+    push(10, false);
+    popBoth(q, ref);
+    popBoth(q, ref);
+    popBoth(q, ref); // 20: prunes 10 and recycles its bucket.
+    push(30, true);
+    push(30, false);
+    push(25, false);
+    while (!ref.live.empty())
+        popBoth(q, ref);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, PushEarlierThanCachedFrontBecomesFront)
+{
+    EventQueue q;
+    Recorder r;
+    q.push(std::make_unique<Event>(100, &r));
+    q.push(std::make_unique<Event>(200, &r));
+    EXPECT_EQ(q.peekTime(), 100u); // Caches the front bucket.
+    q.push(std::make_unique<Event>(50, &r));
+    EXPECT_EQ(q.peekTime(), 50u);
+    EXPECT_EQ(q.pop()->time(), 50u);
+    EXPECT_EQ(q.pop()->time(), 100u);
+    q.push(std::make_unique<Event>(150, &r)); // Ahead of front 200.
+    EXPECT_EQ(q.pop()->time(), 150u);
+    EXPECT_EQ(q.pop()->time(), 200u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ReservedTimeIsRejected)
+{
+    EventQueue q;
+    Recorder r;
+    EXPECT_THROW(q.push(std::make_unique<Event>(EventQueue::kReservedTime,
+                                                &r)),
+                 std::runtime_error);
+    EXPECT_TRUE(q.empty());
+    q.push(std::make_unique<Event>(EventQueue::kReservedTime - 1, &r));
+    EXPECT_EQ(q.pop()->time(), EventQueue::kReservedTime - 1);
+
+    SerialEngine eng;
+    EXPECT_THROW(
+        eng.scheduleAt(EventQueue::kReservedTime, "never", []() {}),
+        std::runtime_error);
+    EXPECT_EQ(eng.scheduledCount(), 0u);
+    EXPECT_EQ(eng.queueLength(), 0u);
+    eng.scheduleAt(5, "ok", []() {});
+    eng.run();
+    EXPECT_EQ(eng.eventCount(), 1u);
 }
 
 // ---- Satellite fixes: schedule() race and withLock() starvation ----

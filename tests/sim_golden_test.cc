@@ -2,8 +2,8 @@
  * @file
  * Golden simulated results: the paper's benchmark kernels on a reduced
  * `mcm4` platform must end at the same time, dispatch the same number
- * of events and leave the same per-class counters on every engine that
- * promises an exact answer (serial, and the domain engine at d=1).
+ * of events and leave the same per-class counters on the serial
+ * engine, run after run.
  *
  * The values were recorded once and are pinned here, so a hot-path
  * change that claims to leave the simulation untouched — a skipped
@@ -118,12 +118,10 @@ kernels()
 }
 
 Signature
-run(const gpu::KernelDescriptor &kernel, gpu::EngineKind kind)
+run(const gpu::KernelDescriptor &kernel)
 {
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    cfg.engineKind = kind;
-    cfg.domains = 1;
     gpu::Platform plat(cfg);
     plat.launchKernel(&kernel);
     EXPECT_EQ(plat.run(), gpu::Platform::RunStatus::Completed);
@@ -131,7 +129,7 @@ run(const gpu::KernelDescriptor &kernel, gpu::EngineKind kind)
 }
 
 /**
- * Recorded from the serial engine; the domain engine at d=1 agrees.
+ * Recorded from the serial engine.
  * Field order as in Signature: end time, events, port hash, port sends;
  * L1, L2 and TLB hits/misses; DRAM reads/writes, RDMA forwards, CU
  * memory requests and completed work-groups.
@@ -220,31 +218,16 @@ print(const char *name, const Signature &s)
                 (unsigned long long)s.cuWGs);
 }
 
-class SimGolden : public ::testing::TestWithParam<gpu::EngineKind>
-{
-};
-
 } // namespace
 
-TEST_P(SimGolden, KernelsReproducePinnedResults)
+TEST(SimGolden, KernelsReproducePinnedResults)
 {
     std::vector<workloads::Benchmark> ks = kernels();
     ASSERT_EQ(ks.size(), std::size(kGolden));
-    const char *engine =
-        GetParam() == gpu::EngineKind::Serial ? "serial" : "domain d=1";
     for (std::size_t i = 0; i < ks.size(); i++) {
         ASSERT_EQ(ks[i].name, kGolden[i].kernel);
-        Signature got = run(ks[i].kernel, GetParam());
-        if (!expectSame(kGolden[i].sig, got, ks[i].name + " on " + engine))
+        Signature got = run(ks[i].kernel);
+        if (!expectSame(kGolden[i].sig, got, ks[i].name))
             print(kGolden[i].kernel, got);
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, SimGolden,
-                         ::testing::Values(gpu::EngineKind::Serial,
-                                           gpu::EngineKind::Domain),
-                         [](const auto &info) {
-                             return info.param == gpu::EngineKind::Serial
-                                        ? std::string("Serial")
-                                        : std::string("DomainD1");
-                         });

@@ -88,6 +88,126 @@ TEST(Buffer, PopMatchingBypassesHeadOfLine)
               nullptr);
 }
 
+// ---- The fixed ring behind Buffer ----
+
+namespace
+{
+
+/** Pops everything left in @p buf, oldest first. */
+std::vector<int>
+drain(Buffer &buf)
+{
+    std::vector<int> out;
+    while (MsgPtr m = buf.pop())
+        out.push_back(msgCast<TestMsg>(m)->value);
+    return out;
+}
+
+bool
+valueIs(const Msg &m, int v)
+{
+    return static_cast<const TestMsg &>(m).value == v;
+}
+
+} // namespace
+
+TEST(BufferRing, WrapsAroundKeepingFifo)
+{
+    // Push/pop cycles walk the head around a 3-slot ring many times.
+    Buffer buf("b", 3);
+    int next = 0, expect = 0;
+    for (int round = 0; round < 10; round++) {
+        while (buf.canPush())
+            buf.push(mkMsg(next++));
+        EXPECT_TRUE(buf.full());
+        EXPECT_EQ(msgCast<TestMsg>(buf.peek())->value, expect);
+        for (int i = 0; i < 2; i++)
+            EXPECT_EQ(msgCast<TestMsg>(buf.pop())->value, expect++);
+    }
+    std::vector<int> rest = drain(buf);
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0], expect);
+    EXPECT_EQ(buf.peek(), nullptr);
+}
+
+TEST(BufferRing, PopMatchingFromTheMiddleOfAWrappedRingKeepsOrder)
+{
+    Buffer buf("b", 5);
+    for (int v = 0; v < 4; v++)
+        buf.push(mkMsg(v));
+    buf.pop();
+    buf.pop(); // Head is now at slot 2; the next pushes wrap.
+    for (int v = 4; v < 7; v++)
+        buf.push(mkMsg(v)); // Holds 2 3 4 5 6, across the wrap.
+    ASSERT_TRUE(buf.full());
+    MsgPtr m = buf.popMatching([](const Msg &x) { return valueIs(x, 4); });
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(msgCast<TestMsg>(m)->value, 4);
+    m = buf.popMatching([](const Msg &x) { return valueIs(x, 6); });
+    ASSERT_NE(m, nullptr); // The youngest.
+    m = buf.popMatching([](const Msg &x) { return valueIs(x, 2); });
+    ASSERT_NE(m, nullptr); // The oldest.
+    EXPECT_EQ(buf.size(), 2u);
+    buf.push(mkMsg(7));
+    buf.push(mkMsg(8));
+    buf.push(mkMsg(9));
+    EXPECT_EQ(drain(buf), (std::vector<int>{3, 5, 7, 8, 9}));
+}
+
+TEST(BufferRing, ClearReleasesMessagesAndResetsOccupancy)
+{
+    struct Counted : Msg
+    {
+        explicit Counted(int *live) : live(live) { ++*live; }
+        ~Counted() override { --*live; }
+        int *live;
+    };
+    int live = 0;
+    Buffer buf("b", 4);
+    buf.push(mkMsg(0));
+    buf.pop();
+    buf.push(makeMsg<Counted>(&live));
+    buf.push(makeMsg<Counted>(&live));
+    buf.push(makeMsg<Counted>(&live));
+    buf.push(makeMsg<Counted>(&live)); // Slot 0: wrapped.
+    EXPECT_EQ(live, 4);
+    buf.clear();
+    EXPECT_EQ(live, 0) << "clear() must drop the ring's references";
+    EXPECT_TRUE(buf.empty());
+    EXPECT_EQ(buf.approxSize(), 0u);
+    EXPECT_EQ(buf.peek(), nullptr);
+    for (int v = 10; v < 14; v++)
+        buf.push(mkMsg(v));
+    EXPECT_EQ(drain(buf), (std::vector<int>{10, 11, 12, 13}));
+}
+
+TEST(BufferRing, PeakAndTotalSurviveWrapAndClear)
+{
+    Buffer buf("b", 2);
+    for (int i = 0; i < 7; i++) {
+        if (buf.full())
+            buf.pop();
+        buf.push(mkMsg(i));
+    }
+    // Sizes after each push: 1 2 2 2 2 2 2, walking the ring around.
+    EXPECT_EQ(buf.totalPushed(), 7u);
+    EXPECT_EQ(buf.peakSize(), 2u);
+    buf.clear();
+    EXPECT_EQ(buf.totalPushed(), 7u);
+    EXPECT_EQ(buf.peakSize(), 2u);
+}
+
+TEST(BufferRing, OverflowStillThrowsAfterWrap)
+{
+    Buffer buf("b", 2);
+    buf.push(mkMsg(1));
+    buf.push(mkMsg(2));
+    buf.pop();
+    buf.push(mkMsg(3)); // Wraps.
+    EXPECT_THROW(buf.push(mkMsg(4)), std::runtime_error);
+    EXPECT_EQ(drain(buf), (std::vector<int>{2, 3}));
+}
+
 TEST(Buffer, InspectableFields)
 {
     Buffer buf("GPU[0].X.TopPort.Buf", 8);

@@ -46,7 +46,6 @@ TEST(WebLoad, KeepAliveChurnDropsNothing)
 {
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
-    gpu::applyEngineEnv(cfg); // CI TSan job selects the engine.
     gpu::Platform plat(cfg);
 
     rtm::MonitorConfig mcfg;

@@ -17,8 +17,6 @@
  *   progress                      progress bars
  *   throughput <name>             per-port rates of one component
  *   topology                      connection map
- *   domains [--json]              domain-engine partition + clocks
- *   domains --watch [seconds]     live per-domain lag view
  *   fleet [--json]                per-sim table via a fleet gateway
  *   fleet --watch [seconds]       live fleet view
  *   pause | resume                simulation controls
@@ -446,95 +444,6 @@ run(int argc, char **argv)
             std::printf("%s\n", conn.getStr("connection").c_str());
             for (const auto &p : conn.get("ports")->items())
                 std::printf("  %s\n", p.strVal().c_str());
-        }
-        return 0;
-    }
-    if (cmd == "domains") {
-        bool asJson = false;
-        bool watch = false;
-        int seconds = 0;
-        for (std::size_t i = 1; i < args.size(); i++) {
-            if (args[i] == "--json") {
-                asJson = true;
-            } else if (args[i] == "--watch") {
-                watch = true;
-                if (i + 1 < args.size() &&
-                    std::isdigit(
-                        static_cast<unsigned char>(args[i + 1][0])))
-                    seconds = std::atoi(args[++i].c_str());
-            } else {
-                return fail("usage: domains [--json] "
-                            "[--watch [seconds]]");
-            }
-        }
-        if (asJson) {
-            // Raw body: scripting-friendly, includes everything the
-            // endpoint offers (ring occupancy, edge lookaheads).
-            auto r = client.get("/api/v1/domains");
-            if (!r || r->status != 200)
-                return fail(r ? r->body : "unreachable");
-            std::printf("%s\n", r->body.c_str());
-            return 0;
-        }
-        // --watch: one compact line per domain, once a second. The
-        // endpoint is coalesced server-side, so N watchers cost one
-        // build per TTL window.
-        for (int i = 0; !watch || seconds == 0 || i < seconds; i++) {
-            if (watch && i > 0)
-                std::this_thread::sleep_for(std::chrono::seconds(1));
-            Json d;
-            try {
-                d = mustGet(client, "/api/v1/domains");
-            } catch (const std::exception &e) {
-                if (!watch)
-                    throw;
-                std::printf("(%s)\n", e.what());
-                continue;
-            }
-            long long maxClock = 0;
-            for (const auto &dom : d.get("domains")->items())
-                maxClock = std::max(
-                    maxClock,
-                    static_cast<long long>(dom.getInt("clock_ps", 0)));
-            std::printf("%lld domains  mailbox fast/slow=%lld/%lld\n",
-                        static_cast<long long>(
-                            d.getInt("num_domains", 0)),
-                        static_cast<long long>(
-                            d.getInt("mailbox_fast_total", 0)),
-                        static_cast<long long>(
-                            d.getInt("mailbox_slow_total", 0)));
-            for (const auto &dom : d.get("domains")->items()) {
-                long long clock =
-                    static_cast<long long>(dom.getInt("clock_ps", 0));
-                std::printf(
-                    "[%lld] clock=%lld ps (lag %lld)  events=%lld  "
-                    "queue=%lld\n",
-                    static_cast<long long>(dom.getInt("id", 0)), clock,
-                    maxClock - clock,
-                    static_cast<long long>(dom.getInt("events", 0)),
-                    static_cast<long long>(dom.getInt("queue_len", 0)));
-                if (watch)
-                    continue;
-                for (const auto &m : dom.get("members")->items())
-                    std::printf("      %s\n", m.strVal().c_str());
-            }
-            if (watch)
-                continue;
-            const Json *edges = d.get("edges");
-            if (edges != nullptr && !edges->items().empty()) {
-                std::printf("edges:\n");
-                for (const auto &e : edges->items()) {
-                    std::printf(
-                        "  %lld -> %lld  lookahead=%lld ps  via %s\n",
-                        static_cast<long long>(e.getInt("src", 0)),
-                        static_cast<long long>(e.getInt("dst", 0)),
-                        static_cast<long long>(
-                            e.getInt("lookahead_ps", 0)),
-                        e.getStr("connection").c_str());
-                }
-            }
-            if (!watch)
-                break;
         }
         return 0;
     }
