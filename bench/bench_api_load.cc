@@ -22,8 +22,9 @@
  * both modes serve byte-identical bodies.
  *
  * Environment: AKITA_CLIENTS (default 16) pollers, AKITA_SCALE
- * (default 0.25) workload size, AKITA_FULL=1 for the R9-Nano platform,
- * --http-workers=N / AKITA_HTTP_WORKERS for the server handler pool.
+ * (default 0.25) workload size, AKITA_FULL=1 for the R9-Nano platform.
+ * --sweep-workers re-runs the fast path across handler-pool sizes and
+ * records BENCH_api_load_sweep.json instead.
  */
 
 #include <algorithm>
@@ -510,7 +511,7 @@ runWorkerSweep(int clients, double scale)
     doc.set("pass", ok);
 
     std::string rendered = doc.dump(2);
-    std::ofstream out("BENCH_api_load.json");
+    std::ofstream out("BENCH_api_load_sweep.json");
     out << rendered << "\n";
     out.close();
     std::printf("%s\n", rendered.c_str());

@@ -119,7 +119,7 @@ main(int argc, char **argv)
     bench::parseCli(argc, argv);
     using bench::section;
 
-    sim::SerialEngine eng;
+    sim::Engine eng;
     sim::DirectConnection conn(&eng, "Chain", sim::kNanosecond);
 
     // Service rates: A, B, D fast (1 cycle); C slow (6 cycles).

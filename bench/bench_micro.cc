@@ -52,7 +52,7 @@ void
 runEngineThroughput(benchmark::State &state, bool concurrent)
 {
     for (auto _ : state) {
-        sim::SerialEngine eng;
+        sim::Engine eng;
         eng.setConcurrentAccess(concurrent);
         std::uint64_t count = 0;
         std::function<void()> chain = [&]() {
@@ -89,7 +89,7 @@ BM_EngineLockBatchSweep(benchmark::State &state)
     // is the naive lock-per-event design; the default is 256.
     const int batch = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        sim::SerialEngine eng;
+        sim::Engine eng;
         eng.setConcurrentAccess(true);
         eng.setLockBatch(batch);
         std::uint64_t count = 0;
@@ -153,7 +153,7 @@ void
 BM_SerializeComponent(benchmark::State &state)
 {
     // The per-request cost of the monitor's fine-grained snapshot.
-    sim::SerialEngine eng;
+    sim::Engine eng;
     class Comp : public sim::Component
     {
       public:
@@ -222,7 +222,7 @@ BENCHMARK(BM_ProfScopeEnabledInterned);
 void
 BM_PortSendDeliver(benchmark::State &state)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     class Sink : public sim::Component
     {
       public:
@@ -257,7 +257,7 @@ BM_PortSendBusy(benchmark::State &state)
     // A send rejected by a full port whose sender is already registered
     // for a wake: the common case on the GPU platform, where most sends
     // are retries against a full buffer.
-    sim::SerialEngine eng;
+    sim::Engine eng;
     sim::Component a(&eng, "A"), b(&eng, "B");
     sim::Port *out = a.addPort("Out", 1);
     sim::Port *in = b.addPort("In", 1);
@@ -332,7 +332,7 @@ BM_PortReleaseHerd(benchmark::State &state)
     // Sixteen senders blocked on a four-slot port drained once a
     // cycle: every retrieve wakes the whole herd, and all but the
     // first woken sender find the slot refilled.
-    sim::SerialEngine eng;
+    sim::Engine eng;
     HerdSink sink(&eng);
     sim::DirectConnection conn(&eng, "Conn", sim::kNanosecond);
     conn.plugIn(sink.in);
@@ -384,7 +384,7 @@ BM_PortForwardHop(benchmark::State &state)
     // The forwarding pattern of every memory component: borrow the head
     // of a port, send it on, retrieve it. 64 messages bounce between
     // two ports; one item is one hop, delivery event included.
-    sim::SerialEngine eng;
+    sim::Engine eng;
     sim::Component a(&eng, "A"), b(&eng, "B");
     sim::Port *pa = a.addPort("P", 128);
     sim::Port *pb = b.addPort("P", 128);

@@ -45,16 +45,6 @@ parseCli(int argc, char **argv)
 {
     cliArgc() = argc;
     cliArgv() = argv;
-    // --http-workers=N sizes the monitor's HTTP handler pool; it is
-    // forwarded through the environment so every Monitor a harness
-    // creates (often deep inside helpers) picks it up.
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        const std::string prefix = "--http-workers=";
-        if (arg.rfind(prefix, 0) == 0)
-            ::setenv("AKITA_HTTP_WORKERS",
-                     arg.substr(prefix.size()).c_str(), 1);
-    }
 }
 /** @} */
 

@@ -1,6 +1,10 @@
 #include "gpu/platform.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
+#include <string_view>
 
 namespace akita
 {
@@ -65,7 +69,7 @@ PlatformConfig::mcm4(const GpuConfig &chip)
 
 Platform::Platform(const PlatformConfig &cfg) : cfg_(cfg)
 {
-    engine_ = std::make_unique<sim::SerialEngine>();
+    engine_ = std::make_unique<sim::Engine>();
     driver_ = std::make_unique<Driver>(engine_.get(), "Driver", cfg_.freq);
     network_ = std::make_unique<net::SwitchedNetwork>(
         engine_.get(), "Network", cfg_.network);
@@ -355,18 +359,54 @@ Platform::run()
                                              : RunStatus::Hung;
 }
 
+namespace
+{
+
+/**
+ * Parses @p text as a whole decimal integer. Junk (an empty value, a
+ * suffix such as "8M", an out-of-range number) throws, naming @p what,
+ * instead of running with a silently different setting.
+ */
+template <typename T>
+T
+parseInt(const char *what, std::string_view text)
+{
+    T v = 0;
+    auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+        throw std::invalid_argument(std::string(what) + ": '" +
+                                    std::string(text) +
+                                    "' is not a decimal integer");
+    }
+    return v;
+}
+
+void
+setRecordBytes(PlatformConfig &cfg, const char *what, std::string_view text)
+{
+    long long v = parseInt<long long>(what, text);
+    if (v > 0)
+        cfg.recordSegmentBytes = static_cast<std::size_t>(v);
+}
+
+void
+setFleet(PlatformConfig &cfg, const char *what, std::string_view text)
+{
+    cfg.fleet = std::max(1, parseInt<int>(what, text));
+}
+
+} // namespace
+
 void
 applyEngineEnv(PlatformConfig &cfg)
 {
     if (const char *r = std::getenv("AKITA_RECORD"))
         cfg.recordPath = r;
-    if (const char *b = std::getenv("AKITA_RECORD_BYTES")) {
-        long long v = std::atoll(b);
-        if (v > 0)
-            cfg.recordSegmentBytes = static_cast<std::size_t>(v);
-    }
+    if (const char *b = std::getenv("AKITA_RECORD_BYTES"))
+        setRecordBytes(cfg, "AKITA_RECORD_BYTES", b);
     if (const char *f = std::getenv("AKITA_FLEET"))
-        cfg.fleet = std::max(1, std::atoi(f));
+        setFleet(cfg, "AKITA_FLEET", f);
 }
 
 void
@@ -374,16 +414,13 @@ applyEngineArgs(PlatformConfig &cfg, int argc, char **argv)
 {
     applyEngineEnv(cfg);
     for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg.rfind("--record=", 0) == 0)
+        std::string_view arg = argv[i];
+        if (arg.starts_with("--record="))
             cfg.recordPath = arg.substr(9);
-        else if (arg.rfind("--record-bytes=", 0) == 0) {
-            long long v = std::atoll(arg.c_str() + 15);
-            if (v > 0)
-                cfg.recordSegmentBytes = static_cast<std::size_t>(v);
-        }
-        else if (arg.rfind("--fleet=", 0) == 0)
-            cfg.fleet = std::max(1, std::atoi(arg.c_str() + 8));
+        else if (arg.starts_with("--record-bytes="))
+            setRecordBytes(cfg, "--record-bytes", arg.substr(15));
+        else if (arg.starts_with("--fleet="))
+            setFleet(cfg, "--fleet", arg.substr(8));
     }
 }
 

@@ -206,6 +206,10 @@ class Platform
  *   AKITA_RECORD_BYTES=N
  *   AKITA_FLEET=N
  *
+ * Each N must be a whole decimal integer; anything else (e.g. "8M")
+ * throws std::invalid_argument naming the flag or variable. A
+ * non-positive --record-bytes keeps the default; --fleet below 1 means 1.
+ *
  * Lets every bench/example binary take the same switches.
  */
 void applyEngineArgs(PlatformConfig &cfg, int argc, char **argv);

@@ -72,7 +72,7 @@ ReorderBuffer::admitAndIssue()
         req->dst = downstream_;
         if (bottomPort_->send(req) != sim::SendStatus::Ok)
             break; // Downstream full: stall the top port.
-        entries_.push_back(Entry{MemReqPtr(req), returnTo});
+        entries_.push_back(Entry{MemReqPtr(req), returnTo, false, {}});
         topPort_->retrieveIncoming();
         progress = true;
     }

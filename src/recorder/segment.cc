@@ -160,7 +160,7 @@ SegmentWriter::create(const std::string &path, std::size_t segment_bytes,
     w->dataBytes_ = segment_bytes - kSegmentDataOffset;
 
     SegmentHeader h;
-    std::memset(&h, 0, sizeof(h));
+    std::memset(static_cast<void *>(&h), 0, sizeof(h));
     h.magic = kSegmentMagic;
     h.version = kSegmentVersion;
     h.segmentBytes = segment_bytes;
@@ -213,7 +213,7 @@ SegmentWriter::append(RecordType type, const void *payload,
         // header is zero-filled and skipped by the scanner.
         if (remaining >= sizeof(RecordHeader)) {
             RecordHeader pad;
-            std::memset(&pad, 0, sizeof(pad));
+            std::memset(static_cast<void *>(&pad), 0, sizeof(pad));
             pad.magic = kRecordMagic;
             pad.type = static_cast<std::uint16_t>(RecordType::Pad);
             pad.payloadLen =
@@ -240,7 +240,9 @@ SegmentWriter::append(RecordType type, const void *payload,
 
     std::uint8_t *dst = map_ + kSegmentDataOffset + pos;
     RecordHeader h;
-    std::memset(&h, 0, sizeof(h));
+    // memset, not value-initialization: it also zeroes the 4 tail
+    // padding bytes outside the CRC, which land on disk.
+    std::memset(static_cast<void *>(&h), 0, sizeof(h));
     h.magic = kRecordMagic;
     h.type = static_cast<std::uint16_t>(type);
     h.payloadLen = static_cast<std::uint32_t>(len);

@@ -40,8 +40,7 @@ nowWallMs()
 
 } // namespace
 
-Monitor::Monitor(const MonitorConfig &cfg)
-    : cfg_(cfg), values_(cfg.valueHistoryCap)
+Monitor::Monitor(const MonitorConfig &cfg) : cfg_(cfg)
 {
     analyzer_ = std::make_unique<BufferAnalyzer>(&registry_);
     throughput_ = std::make_unique<ThroughputTracker>(&registry_);

@@ -75,14 +75,7 @@ struct MonitorConfig
     /** Print the dashboard URL on startServer (paper §IV-A). */
     bool announceUrl = true;
     /**
-     * Retained points per tracked value series. The paper's dashboard
-     * keeps 300; longer investigations can raise it (the metrics store
-     * additionally keeps downsampled history beyond this cap).
-     */
-    std::size_t valueHistoryCap = 300;
-    /**
-     * HTTP handler worker-pool size. 0 means auto: the
-     * AKITA_HTTP_WORKERS environment variable if set, else
+     * HTTP handler worker-pool size. 0 means auto:
      * min(4, hardware_concurrency).
      */
     int httpWorkers = 0;

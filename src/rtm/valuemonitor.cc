@@ -61,7 +61,7 @@ ValueMonitor::sampleAll(sim::VTime now, std::int64_t wall_ms)
     for (auto &e : entries_) {
         double v = e.getter().numeric();
         e.ring.push_back(ValueSample{now, v});
-        if (e.ring.size() > maxPoints_)
+        if (e.ring.size() > kMaxPoints)
             e.ring.pop_front();
         if (store_ != nullptr && e.storeId != 0)
             store_->recordPushed(e.storeId, wall_ms, now, v);

@@ -52,23 +52,14 @@ struct TrackedSeries
 class ValueMonitor
 {
   public:
-    /** Default retained points per series (paper: 300). */
+    /**
+     * Retained points per series in the dashboard ring (paper: 300).
+     * The attached metrics store keeps the history beyond it.
+     */
     static constexpr std::size_t kMaxPoints = 300;
 
     /** Maximum simultaneously tracked series (paper: 5). */
     static constexpr std::size_t kMaxSeries = 5;
-
-    /**
-     * @param max_points In-monitor ring size per series. The paper's
-     *        dashboard keeps 300; harnesses that want longer windows
-     *        raise it (MonitorConfig::valueHistoryCap plumbs through).
-     */
-    explicit ValueMonitor(std::size_t max_points = kMaxPoints)
-        : maxPoints_(max_points == 0 ? 1 : max_points)
-    {
-    }
-
-    std::size_t maxPoints() const { return maxPoints_; }
 
     /**
      * Mirrors every tracked series into @p store as a pushed
@@ -119,7 +110,6 @@ class ValueMonitor
         std::uint64_t storeId = 0;
     };
 
-    std::size_t maxPoints_;
     mutable std::mutex mu_;
     std::vector<Entry> entries_;
     std::uint64_t nextId_ = 1;

@@ -9,13 +9,7 @@ namespace akita
 namespace sim
 {
 
-const HookPos hookPosBeforeEvent{"BeforeEvent"};
-const HookPos hookPosAfterEvent{"AfterEvent"};
-const HookPos hookPosQueueDrained{"QueueDrained"};
-const HookPos hookPosPortDeliver{"PortDeliver"};
-const HookPos hookPosPortRetrieve{"PortRetrieve"};
-
-SerialEngine::SerialEngine()
+Engine::Engine()
 {
     declareField("now_ps", [this]() {
         return introspect::Value::ofInt(static_cast<std::int64_t>(now()));
@@ -41,13 +35,13 @@ SerialEngine::SerialEngine()
 namespace
 {
 
-/** The SerialEngine whose run() is executing on this thread. */
-thread_local const SerialEngine *tlsRunning = nullptr;
+/** The Engine whose run() is executing on this thread. */
+thread_local const Engine *tlsRunning = nullptr;
 
 /** Marks @p eng as running on this thread for one run() call. */
 struct RunningScope
 {
-    explicit RunningScope(const SerialEngine *eng) { tlsRunning = eng; }
+    explicit RunningScope(const Engine *eng) { tlsRunning = eng; }
     ~RunningScope() { tlsRunning = nullptr; }
 };
 
@@ -59,10 +53,10 @@ struct RunningScope
  * re-acquiring at once (fairness); it stays up until the lock is
  * released, so the loop cannot starve a queue of waiting threads.
  */
-class SerialEngine::ExternalLock
+class Engine::ExternalLock
 {
   public:
-    explicit ExternalLock(const SerialEngine &eng) : eng_(eng)
+    explicit ExternalLock(const Engine &eng) : eng_(eng)
     {
         eng_.lockWaiters_.fetch_add(1, std::memory_order_acq_rel);
         eng_.mu_.lock();
@@ -75,17 +69,17 @@ class SerialEngine::ExternalLock
     }
 
   private:
-    const SerialEngine &eng_;
+    const Engine &eng_;
 };
 
 bool
-SerialEngine::external() const
+Engine::external() const
 {
     return concurrent_ && tlsRunning != this;
 }
 
 void
-SerialEngine::schedule(EventPtr event)
+Engine::schedule(EventPtr event)
 {
     auto push = [&]() {
         if (event->time() < now()) {
@@ -118,7 +112,7 @@ SerialEngine::schedule(EventPtr event)
 }
 
 void
-SerialEngine::stop()
+Engine::stop()
 {
     stopRequested_.store(true);
     if (concurrent_)
@@ -127,14 +121,14 @@ SerialEngine::stop()
 }
 
 void
-SerialEngine::pause()
+Engine::pause()
 {
     paused_.store(true);
     notifyState("pause");
 }
 
 void
-SerialEngine::resume()
+Engine::resume()
 {
     paused_.store(false);
     if (concurrent_)
@@ -143,7 +137,7 @@ SerialEngine::resume()
 }
 
 std::size_t
-SerialEngine::queueLength() const
+Engine::queueLength() const
 {
     if (external()) {
         ExternalLock lk(*this);
@@ -153,7 +147,7 @@ SerialEngine::queueLength() const
 }
 
 void
-SerialEngine::withLock(const std::function<void()> &fn) const
+Engine::withLock(const std::function<void()> &fn) const
 {
     if (external()) {
         ExternalLock lk(*this);
@@ -164,9 +158,8 @@ SerialEngine::withLock(const std::function<void()> &fn) const
 }
 
 void
-SerialEngine::executeEvent(Event &event)
+Engine::executeEvent(Event &event)
 {
-    invokeHook(hookPosBeforeEvent, &event);
     if (Profiler::instance().enabled()) {
         // profName() is a pre-interned id: no string build, no lookup.
         ProfScope scope(event.handler()->profName());
@@ -174,7 +167,6 @@ SerialEngine::executeEvent(Event &event)
     } else {
         event.handler()->handle(event);
     }
-    invokeHook(hookPosAfterEvent, &event);
     // Single-writer counter (only the sim thread executes events): a
     // load+store pair compiles to plain MOVs, unlike fetch_add's
     // lock-prefixed RMW, and stays readable from monitor threads.
@@ -184,11 +176,10 @@ SerialEngine::executeEvent(Event &event)
 }
 
 RunResult
-SerialEngine::runUnlocked()
+Engine::runUnlocked()
 {
     while (!stopRequested_.load(std::memory_order_relaxed)) {
         if (queue_.empty()) {
-            invokeHook(hookPosQueueDrained, nullptr);
             return RunResult::Drained;
         }
         EventPtr ev = queue_.pop();
@@ -199,7 +190,7 @@ SerialEngine::runUnlocked()
 }
 
 RunResult
-SerialEngine::runLocked()
+Engine::runLocked()
 {
     std::unique_lock<std::recursive_mutex> lk(mu_);
     while (!stopRequested_.load(std::memory_order_relaxed)) {
@@ -210,7 +201,6 @@ SerialEngine::runLocked()
             continue;
         }
         if (queue_.empty()) {
-            invokeHook(hookPosQueueDrained, nullptr);
             if (!waitWhenEmpty_)
                 return RunResult::Drained;
             drainedWaiting_.store(true);
@@ -251,7 +241,7 @@ SerialEngine::runLocked()
 }
 
 RunResult
-SerialEngine::run()
+Engine::run()
 {
     stopRequested_.store(false);
     running_.store(true);

@@ -14,7 +14,6 @@
 
 #include "introspect/field.hh"
 #include "sim/event.hh"
-#include "sim/hook.hh"
 #include "sim/time.hh"
 
 namespace akita
@@ -32,20 +31,34 @@ enum class RunResult
 };
 
 /**
- * Abstract engine interface (mirrors Akita's Engine).
+ * The discrete-event engine (mirrors Akita's Engine): one simulation
+ * thread executes events in time order.
  *
- * RTM's registerEngine accepts this interface, so alternative engines
- * would reuse the monitor unchanged. Beyond the
- * core schedule/run surface, the interface carries the *monitor
- * contract*: concurrent-access mode, pause/resume, wait-when-empty,
- * drained-waiting (the hang signature), and withLock — the consistent
- * snapshot point every RTM view borrows.
+ * Beyond the core schedule/run surface, the engine carries the *monitor
+ * contract* RTM's registerEngine relies on: concurrent-access mode,
+ * pause/resume, wait-when-empty, drained-waiting (the hang signature),
+ * and withLock — the consistent snapshot point every RTM view borrows.
+ *
+ * Concurrency model: by default the engine assumes it is the only thread
+ * touching simulation state and takes no locks. When a monitor attaches,
+ * it calls setConcurrentAccess(true); the engine then holds an internal
+ * lock while executing each event, and external threads use withLock() to
+ * obtain a consistent snapshot point *between* events. This is the
+ * paper's "fine serialization granularity ... avoids the requirement for
+ * global synchronization": a monitor request borrows the lock for one
+ * component's worth of serialization and releases it.
+ *
+ * Pause/resume (the dashboard's simulation controls) and wait-when-empty
+ * (which turns a drained queue into an inspectable hang instead of a
+ * silent exit) are also provided here.
  */
-class Engine : public Hookable, public introspect::Inspectable
+class Engine : public introspect::Inspectable
 {
   public:
+    Engine();
+
     /** Schedules an event; its time must not precede now(). */
-    virtual void schedule(EventPtr event) = 0;
+    void schedule(EventPtr event);
 
     /**
      * Convenience: schedules a callable at an absolute time, with a
@@ -66,135 +79,45 @@ class Engine : public Hookable, public introspect::Inspectable
     }
 
     /** Current virtual time. Safe to call from any thread. */
-    virtual VTime now() const = 0;
+    VTime now() const { return now_.load(std::memory_order_relaxed); }
 
     /** Runs events until the queue drains or stop() is called. */
-    virtual RunResult run() = 0;
+    RunResult run();
 
     /** Requests run() to return as soon as possible. Thread-safe. */
-    virtual void stop() = 0;
+    void stop();
 
     /** Total number of events executed so far. Thread-safe. */
-    virtual std::uint64_t eventCount() const = 0;
+    std::uint64_t
+    eventCount() const
+    {
+        return totalEvents_.load(std::memory_order_relaxed);
+    }
 
     /** Total number of events ever scheduled. Thread-safe. */
-    virtual std::uint64_t scheduledCount() const = 0;
+    std::uint64_t
+    scheduledCount() const
+    {
+        return totalScheduled_.load(std::memory_order_relaxed);
+    }
 
     // ---- The monitor contract ----
 
     /**
      * Enables cross-thread access (monitor attached). Must be called
-     * before run(); switching modes mid-run is not supported. Engines
-     * that are always safe for cross-thread access may ignore it.
+     * before run(); switching modes mid-run is not supported.
      */
-    virtual void setConcurrentAccess(bool on) = 0;
+    void setConcurrentAccess(bool on) { concurrent_ = on; }
 
     /** True when cross-thread access is safe. */
-    virtual bool concurrentAccess() const = 0;
+    bool concurrentAccess() const { return concurrent_; }
 
     /**
      * When true, a drained queue blocks run() instead of returning, so a
      * deadlocked simulation stays alive for inspection (and can be
      * revived by scheduling new events, e.g. RTM's Tick button).
      */
-    virtual void setWaitWhenEmpty(bool on) = 0;
-
-    /** Pauses execution before the next event. Thread-safe. */
-    virtual void pause() = 0;
-
-    /** Resumes a paused engine ("Kick Start"). Thread-safe. */
-    virtual void resume() = 0;
-
-    virtual bool paused() const = 0;
-
-    /** True while run() is executing (possibly blocked). */
-    virtual bool running() const = 0;
-
-    /** True when run() is blocked on an empty queue (hang signature). */
-    virtual bool drainedWaiting() const = 0;
-
-    /** Number of events currently queued. Thread-safe. */
-    virtual std::size_t queueLength() const = 0;
-
-    /**
-     * Runs @p fn at a consistent point (no event mid-execution).
-     *
-     * Requires concurrent access mode when called from a non-simulation
-     * thread. May be called from event handlers.
-     */
-    virtual void withLock(const std::function<void()> &fn) const = 0;
-
-    /**
-     * Observes cold lifecycle transitions: "run_start", "run_end",
-     * "pause", "resume", "drained", "stop". Fired only at state
-     * changes — never per event — so attaching an observer costs the
-     * hot path nothing (unlike a Hookable hook, which every event
-     * would pay for). The callback runs on whichever thread caused the
-     * transition and must not re-enter the engine. Set before run();
-     * pass nullptr to detach.
-     */
-    void
-    setStateObserver(std::function<void(const char *)> fn)
-    {
-        stateObserver_ = std::move(fn);
-    }
-
-  protected:
-    /** Notifies the observer of a lifecycle transition, if attached. */
-    void
-    notifyState(const char *kind)
-    {
-        if (stateObserver_)
-            stateObserver_(kind);
-    }
-
-  private:
-    std::function<void(const char *)> stateObserver_;
-};
-
-/**
- * The serial (single simulation thread) engine.
- *
- * Concurrency model: by default the engine assumes it is the only thread
- * touching simulation state and takes no locks. When a monitor attaches,
- * it calls setConcurrentAccess(true); the engine then holds an internal
- * lock while executing each event, and external threads use withLock() to
- * obtain a consistent snapshot point *between* events. This is the
- * paper's "fine serialization granularity ... avoids the requirement for
- * global synchronization": a monitor request borrows the lock for one
- * component's worth of serialization and releases it.
- *
- * Pause/resume (the dashboard's simulation controls) and wait-when-empty
- * (which turns a drained queue into an inspectable hang instead of a
- * silent exit) are also provided here.
- */
-class SerialEngine : public Engine
-{
-  public:
-    SerialEngine();
-
-    void schedule(EventPtr event) override;
-    VTime now() const override { return now_.load(std::memory_order_relaxed); }
-    RunResult run() override;
-    void stop() override;
-
-    std::uint64_t
-    eventCount() const override
-    {
-        return totalEvents_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    scheduledCount() const override
-    {
-        return totalScheduled_.load(std::memory_order_relaxed);
-    }
-
-    void setConcurrentAccess(bool on) override { concurrent_ = on; }
-
-    bool concurrentAccess() const override { return concurrent_; }
-
-    void setWaitWhenEmpty(bool on) override { waitWhenEmpty_ = on; }
+    void setWaitWhenEmpty(bool on) { waitWhenEmpty_ = on; }
 
     /**
      * Events executed per engine-lock acquisition in concurrent mode.
@@ -212,33 +135,68 @@ class SerialEngine : public Engine
 
     int lockBatch() const { return lockBatch_; }
 
-    void pause() override;
-    void resume() override;
+    /** Pauses execution before the next event. Thread-safe. */
+    void pause();
+
+    /** Resumes a paused engine ("Kick Start"). Thread-safe. */
+    void resume();
 
     bool
-    paused() const override
+    paused() const
     {
         return paused_.load(std::memory_order_relaxed);
     }
 
+    /** True while run() is executing (possibly blocked). */
     bool
-    running() const override
+    running() const
     {
         return running_.load(std::memory_order_relaxed);
     }
 
+    /** True when run() is blocked on an empty queue (hang signature). */
     bool
-    drainedWaiting() const override
+    drainedWaiting() const
     {
         return drainedWaiting_.load(std::memory_order_relaxed);
     }
 
-    std::size_t queueLength() const override;
+    /** Number of events currently queued. Thread-safe. */
+    std::size_t queueLength() const;
 
-    void withLock(const std::function<void()> &fn) const override;
+    /**
+     * Runs @p fn at a consistent point (no event mid-execution).
+     *
+     * Requires concurrent access mode when called from a non-simulation
+     * thread. May be called from event handlers.
+     */
+    void withLock(const std::function<void()> &fn) const;
+
+    /**
+     * Observes cold lifecycle transitions: "run_start", "run_end",
+     * "pause", "resume", "drained", "stop". This is the engine's one
+     * lifecycle seam: it fires only at state changes — never per event
+     * or per message — so attaching an observer costs the hot path
+     * nothing. The callback runs on whichever thread caused the
+     * transition and must not re-enter the engine. Set before run();
+     * pass nullptr to detach.
+     */
+    void
+    setStateObserver(std::function<void(const char *)> fn)
+    {
+        stateObserver_ = std::move(fn);
+    }
 
   private:
     class ExternalLock;
+
+    /** Notifies the observer of a lifecycle transition, if attached. */
+    void
+    notifyState(const char *kind)
+    {
+        if (stateObserver_)
+            stateObserver_(kind);
+    }
 
     /**
      * True when the caller must take the engine lock: concurrent mode,
@@ -268,7 +226,12 @@ class SerialEngine : public Engine
 
     mutable std::recursive_mutex mu_;
     mutable std::condition_variable_any cv_;
+
+    std::function<void(const char *)> stateObserver_;
 };
+
+/** Kept because perfbench/bench.cc constructs sim::SerialEngine. */
+using SerialEngine = Engine;
 
 } // namespace sim
 } // namespace akita

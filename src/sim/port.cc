@@ -79,10 +79,8 @@ MsgPtr
 Port::retrieveIncoming()
 {
     MsgPtr m = buf_.pop();
-    if (m != nullptr) {
-        invokeHook(hookPosPortRetrieve, m.get());
+    if (m != nullptr)
         releaseSlot();
-    }
     return m;
 }
 
@@ -91,17 +89,14 @@ Port::retrieveIncomingMatching(
     const std::function<bool(const Msg &)> &pred)
 {
     MsgPtr m = buf_.popMatching(pred);
-    if (m != nullptr) {
-        invokeHook(hookPosPortRetrieve, m.get());
+    if (m != nullptr)
         releaseSlot();
-    }
     return m;
 }
 
 void
 Port::deliver(MsgPtr msg)
 {
-    invokeHook(hookPosPortDeliver, msg.get());
     totalReceived_.incOwned();
     buf_.push(std::move(msg));
     if (owner_ != nullptr)

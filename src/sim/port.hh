@@ -13,7 +13,6 @@
 
 #include "metrics/instrument.hh"
 #include "sim/buffer.hh"
-#include "sim/hook.hh"
 #include "sim/msg.hh"
 
 namespace akita
@@ -46,7 +45,7 @@ enum class SendStatus
  * monitor threads may read them without the lock; nothing on the
  * send path takes a lock or a locked read-modify-write.
  */
-class Port : public Hookable
+class Port
 {
   public:
     /**

@@ -11,7 +11,6 @@
 #include "sim/connection.hh"
 #include "sim/engine.hh"
 #include "sim/event.hh"
-#include "sim/hook.hh"
 #include "sim/idmap.hh"
 #include "sim/msg.hh"
 #include "sim/name.hh"

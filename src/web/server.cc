@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "web/encoding.hh"
@@ -31,11 +30,6 @@ resolveWorkers(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("AKITA_HTTP_WORKERS")) {
-        int v = std::atoi(env);
-        if (v > 0)
-            return v;
-    }
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;

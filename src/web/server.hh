@@ -43,10 +43,7 @@ namespace web
 /** Serving knobs (all have production-safe defaults). */
 struct ServerOptions
 {
-    /**
-     * Handler pool size; 0 means auto: the AKITA_HTTP_WORKERS
-     * environment variable, else min(4, hardware_concurrency).
-     */
+    /** Handler pool size; 0 means auto: min(4, hardware_concurrency). */
     int workers = 0;
     /** listen(2) backlog; 0 means SOMAXCONN. Always capped at SOMAXCONN. */
     int listenBacklog = 0;

@@ -34,7 +34,7 @@ computeKernel(std::uint32_t wgs, std::uint32_t cycles = 8)
 /** Driver + N CPs, each with M pure-compute CUs. */
 struct ControlRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Driver driver{&eng, "Driver", sim::Freq::ghz(1)};
     std::vector<std::unique_ptr<CommandProcessor>> cps;
     std::vector<std::unique_ptr<ComputeUnit>> cus;
@@ -196,7 +196,7 @@ TEST(CommandProcessorTest, ReportThrottlingStillReachesFinalCounts)
 {
     // Even with a large report interval, the tail flush must deliver
     // exact final counts.
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Driver driver(&eng, "Driver", sim::Freq::ghz(1));
     CommandProcessor::Config cpCfg;
     cpCfg.reportInterval = 1000000; // Effectively "never" mid-run.

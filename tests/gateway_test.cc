@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -727,5 +728,32 @@ TEST(Gateway, FleetFlagAndEnvParse)
         gpu::applyEngineEnv(cfg);
         EXPECT_EQ(cfg.fleet, 5);
         ::unsetenv("AKITA_FLEET");
+    }
+    // Junk is an error, not a silently different run: "8M" must not
+    // become an 8-byte segment, nor "abc" a single simulation.
+    for (const char *flag : {"--fleet=abc", "--fleet=", "--fleet=3x",
+                             "--record-bytes=8M", "--record-bytes= 8"}) {
+        gpu::PlatformConfig cfg;
+        char a0[] = "prog";
+        std::string a1 = flag;
+        char *argv[] = {a0, a1.data()};
+        EXPECT_THROW(gpu::applyEngineArgs(cfg, 2, argv),
+                     std::invalid_argument)
+            << flag;
+    }
+    for (const char *var : {"AKITA_FLEET", "AKITA_RECORD_BYTES"}) {
+        ::setenv(var, "abc", 1);
+        gpu::PlatformConfig cfg;
+        EXPECT_THROW(gpu::applyEngineEnv(cfg), std::invalid_argument)
+            << var;
+        ::unsetenv(var);
+    }
+    {
+        gpu::PlatformConfig cfg;
+        char a0[] = "prog";
+        char a1[] = "--record-bytes=8388608";
+        char *argv[] = {a0, a1};
+        gpu::applyEngineArgs(cfg, 2, argv);
+        EXPECT_EQ(cfg.recordSegmentBytes, 8388608u);
     }
 }

@@ -35,7 +35,7 @@ namespace
 /** The case-study-2 rig: legacy L2 between a requester and a DRAM. */
 struct DeadlockRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req", 8};
     L2Cache l2;
     DramController dram;
@@ -157,7 +157,7 @@ TEST(WaitFor, NotHangingShortCircuits)
 TEST(WaitFor, HangWithoutWaitEdgesIsNoWaits)
 {
     // A lost wakeup: everything asleep, nothing blocked on anything.
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester idle(&eng, "Idle");
     rtm::ComponentRegistry reg;
     reg.add(&idle);
@@ -183,7 +183,7 @@ TEST(WaitFor, DeadConsumerIsAStalledSink)
         bool tick() override { return false; } // Never retrieves.
     };
 
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req(&eng, "Req", 8);
     DeadSink sink(&eng);
     sim::DirectConnection conn(&eng, "Conn", sim::kNanosecond);
@@ -322,7 +322,7 @@ struct HangRig
 
 } // namespace
 
-TEST(HangWatch, SerialEngineDeadlockAnalyzed)
+TEST(HangWatch, DeadlockAnalyzed)
 {
     HangRig rig;
     rig.run();
@@ -340,7 +340,7 @@ TEST(HangWatch, SerialEngineDeadlockAnalyzed)
         << "the CUs upstream of the dead L2 are victims";
 }
 
-TEST(HangWatch, SerialEngineNoHangReportsOk)
+TEST(HangWatch, NoHangReportsOk)
 {
     gpu::PlatformConfig cfg =
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());

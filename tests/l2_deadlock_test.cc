@@ -22,7 +22,7 @@ namespace
 
 struct Rig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req", 8};
     L2Cache l2;
     DramController dram;
@@ -150,7 +150,7 @@ TEST(L2Deadlock, LegacyIdenticalToFixedWithoutPressure)
         cfg.ways = 8;
         cfg.legacyWriteBufferDeadlock = legacy;
 
-        sim::SerialEngine eng;
+        sim::Engine eng;
         Requester req(&eng, "Req");
         L2Cache l2(&eng, "L2", sim::Freq::ghz(1), cfg);
         DramController dram(&eng, "DRAM", sim::Freq::ghz(1), {});

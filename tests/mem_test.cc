@@ -141,7 +141,7 @@ namespace
 
 struct RobRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req"};
     ReorderBuffer rob;
     FakeMemory memory;
@@ -216,7 +216,7 @@ namespace
 
 struct AtRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req"};
     AddressTranslator at;
     FakeMemory memory;
@@ -295,7 +295,7 @@ namespace
 
 struct CacheRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req"};
     Cache cache;
     FakeMemory memory;
@@ -440,7 +440,7 @@ namespace
 
 struct DramRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req"};
     DramController dram;
     sim::DirectConnection conn{&eng, "Conn", sim::kNanosecond};
@@ -512,7 +512,7 @@ namespace
 
 struct L2Rig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req"};
     L2Cache l2;
     DramController dram;

@@ -114,7 +114,7 @@ class FabricResponder : public sim::TickingComponent
 /** Requester -> switch -> responder over two links. */
 struct StarRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     FabricRequester req{&eng, "Req"};
     FabricResponder mem{&eng, "Mem"};
     net::Switch sw;
@@ -218,7 +218,7 @@ namespace
  */
 struct RingRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     FabricRequester req{&eng, "Req"};
     FabricResponder mem{&eng, "Mem"};
     std::vector<std::unique_ptr<net::Switch>> switches;

@@ -146,7 +146,7 @@ TEST(Pool, MonitorScheduledEventsFreeRemotely)
     // the simulation thread executes and frees it, so every event is
     // freed on a thread that does not own it.
     PoolStats before = poolStats();
-    SerialEngine eng;
+    Engine eng;
     eng.setConcurrentAccess(true);
     eng.setWaitWhenEmpty(true);
     std::atomic<int> fired{0};
@@ -178,7 +178,7 @@ void
 useBorrowedAfterRetrieve()
 {
     // Ownerless ports: nothing ticks and consumes the delivery.
-    SerialEngine eng;
+    Engine eng;
     Port a(nullptr, "A", 4);
     Port b(nullptr, "B", 4);
     DirectConnection conn(&eng, "Conn", kNanosecond);
@@ -273,7 +273,7 @@ TEST(MsgCast, TagsSurviveTransportFields)
 
 TEST(PoolMetrics, ExposedAsAkitaSimPoolFamily)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     rtm::MonitorConfig cfg;
     cfg.announceUrl = false;
     cfg.autoSample = false;

@@ -58,7 +58,7 @@ class EngineSeeds : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(EngineSeeds, TimeIsMonotonicAndAllEventsRun)
 {
     Rng rng(GetParam());
-    sim::SerialEngine eng;
+    sim::Engine eng;
 
     int fired = 0;
     sim::VTime last = 0;
@@ -109,7 +109,7 @@ TEST_P(CacheProperties, ConservationAndAccounting)
     const CacheSweep p = GetParam();
     Rng rng(p.seed);
 
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req(&eng, "Req");
     mem::Cache::Config cfg;
     cfg.numSets = p.sets;
@@ -175,7 +175,7 @@ class RobSeeds : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(RobSeeds, InOrderRetirementAlways)
 {
     Rng rng(GetParam());
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req(&eng, "Req");
     mem::ReorderBuffer rob(&eng, "ROB", sim::Freq::ghz(1), {});
     FakeMemory memory(&eng, "Mem", 3, /*lifo=*/true);

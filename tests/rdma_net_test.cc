@@ -23,7 +23,7 @@ namespace
  */
 struct TwoChipRig
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req{&eng, "Req"};
     RdmaEngine rdma0;
     RdmaEngine rdma1;
@@ -129,7 +129,7 @@ TEST(RdmaTest, TracksInflightDuringFlight)
 
 TEST(SwitchedNetworkTest, DeliversWithLatency)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req(&eng, "Req");
     FakeMemory memory(&eng, "Mem", 1);
     net::SwitchedNetwork::Config cfg;
@@ -153,7 +153,7 @@ TEST(SwitchedNetworkTest, BandwidthSerializesMessages)
     // Same traffic, 100x less bandwidth: completion must be later.
     sim::VTime fastDone = 0, slowDone = 0;
     for (double bw : {64e9, 0.64e9}) {
-        sim::SerialEngine eng;
+        sim::Engine eng;
         Requester req(&eng, "Req");
         FakeMemory memory(&eng, "Mem", 1);
         net::SwitchedNetwork::Config cfg;
@@ -174,10 +174,10 @@ TEST(SwitchedNetworkTest, BandwidthSerializesMessages)
 
 TEST(SwitchedNetworkTest, ReservationPreventsOverflow)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req(&eng, "Req");
     // A sink that never drains.
-    sim::SerialEngine *ep = &eng;
+    sim::Engine *ep = &eng;
     class Sink : public sim::TickingComponent
     {
       public:
@@ -205,7 +205,7 @@ TEST(SwitchedNetworkTest, ReservationPreventsOverflow)
 
 TEST(SwitchedNetworkTest, CountsTraffic)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Requester req(&eng, "Req");
     FakeMemory memory(&eng, "Mem", 1);
     net::SwitchedNetwork net(&eng, "Net", {});

@@ -143,25 +143,25 @@ TEST(ValueMonitor, HistoryCapConfigurable)
     rtm::MonitorConfig cfg;
     cfg.announceUrl = false;
     cfg.autoSample = false;
-    cfg.valueHistoryCap = 4;
     Rig rig(cfg);
 
     auto id = rig.mon.trackValue("GPU[0].RDMA", "transactions");
     ASSERT_GT(id, 0u);
-    for (int i = 0; i < 10; i++)
+    const std::size_t passes = rtm::ValueMonitor::kMaxPoints + 1;
+    for (std::size_t i = 0; i < passes; i++)
         rig.mon.sampleNow();
 
-    // The dashboard ring honours the configured cap...
+    // The dashboard ring keeps the paper's fixed 300 points...
     auto s = rig.mon.valueSeries(id);
-    EXPECT_EQ(s.samples.size(), 4u);
+    EXPECT_EQ(s.samples.size(), rtm::ValueMonitor::kMaxPoints);
 
-    // ...while the metrics store retains the full raw history beyond
-    // the cap (no 300-point cliff).
+    // ...while the metrics store retains the history beyond the ring
+    // (no 300-point cliff).
     auto series = rig.mon.metrics().query(
         "akita_tracked_value", {{"component", "GPU[0].RDMA"}}, 0,
         std::numeric_limits<std::int64_t>::max(), 1);
     ASSERT_EQ(series.size(), 1u);
-    EXPECT_GE(series[0].points.size(), 10u);
+    EXPECT_GE(series[0].points.size(), passes);
 }
 
 TEST(Throughput, UnknownComponentEmpty)

@@ -44,7 +44,7 @@ class Dummy : public sim::Component
 
 TEST(Registry, FindAndReplace)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy a(&eng, "GPU[0].X");
     ComponentRegistry reg;
     reg.add(&a);
@@ -60,7 +60,7 @@ TEST(Registry, FindAndReplace)
 
 TEST(Registry, TreeFromDottedNames)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy a(&eng, "GPU[0].SA[0].CU[0]");
     Dummy b(&eng, "GPU[0].SA[0].CU[1]");
     Dummy c(&eng, "GPU[0].L2[0]");
@@ -146,7 +146,7 @@ TEST(ProgressBars, ManyBarsIndependent)
 
 TEST(BufferAnalyzerTest, RanksBySizeAndPercent)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy big(&eng, "Big", 16);
     Dummy small(&eng, "Small", 2);
     ComponentRegistry reg;
@@ -174,7 +174,7 @@ TEST(BufferAnalyzerTest, RanksBySizeAndPercent)
 
 TEST(BufferAnalyzerTest, NonEmptyFiltersIdleBuffers)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy idle(&eng, "Idle", 4);
     Dummy busy(&eng, "Busy", 4);
     ComponentRegistry reg;
@@ -190,7 +190,7 @@ TEST(BufferAnalyzerTest, NonEmptyFiltersIdleBuffers)
 
 TEST(BufferAnalyzerTest, SeesRegisteredInternalBuffers)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy d(&eng, "L2");
     sim::Buffer internal("L2.WriteBuf.InBuf", 8);
     d.registerBuffer(&internal);
@@ -272,7 +272,7 @@ TEST(ValueMonitorTest, UnknownIdHandling)
 
 TEST(HangWatchTest, DetectsFrozenTime)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     eng.setConcurrentAccess(true);
     eng.setWaitWhenEmpty(true);
     HangWatch watch(&eng, 0.05);
@@ -295,7 +295,7 @@ TEST(HangWatchTest, DetectsFrozenTime)
 
 TEST(HangWatchTest, NoHangWhileAdvancing)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     HangWatch watch(&eng, 0.01);
     eng.scheduleAt(5, "e", []() {});
     watch.check();
@@ -306,7 +306,7 @@ TEST(HangWatchTest, NoHangWhileAdvancing)
 
 TEST(HangWatchTest, PausedIsNotHanging)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     eng.setConcurrentAccess(true);
     eng.pause();
     HangWatch watch(&eng, 0.01);
@@ -382,7 +382,7 @@ TEST(Serialize, ValueToJson)
 
 TEST(Serialize, ComponentSnapshotShape)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy d(&eng, "GPU[0].X");
     d.level = 9;
     json::Json j =
@@ -482,7 +482,7 @@ TEST(Serialize, NestedTree)
 
 TEST(MonitorFacade, TrackValueByFieldAndBufferMetric)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
     Dummy d(&eng, "GPU[0].X");
     MonitorConfig cfg;
     cfg.announceUrl = false;
@@ -506,7 +506,7 @@ TEST(MonitorFacade, TrackValueByFieldAndBufferMetric)
 
 TEST(MonitorFacade, TickComponentWakesIt)
 {
-    sim::SerialEngine eng;
+    sim::Engine eng;
 
     class Sleeper : public sim::TickingComponent
     {

@@ -145,9 +145,9 @@ TEST(EventQueue, StressOrderingProperty)
     }
 }
 
-TEST(SerialEngine, RunsEventsInOrder)
+TEST(Engine, RunsEventsInOrder)
 {
-    SerialEngine eng;
+    Engine eng;
     std::vector<VTime> seen;
     for (VTime t : {400u, 100u, 300u, 200u}) {
         eng.scheduleAt(t, "t", [&seen, &eng]() {
@@ -161,9 +161,9 @@ TEST(SerialEngine, RunsEventsInOrder)
     EXPECT_EQ(eng.eventCount(), 4u);
 }
 
-TEST(SerialEngine, HandlersCanScheduleMoreEvents)
+TEST(Engine, HandlersCanScheduleMoreEvents)
 {
-    SerialEngine eng;
+    Engine eng;
     int fired = 0;
     std::function<void()> chain = [&]() {
         fired++;
@@ -176,9 +176,9 @@ TEST(SerialEngine, HandlersCanScheduleMoreEvents)
     EXPECT_EQ(eng.now(), 90u);
 }
 
-TEST(SerialEngine, SchedulingInPastThrows)
+TEST(Engine, SchedulingInPastThrows)
 {
-    SerialEngine eng;
+    Engine eng;
     eng.scheduleAt(100, "x", []() {});
     eng.run();
     EXPECT_THROW(eng.scheduleAt(50, "late", []() {}),
@@ -187,9 +187,9 @@ TEST(SerialEngine, SchedulingInPastThrows)
     EXPECT_NO_THROW(eng.scheduleAt(100, "now", []() {}));
 }
 
-TEST(SerialEngine, StopAbortsRun)
+TEST(Engine, StopAbortsRun)
 {
-    SerialEngine eng;
+    Engine eng;
     int fired = 0;
     for (int i = 1; i <= 100; i++) {
         eng.scheduleAt(static_cast<VTime>(i * 10), "n", [&]() {
@@ -205,9 +205,9 @@ TEST(SerialEngine, StopAbortsRun)
     EXPECT_EQ(fired, 100);
 }
 
-TEST(SerialEngine, PauseAndResumeFromAnotherThread)
+TEST(Engine, PauseAndResumeFromAnotherThread)
 {
-    SerialEngine eng;
+    Engine eng;
     eng.setConcurrentAccess(true);
 
     std::atomic<int> fired{0};
@@ -237,9 +237,9 @@ TEST(SerialEngine, PauseAndResumeFromAnotherThread)
     EXPECT_EQ(fired.load(), 10000);
 }
 
-TEST(SerialEngine, WaitWhenEmptyBlocksAndExternalScheduleRevives)
+TEST(Engine, WaitWhenEmptyBlocksAndExternalScheduleRevives)
 {
-    SerialEngine eng;
+    Engine eng;
     eng.setConcurrentAccess(true);
     eng.setWaitWhenEmpty(true);
 
@@ -264,9 +264,9 @@ TEST(SerialEngine, WaitWhenEmptyBlocksAndExternalScheduleRevives)
     EXPECT_EQ(fired.load(), 2);
 }
 
-TEST(SerialEngine, WithLockGivesConsistentSnapshots)
+TEST(Engine, WithLockGivesConsistentSnapshots)
 {
-    SerialEngine eng;
+    Engine eng;
     eng.setConcurrentAccess(true);
 
     // Two counters incremented in the same event must never be observed
@@ -288,39 +288,9 @@ TEST(SerialEngine, WithLockGivesConsistentSnapshots)
     EXPECT_EQ(a, 20000);
 }
 
-TEST(SerialEngine, HooksInvokedAroundEvents)
+TEST(Engine, InspectableFields)
 {
-    class CountingHook : public Hook
-    {
-      public:
-        void
-        func(HookCtx &ctx) override
-        {
-            if (ctx.pos == &hookPosBeforeEvent)
-                before++;
-            if (ctx.pos == &hookPosAfterEvent)
-                after++;
-            if (ctx.pos == &hookPosQueueDrained)
-                drained++;
-        }
-
-        int before = 0, after = 0, drained = 0;
-    };
-
-    SerialEngine eng;
-    CountingHook hook;
-    eng.acceptHook(&hook);
-    for (int i = 0; i < 7; i++)
-        eng.scheduleAt(static_cast<VTime>(i), "e", []() {});
-    eng.run();
-    EXPECT_EQ(hook.before, 7);
-    EXPECT_EQ(hook.after, 7);
-    EXPECT_EQ(hook.drained, 1);
-}
-
-TEST(SerialEngine, InspectableFields)
-{
-    SerialEngine eng;
+    Engine eng;
     eng.scheduleAt(5, "e", []() {});
     const auto &fields = eng.fields();
     EXPECT_NE(fields.find("now_ps"), nullptr);
@@ -570,7 +540,7 @@ TEST(EventQueue, ReservedTimeIsRejected)
     q.push(std::make_unique<Event>(EventQueue::kReservedTime - 1, &r));
     EXPECT_EQ(q.pop()->time(), EventQueue::kReservedTime - 1);
 
-    SerialEngine eng;
+    Engine eng;
     EXPECT_THROW(
         eng.scheduleAt(EventQueue::kReservedTime, "never", []() {}),
         std::runtime_error);
@@ -583,12 +553,12 @@ TEST(EventQueue, ReservedTimeIsRejected)
 
 // ---- Satellite fixes: schedule() race and withLock() starvation ----
 
-TEST(SerialEngine, CrossThreadScheduleNeverLandsInPast)
+TEST(Engine, CrossThreadScheduleNeverLandsInPast)
 {
     // Hammer cross-thread schedules while the engine advances time; the
     // past-check under the lock must make every accepted event legal and
     // every illegal event throw (instead of corrupting the queue).
-    SerialEngine eng;
+    Engine eng;
     eng.setConcurrentAccess(true);
     eng.setWaitWhenEmpty(true);
 
@@ -632,13 +602,13 @@ TEST(SerialEngine, CrossThreadScheduleNeverLandsInPast)
     // order (the engine would throw from its own pop path otherwise).
 }
 
-TEST(SerialEngine, WithLockNotStarvedByBusyEventLoop)
+TEST(Engine, WithLockNotStarvedByBusyEventLoop)
 {
     // Regression for monitor starvation: with a hot event loop and a
     // large batch size, a withLock() caller must still get the lock in
     // bounded time (the loop yields to announced waiters between
     // batches).
-    SerialEngine eng;
+    Engine eng;
     eng.setConcurrentAccess(true);
     eng.setLockBatch(4096);
 
@@ -679,7 +649,7 @@ TEST(TickingComponent, DeadlineSurvivesSameCycleWakeRearm)
     // would swallow the deadline event: the next-cycle tick finds no
     // work, sleeps, and the component freezes mid-service. The dedup
     // must only absorb exact-time duplicates.
-    SerialEngine eng;
+    Engine eng;
 
     class DeadlineComp : public TickingComponent
     {

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "net/switched.hh"
 #include "sim/sim.hh"
 
 using namespace akita::sim;
+
+// Every message passes through a Port; a virtual base would add a vtable
+// pointer to each port and invite virtual dispatch on that path.
+static_assert(!std::is_polymorphic_v<Port>,
+              "Port must stay a plain, non-virtual class");
 
 namespace
 {
@@ -271,7 +278,7 @@ class Node : public TickingComponent
 
 TEST(PortConnection, DeliversWithLatency)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 4);
     DirectConnection conn(&eng, "Conn", 5 * kNanosecond);
     conn.plugIn(a.in);
@@ -288,7 +295,7 @@ TEST(PortConnection, DeliversWithLatency)
 
 TEST(PortConnection, MessagesArriveInSendOrder)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 16), b(&eng, "B", 16);
     DirectConnection conn(&eng, "Conn", kNanosecond);
     conn.plugIn(a.in);
@@ -305,7 +312,7 @@ TEST(PortConnection, MessagesArriveInSendOrder)
 
 TEST(PortConnection, BackpressureAndWakeRecovery)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 2);
     DirectConnection conn(&eng, "Conn", kNanosecond);
     conn.plugIn(a.in);
@@ -329,7 +336,7 @@ TEST(PortConnection, ReservationPreventsOverflow)
 {
     // Even with zero drain, in-flight messages must never overflow the
     // destination buffer (capacity is reserved at send time).
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 3);
     DirectConnection conn(&eng, "Conn", 100 * kNanosecond);
     conn.plugIn(a.in);
@@ -346,7 +353,7 @@ TEST(PortConnection, ReservationPreventsOverflow)
 
 TEST(PortConnection, SendWithoutConnectionThrows)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 4);
     MsgPtr m = mkMsg(1);
     m->dst = b.in;
@@ -355,7 +362,7 @@ TEST(PortConnection, SendWithoutConnectionThrows)
 
 TEST(PortConnection, SendWithoutDestinationThrows)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4);
     DirectConnection conn(&eng, "Conn", 0);
     conn.plugIn(a.in);
@@ -364,7 +371,7 @@ TEST(PortConnection, SendWithoutDestinationThrows)
 
 TEST(PortConnection, UnreachableDestinationThrows)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 4);
     DirectConnection c1(&eng, "C1", 0), c2(&eng, "C2", 0);
     c1.plugIn(a.in);
@@ -378,7 +385,7 @@ TEST(Port, FailedSendRestoresSource)
 {
     // A component that forwards a message it received must still see
     // the original src when a send fails and it re-peeks the message.
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 1), c(&eng, "C", 1);
     DirectConnection conn(&eng, "Conn", 0);
     conn.plugIn(a.in);
@@ -476,35 +483,35 @@ expectRefusedSendKeepsSenderReference(Engine &eng, Connection &conn)
 
 TEST(MsgLifetime, DestroyedOnceAfterRetrieveOverDirectConnection)
 {
-    SerialEngine eng;
+    Engine eng;
     DirectConnection conn(&eng, "Conn", kNanosecond);
     expectDestroyedOnceAfterRetrieve(eng, conn);
 }
 
 TEST(MsgLifetime, DestroyedOnceAfterRetrieveOverSwitchedNetwork)
 {
-    SerialEngine eng;
+    Engine eng;
     akita::net::SwitchedNetwork net(&eng, "Net", {});
     expectDestroyedOnceAfterRetrieve(eng, net);
 }
 
 TEST(MsgLifetime, RefusedSendKeepsSenderReferenceDirect)
 {
-    SerialEngine eng;
+    Engine eng;
     DirectConnection conn(&eng, "Conn", kNanosecond);
     expectRefusedSendKeepsSenderReference(eng, conn);
 }
 
 TEST(MsgLifetime, RefusedSendKeepsSenderReferenceSwitched)
 {
-    SerialEngine eng;
+    Engine eng;
     akita::net::SwitchedNetwork net(&eng, "Net", {});
     expectRefusedSendKeepsSenderReference(eng, net);
 }
 
 TEST(Ticking, SleepsWithoutWorkAndWakesOnDelivery)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4), b(&eng, "B", 4);
     DirectConnection conn(&eng, "Conn", kNanosecond);
     conn.plugIn(a.in);
@@ -525,7 +532,7 @@ TEST(Ticking, SleepsWithoutWorkAndWakesOnDelivery)
 
 TEST(Ticking, ProgressCountsTracked)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "A", 4);
     a.tickLater();
     eng.run();
@@ -535,7 +542,7 @@ TEST(Ticking, ProgressCountsTracked)
 
 TEST(Ticking, ScheduleTickAtDeduplicatesSameCycle)
 {
-    SerialEngine eng;
+    Engine eng;
 
     class Counter : public TickingComponent
     {
@@ -565,7 +572,7 @@ TEST(Ticking, ScheduleTickAtDeduplicatesSameCycle)
 
 TEST(Component, PortAndBufferEnumeration)
 {
-    SerialEngine eng;
+    Engine eng;
     Node a(&eng, "GPU[0].X", 4);
     Buffer internal("GPU[0].X.Internal.Buf", 2);
     a.registerBuffer(&internal);
@@ -620,7 +627,7 @@ class WakeLogger : public Component
 
 TEST(PortClaim, ClaimedIsBufferedPlusInFlight)
 {
-    SerialEngine eng;
+    Engine eng;
     std::vector<std::string> log;
     WakeLogger a(&eng, "A", &log), b(&eng, "B", &log);
     Port *in = b.addPort("In", 4);
@@ -670,7 +677,7 @@ TEST(PortClaim, ClaimedIsBufferedPlusInFlight)
 
 TEST(PortClaim, RepeatedBusySendsRegisterOnce)
 {
-    SerialEngine eng;
+    Engine eng;
     std::vector<std::string> log;
     WakeLogger a(&eng, "A", &log), c(&eng, "C", &log), b(&eng, "B", &log);
     Port *in = b.addPort("In", 1);
@@ -694,7 +701,7 @@ TEST(PortClaim, RepeatedBusySendsRegisterOnce)
 
 TEST(PortClaim, WaitersWakeInInsertionOrder)
 {
-    SerialEngine eng;
+    Engine eng;
     std::vector<std::string> log;
     WakeLogger a(&eng, "A", &log), b(&eng, "B", &log),
         c(&eng, "C", &log), d(&eng, "D", &log);
@@ -760,10 +767,10 @@ TEST(PortClaim, BlockedSnapshotListsEveryPortsWaiters)
         EXPECT_EQ(log, (std::vector<std::string>{"Sink", "Sink", "S3",
                                                  "S1"}));
     };
-    SerialEngine e1;
+    Engine e1;
     DirectConnection direct(&e1, "Conn", kNanosecond);
     run(e1, direct);
-    SerialEngine e2;
+    Engine e2;
     akita::net::SwitchedNetwork net(&e2, "Net", {});
     run(e2, net);
 }
@@ -774,7 +781,7 @@ TEST(PortClaim, HerdOnOneSlotKeepsDeliveryOrderAndTimes)
     // every retrieve wakes the whole herd, the first woken sender takes
     // the slot and the rest find it refilled. Order and times are
     // pinned from the engine that ran every one of those ticks.
-    SerialEngine eng;
+    Engine eng;
     DirectConnection conn(&eng, "Conn", kNanosecond);
     Node sink(&eng, "Sink", 1);
     conn.plugIn(sink.in);
@@ -825,7 +832,7 @@ TEST_P(FanInConservation, NoLossNoDuplication)
     // Property: under arbitrary fan-in contention, the receiver gets
     // exactly the multiset of sent messages.
     const FanParams p = GetParam();
-    SerialEngine eng;
+    Engine eng;
     DirectConnection conn(&eng, "Conn", kNanosecond);
 
     Node sink(&eng, "Sink", p.bufCap);
