@@ -32,8 +32,7 @@ struct Rig
     workloads::Benchmark bench;
 
     Rig()
-        : plat(bench::applyEngine(
-              gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny()))),
+        : plat(gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny())),
           mon(bench::quietMonitor()),
           bench(workloads::paperSuite(bench::benchScale(0.25))[0]) // FIR
     {
@@ -71,9 +70,8 @@ struct Rig
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     int runs = bench::envInt("AKITA_RUNS", 3);
 
     auto timeScenario = [&](const std::function<double()> &once) {

@@ -72,9 +72,8 @@ runIm2Col(gpu::PlatformConfig cfg)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     using bench::section;
     section("Network ablation — im2col on the 4-chiplet MCM GPU");
     std::printf("%-36s %14s %12s %10s\n", "network", "completion",
@@ -87,8 +86,7 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows;
 
-    auto base = bench::applyEngine(
-        gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny()));
+    auto base = gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
 
     {
         Row r{"crossbar (default bandwidth)", base};

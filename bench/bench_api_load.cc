@@ -201,7 +201,6 @@ runMode(Mode mode, int clients, double scale, bool *bytesIdentical,
                         resp = client.get(
                             target, {{"Connection", "close"},
                                      {"x-akita-no-cache", "1"}});
-                        client.disconnect();
                     } else if (gzip) {
                         // The client gunzips transparently;
                         // wireBodyBytes keeps the on-wire size.
@@ -526,7 +525,6 @@ runWorkerSweep(int clients, double scale)
 int
 main(int argc, char **argv)
 {
-    bench::parseCli(argc, argv);
     int clients = bench::envInt("AKITA_CLIENTS", 16);
     double scale = bench::benchScale(0.25);
     bool gzipMode = false;

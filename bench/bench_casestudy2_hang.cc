@@ -39,15 +39,14 @@ buggyConfig()
     cfg.gpu.l2.installCapacity = 2;
     cfg.gpu.l2.wbFetchedCapacity = 2;
     cfg.gpu.l2.dramWriteInflightMax = 1;
-    return bench::applyEngine(std::move(cfg));
+    return cfg;
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     using bench::section;
 
     workloads::TransposeParams tp;

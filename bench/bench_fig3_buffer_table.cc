@@ -18,9 +18,8 @@
 using namespace akita;
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     using bench::section;
 
     gpu::PlatformConfig cfg = bench::evalPlatform();

@@ -114,9 +114,8 @@ class Source : public sim::TickingComponent
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     using bench::section;
 
     sim::Engine eng;

@@ -22,9 +22,8 @@
 using namespace akita;
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     using bench::section;
     using bench::sparkline;
     using bench::stats;

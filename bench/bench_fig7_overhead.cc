@@ -85,7 +85,12 @@ runOnce(const workloads::Benchmark &bench, Scenario scenario)
         scenario == Scenario::PrometheusScrape) {
         std::uint16_t port = mon->serverPort();
         traffic = std::thread([&stopTraffic, scenario, port]() {
-            web::HttpClient client("127.0.0.1", port);
+            // One connection per request, as a browser polling with
+            // "Connection: close" would open.
+            web::PersistentClient client("127.0.0.1", port);
+            auto get = [&client](const char *target) {
+                client.get(target, {{"Connection", "close"}});
+            };
             // The paper's dashboard self-refreshes time/progress about
             // once a second; active monitoring additionally clicks a
             // component once a second; the scrape scenario instead
@@ -93,13 +98,13 @@ runOnce(const workloads::Benchmark &bench, Scenario scenario)
             int tick = 0;
             while (!stopTraffic.load()) {
                 if (scenario == Scenario::PrometheusScrape) {
-                    client.get("/metrics");
-                    client.get("/api/v1/metrics/query?name=akita_"
-                               "engine_events_total&step=1000");
+                    get("/metrics");
+                    get("/api/v1/metrics/query?name=akita_"
+                        "engine_events_total&step=1000");
                 } else {
-                    client.get("/api/status");
-                    client.get("/api/progress");
-                    client.get("/api/resources");
+                    get("/api/status");
+                    get("/api/progress");
+                    get("/api/resources");
                 }
                 if (scenario == Scenario::ActiveMonitoring) {
                     const char *targets[] = {
@@ -109,7 +114,7 @@ runOnce(const workloads::Benchmark &bench, Scenario scenario)
                         "/api/buffers?sort=percent&top=30",
                         "/api/component?name=GPU%5B2%5D.L2%5B0%5D",
                     };
-                    client.get(targets[tick % 4]);
+                    get(targets[tick % 4]);
                 }
                 tick++;
                 for (int i = 0; i < 100 && !stopTraffic.load(); i++) {
@@ -141,9 +146,8 @@ runOnce(const workloads::Benchmark &bench, Scenario scenario)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::parseCli(argc, argv);
     int runs = bench::envInt("AKITA_RUNS", 3);
     double scale = bench::benchScale(0.25);
     auto suite = workloads::paperSuite(scale);

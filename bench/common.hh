@@ -15,6 +15,7 @@
 
 #include "gpu/platform.hh"
 #include "rtm/monitor.hh"
+#include "sim/parse.hh"
 #include "workloads/workloads.hh"
 
 namespace akita
@@ -22,58 +23,20 @@ namespace akita
 namespace bench
 {
 
-/** @{ Remembered argv so platform factories deep inside a harness can
- * honor --record=, --record-bytes= and --fleet= (the AKITA_RECORD /
- * AKITA_RECORD_BYTES / AKITA_FLEET env vars work too; flags win). Call
- * parseCli() first thing in main(). */
-inline int &
-cliArgc()
-{
-    static int v = 0;
-    return v;
-}
-
-inline char **&
-cliArgv()
-{
-    static char **v = nullptr;
-    return v;
-}
-
-inline void
-parseCli(int argc, char **argv)
-{
-    cliArgc() = argc;
-    cliArgv() = argv;
-}
-/** @} */
-
-/** Applies the run flags (env vars, then CLI flags) to a platform
- * configuration. */
-inline gpu::PlatformConfig
-applyEngine(gpu::PlatformConfig cfg)
-{
-    if (cliArgv() != nullptr)
-        gpu::applyEngineArgs(cfg, cliArgc(), cliArgv());
-    else
-        gpu::applyEngineEnv(cfg);
-    return cfg;
-}
-
-/** Reads a double from the environment with a default. */
+/** Reads a double from the environment with a default; junk throws. */
 inline double
 envDouble(const char *name, double dflt)
 {
     const char *v = std::getenv(name);
-    return v == nullptr ? dflt : std::atof(v);
+    return v == nullptr ? dflt : sim::parseNumber<double>(name, v);
 }
 
-/** Reads an int from the environment with a default. */
+/** Reads an int from the environment with a default; junk throws. */
 inline int
 envInt(const char *name, int dflt)
 {
     const char *v = std::getenv(name);
-    return v == nullptr ? dflt : std::atoi(v);
+    return v == nullptr ? dflt : sim::parseNumber<int>(name, v);
 }
 
 /** True when AKITA_FULL=1 selects the full R9-Nano-scale platform. */
@@ -89,7 +52,7 @@ evalPlatform()
 {
     gpu::GpuConfig chip = fullScale() ? gpu::GpuConfig::r9nano()
                                       : gpu::GpuConfig::medium();
-    return applyEngine(gpu::PlatformConfig::mcm4(chip));
+    return gpu::PlatformConfig::mcm4(chip);
 }
 
 /** Default workload scale (AKITA_SCALE overrides). */

@@ -15,10 +15,12 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "gpu/platform.hh"
 #include "rtm/monitor.hh"
+#include "sim/parse.hh"
 #include "workloads/workloads.hh"
 
 using namespace akita;
@@ -35,12 +37,10 @@ step(const char *text)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    gpu::PlatformConfig cfg =
-        gpu::PlatformConfig::mcm4(gpu::GpuConfig::medium());
-    gpu::applyEngineArgs(cfg, argc, argv); // --record= / --fleet= / ...
-    gpu::Platform platform(cfg);
+    gpu::Platform platform(
+        gpu::PlatformConfig::mcm4(gpu::GpuConfig::medium()));
 
     rtm::Monitor monitor;
     monitor.registerEngine(&platform.engine());
@@ -53,8 +53,8 @@ main(int argc, char **argv)
     // AKITA_BATCH=640 for the full run).
     workloads::Im2ColParams params;
     const char *batch = std::getenv("AKITA_BATCH");
-    params.batch = batch ? static_cast<std::uint32_t>(std::atoi(batch))
-                         : 96;
+    params.batch =
+        batch ? sim::parseNumber<std::uint32_t>("AKITA_BATCH", batch) : 96;
     auto kernel = workloads::makeIm2Col(params);
     platform.launchKernel(&kernel);
 

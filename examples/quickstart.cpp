@@ -21,6 +21,7 @@
 #include "gpu/platform.hh"
 #include "rtm/gateway.hh"
 #include "rtm/monitor.hh"
+#include "sim/parse.hh"
 #include "workloads/workloads.hh"
 
 using namespace akita;
@@ -99,7 +100,8 @@ main(int argc, char **argv)
 
     const char *portEnv = std::getenv("AKITA_PORT");
     std::uint16_t port =
-        portEnv ? static_cast<std::uint16_t>(std::atoi(portEnv)) : 8080;
+        portEnv ? sim::parseNumber<std::uint16_t>("AKITA_PORT", portEnv)
+                : 8080;
 
     if (cfg.fleet > 1)
         return runFleet(cfg, port, once);

@@ -14,24 +14,28 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "json/json.hh"
+#include "sim/parse.hh"
 #include "web/client.hh"
 
 using akita::json::Json;
-using akita::web::HttpClient;
+using akita::web::PersistentClient;
 
 int
 main(int argc, char **argv)
 {
     std::string host = argc > 1 ? argv[1] : "127.0.0.1";
-    auto port = static_cast<std::uint16_t>(
-        argc > 2 ? std::atoi(argv[2]) : 8080);
-    int iterations = argc > 3 ? std::atoi(argv[3]) : 0; // 0 = forever.
+    std::uint16_t port =
+        argc > 2 ? akita::sim::parseNumber<std::uint16_t>("port", argv[2])
+                 : 8080;
+    int iterations = argc > 3
+                         ? akita::sim::parseNumber<int>("iterations",
+                                                        argv[3])
+                         : 0; // 0 = forever.
 
-    HttpClient client(host, port);
+    PersistentClient client(host, port);
     std::printf("watching http://%s:%u (Ctrl-C to quit)\n", host.c_str(),
                 port);
 

@@ -1,10 +1,10 @@
 #include "gpu/platform.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
-#include <stdexcept>
 #include <string_view>
+
+#include "sim/parse.hh"
 
 namespace akita
 {
@@ -362,30 +362,10 @@ Platform::run()
 namespace
 {
 
-/**
- * Parses @p text as a whole decimal integer. Junk (an empty value, a
- * suffix such as "8M", an out-of-range number) throws, naming @p what,
- * instead of running with a silently different setting.
- */
-template <typename T>
-T
-parseInt(const char *what, std::string_view text)
-{
-    T v = 0;
-    auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc() || end != text.data() + text.size()) {
-        throw std::invalid_argument(std::string(what) + ": '" +
-                                    std::string(text) +
-                                    "' is not a decimal integer");
-    }
-    return v;
-}
-
 void
 setRecordBytes(PlatformConfig &cfg, const char *what, std::string_view text)
 {
-    long long v = parseInt<long long>(what, text);
+    long long v = sim::parseNumber<long long>(what, text);
     if (v > 0)
         cfg.recordSegmentBytes = static_cast<std::size_t>(v);
 }
@@ -393,10 +373,8 @@ setRecordBytes(PlatformConfig &cfg, const char *what, std::string_view text)
 void
 setFleet(PlatformConfig &cfg, const char *what, std::string_view text)
 {
-    cfg.fleet = std::max(1, parseInt<int>(what, text));
+    cfg.fleet = std::max(1, sim::parseNumber<int>(what, text));
 }
-
-} // namespace
 
 void
 applyEngineEnv(PlatformConfig &cfg)
@@ -408,6 +386,8 @@ applyEngineEnv(PlatformConfig &cfg)
     if (const char *f = std::getenv("AKITA_FLEET"))
         setFleet(cfg, "AKITA_FLEET", f);
 }
+
+} // namespace
 
 void
 applyEngineArgs(PlatformConfig &cfg, int argc, char **argv)

@@ -85,7 +85,7 @@ struct PlatformConfig
 
     /**
      * Flight-recorder segment path (--record= / AKITA_RECORD); copied
-     * into MonitorConfig::recordPath by the example/bench harnesses.
+     * into MonitorConfig::recordPath by the examples that take it.
      * Empty disables recording.
      */
     std::string recordPath;
@@ -209,13 +209,8 @@ class Platform
  * Each N must be a whole decimal integer; anything else (e.g. "8M")
  * throws std::invalid_argument naming the flag or variable. A
  * non-positive --record-bytes keeps the default; --fleet below 1 means 1.
- *
- * Lets every bench/example binary take the same switches.
  */
 void applyEngineArgs(PlatformConfig &cfg, int argc, char **argv);
-
-/** Environment-only variant for harnesses without argv access. */
-void applyEngineEnv(PlatformConfig &cfg);
 
 } // namespace gpu
 } // namespace akita

@@ -127,8 +127,6 @@ MetricRegistry::makeInstr(Desc d)
     in->desc = std::move(d);
     if (in->desc.series != SeriesMode::None) {
         SeriesConfig cfg = seriesDefaults_;
-        if (in->desc.rawCapacity != 0)
-            cfg.rawCapacity = in->desc.rawCapacity;
         if (in->desc.series == SeriesMode::Raw) {
             cfg.res1sCapacity = 1;
             cfg.res10sCapacity = 1;

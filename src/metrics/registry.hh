@@ -68,8 +68,6 @@ struct Desc
     SeriesMode series = SeriesMode::None;
     /** Pull callbacks only: evaluate under the engine lock. */
     bool needsLock = false;
-    /** Raw-ring capacity override; 0 uses the registry default. */
-    std::size_t rawCapacity = 0;
 };
 
 /** One instrument's value at the most recent sampling pass. */

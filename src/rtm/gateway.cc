@@ -48,14 +48,6 @@ validSimId(const std::string &id)
     return true;
 }
 
-web::ServerOptions
-makeServerOptions(const GatewayConfig &cfg)
-{
-    web::ServerOptions o;
-    o.workers = cfg.httpWorkers;
-    return o;
-}
-
 /**
  * One simulation's engine-stable status fragment: the fields the fleet
  * SSE stream diffs. Deliberately excludes anything that moves with
@@ -101,8 +93,7 @@ stableFragment(const std::string &id, Monitor *m)
 } // namespace
 
 Gateway::Gateway(const GatewayConfig &cfg)
-    : cfg_(cfg),
-      server_(makeServerOptions(cfg))
+    : cfg_(cfg)
 {
     installFleetRoutes();
 

@@ -52,8 +52,6 @@ struct GatewayConfig
 {
     /** TCP port; 0 picks an ephemeral port. */
     std::uint16_t port = 0;
-    /** HTTP handler pool size; 0 means auto (see ServerOptions). */
-    int httpWorkers = 0;
     /** Print the gateway URL on start. */
     bool announceUrl = true;
     /** Minimum ms between fleet SSE delta scans. */

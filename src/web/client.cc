@@ -62,96 +62,6 @@ encodeChunked(const std::string &body, std::size_t chunk_size)
 
 } // namespace
 
-std::optional<ClientResponse>
-HttpClient::get(const std::string &target) const
-{
-    std::string req = "GET " + target + " HTTP/1.1\r\n" +
-                      "Host: " + host_ + "\r\n" +
-                      "Connection: close\r\n\r\n";
-    return roundTrip(req);
-}
-
-std::optional<ClientResponse>
-HttpClient::post(const std::string &target, const std::string &body,
-                 const std::string &content_type) const
-{
-    std::string req = "POST " + target + " HTTP/1.1\r\n" +
-                      "Host: " + host_ + "\r\n" +
-                      "Content-Type: " + content_type + "\r\n" +
-                      "Content-Length: " + std::to_string(body.size()) +
-                      "\r\n" + "Connection: close\r\n\r\n" + body;
-    return roundTrip(req);
-}
-
-std::optional<ClientResponse>
-HttpClient::roundTrip(const std::string &request) const
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return std::nullopt;
-
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port_);
-    if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
-            0) {
-        ::close(fd);
-        return std::nullopt;
-    }
-
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-        ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n <= 0) {
-            ::close(fd);
-            return std::nullopt;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-
-    std::string data;
-    char buf[8192];
-    while (true) {
-        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            break;
-        data.append(buf, static_cast<std::size_t>(n));
-        // Stop as soon as a self-delimited (Content-Length or chunked)
-        // response is complete. Responses without such framing are
-        // close-framed: keep reading to EOF.
-        std::size_t consumed = 0;
-        ParseResult state = ParseResult::Incomplete;
-        if (auto parsed = parseResponse(data, consumed, &state)) {
-            ::close(fd);
-            if (!maybeDecompress(*parsed))
-                return std::nullopt;
-            return ClientResponse{parsed->status,
-                                  std::move(parsed->headers),
-                                  std::move(parsed->body)};
-        }
-        if (state == ParseResult::Invalid) {
-            // Corrupt framing can never complete; reading to EOF would
-            // only re-parse the same poison bytes.
-            ::close(fd);
-            return std::nullopt;
-        }
-    }
-    ::close(fd);
-
-    auto parsed = parseResponse(data);
-    if (!parsed || !maybeDecompress(*parsed))
-        return std::nullopt;
-    return ClientResponse{parsed->status, std::move(parsed->headers),
-                          std::move(parsed->body)};
-}
-
 void
 PersistentClient::disconnect()
 {
@@ -206,11 +116,18 @@ std::optional<ParsedResponse>
 PersistentClient::readResponse()
 {
     char buf[8192];
+    bool eof = false;
     while (true) {
         std::size_t consumed = 0;
         ParseResult state = ParseResult::Incomplete;
-        if (auto parsed = parseResponse(pending_, consumed, &state)) {
+        if (auto parsed = parseResponse(pending_, consumed, &state, eof)) {
             pending_.erase(0, consumed);
+            // The server will not read another request on this socket;
+            // the next one starts on a fresh connection.
+            auto conn = parsed->headers.find("connection");
+            if (eof || (conn != parsed->headers.end() &&
+                        conn->second == "close"))
+                disconnect();
             if (!maybeDecompress(*parsed))
                 return std::nullopt;
             return parsed;
@@ -222,10 +139,15 @@ PersistentClient::readResponse()
             disconnect();
             return std::nullopt;
         }
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-        if (n <= 0)
+        if (eof)
             return std::nullopt;
-        pending_.append(buf, static_cast<std::size_t>(n));
+        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+        if (n < 0)
+            return std::nullopt;
+        if (n == 0)
+            eof = true; // Completes a close-delimited response.
+        else
+            pending_.append(buf, static_cast<std::size_t>(n));
     }
 }
 
@@ -259,6 +181,18 @@ PersistentClient::get(
     for (const auto &kv : extraHeaders)
         req += kv.first + ": " + kv.second + "\r\n";
     req += "\r\n";
+    return roundTrip(req);
+}
+
+std::optional<ParsedResponse>
+PersistentClient::post(const std::string &target, const std::string &body,
+                       const std::string &content_type)
+{
+    std::string req = "POST " + target + " HTTP/1.1\r\n" +
+                      "Host: " + host_ + "\r\n" +
+                      "Content-Type: " + content_type + "\r\n" +
+                      "Content-Length: " + std::to_string(body.size()) +
+                      "\r\n\r\n" + body;
     return roundTrip(req);
 }
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Minimal blocking HTTP client.
+ * Blocking keep-alive HTTP client.
  *
- * Used by the test suite, by the remote-monitor example (the paper's
- * "other simulators can use the HTTP API" path), and by the Fig. 7
- * overhead benchmark to replay browser traffic (passive refresh and the
- * 1-second automated clicks of scenario 4).
+ * The one client of the RTM's HTTP API: akita-inspect, the
+ * remote-monitor example (the paper's "other simulators can use the
+ * HTTP API" path), the load and overhead benchmarks, and the test
+ * suite all speak through it. A caller that wants one connection per
+ * request sends "Connection: close" and the client reconnects on the
+ * next call.
  */
 
 #ifndef AKITA_WEB_CLIENT_HH
@@ -23,58 +25,14 @@ namespace akita
 namespace web
 {
 
-/** Result of a client request. */
-struct ClientResponse
-{
-    int status = 0;
-    /** Header map with lower-cased field names. */
-    std::map<std::string, std::string> headers;
-    std::string body;
-};
-
-/**
- * A blocking HTTP/1.1 client pinned to one host/port.
- *
- * Each request opens a fresh connection (Connection: close); the
- * monitoring request rate is ~1/s, so connection reuse is not worth the
- * state machine.
- *
- * Gzip/deflate response bodies are decompressed transparently (the
- * Content-Encoding header is preserved so callers can tell).
- */
-class HttpClient
-{
-  public:
-    /**
-     * @param host Dotted IPv4 address, e.g. "127.0.0.1".
-     */
-    HttpClient(std::string host, std::uint16_t port)
-        : host_(std::move(host)), port_(port)
-    {
-    }
-
-    /** Issues a GET; nullopt on connection failure. */
-    std::optional<ClientResponse> get(const std::string &target) const;
-
-    /** Issues a POST with a body; nullopt on connection failure. */
-    std::optional<ClientResponse>
-    post(const std::string &target, const std::string &body,
-         const std::string &content_type = "application/json") const;
-
-  private:
-    std::optional<ClientResponse>
-    roundTrip(const std::string &request) const;
-
-    std::string host_;
-    std::uint16_t port_;
-};
-
 /**
  * A blocking keep-alive HTTP/1.1 client pinned to one host/port.
  *
  * Reuses one TCP connection across requests (the dashboard-poller
  * traffic pattern); reconnects transparently once if the server closed
- * the idle connection. Not thread-safe — one instance per client
+ * the idle connection. A response carrying "Connection: close", or one
+ * delimited by the server closing, drops the socket, and the next
+ * request opens a fresh one. Not thread-safe — one instance per client
  * thread.
  *
  * Gzip/deflate response bodies are decompressed transparently; the
@@ -103,6 +61,11 @@ class PersistentClient
     get(const std::string &target,
         const std::vector<std::pair<std::string, std::string>>
             &extraHeaders = {});
+
+    /** Issues a POST with a Content-Length-framed body. */
+    std::optional<ParsedResponse>
+    post(const std::string &target, const std::string &body,
+         const std::string &content_type = "application/json");
 
     /**
      * Issues a POST with a Transfer-Encoding: chunked body, split into

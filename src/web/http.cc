@@ -394,33 +394,28 @@ parseRequest(const std::string &data, std::size_t start, Request &req,
     return ParseResult::Ok;
 }
 
-namespace
-{
-
-/**
- * Parses the status line and headers shared by both variants.
- *
- * @param[out] rc Why nullopt was returned (Incomplete vs Invalid).
- */
 std::optional<ParsedResponse>
-parseResponseHead(const std::string &data, std::size_t &body_start,
-                  ParseResult &rc)
+parseResponse(const std::string &data, std::size_t &consumed,
+              ParseResult *state, bool eof)
 {
+    auto fail = [&](ParseResult rc) {
+        if (state != nullptr)
+            *state = rc;
+        return std::nullopt;
+    };
     std::size_t eol = data.find("\r\n");
     if (eol == std::string::npos) {
         // A status line is tens of bytes; unbounded data with no line
         // ending is garbage, not a partial read.
-        rc = data.size() > 16384 ? ParseResult::Invalid
-                                 : ParseResult::Incomplete;
-        return std::nullopt;
+        return fail(data.size() > 16384 ? ParseResult::Invalid
+                                        : ParseResult::Incomplete);
     }
     std::string line = data.substr(0, eol);
-    rc = ParseResult::Invalid;
     if (line.rfind("HTTP/1.", 0) != 0)
-        return std::nullopt;
+        return fail(ParseResult::Invalid);
     std::size_t sp = line.find(' ');
     if (sp == std::string::npos || sp + 3 >= line.size())
-        return std::nullopt;
+        return fail(ParseResult::Invalid);
     // Exactly three digits in the registered range, terminated by the
     // reason phrase or end of line — a garbage status must not decay
     // to atoi's 0 and flow downstream as a "status code".
@@ -429,104 +424,50 @@ parseResponseHead(const std::string &data, std::size_t &body_start,
         !std::isdigit(static_cast<unsigned char>(digits[1])) ||
         !std::isdigit(static_cast<unsigned char>(digits[2])) ||
         (digits[3] != '\0' && digits[3] != ' '))
-        return std::nullopt;
+        return fail(ParseResult::Invalid);
     ParsedResponse resp;
     resp.status = (digits[0] - '0') * 100 + (digits[1] - '0') * 10 +
                   (digits[2] - '0');
     if (resp.status < 100 || resp.status > 599)
-        return std::nullopt;
+        return fail(ParseResult::Invalid);
 
     bool valid = true;
     std::size_t bodyStart = parseHeaders(data, eol + 2, resp.headers, valid);
     if (!valid)
-        return std::nullopt;
-    if (bodyStart == std::string::npos) {
-        rc = ParseResult::Incomplete;
-        return std::nullopt;
-    }
-    rc = ParseResult::Ok;
-    body_start = bodyStart;
-    return resp;
-}
+        return fail(ParseResult::Invalid);
+    if (bodyStart == std::string::npos)
+        return fail(ParseResult::Incomplete);
 
-} // namespace
-
-std::optional<ParsedResponse>
-parseResponse(const std::string &data)
-{
-    std::size_t bodyStart = 0;
-    ParseResult rc = ParseResult::Invalid;
-    auto resp = parseResponseHead(data, bodyStart, rc);
-    if (!resp)
-        return std::nullopt;
-
-    if (isChunked(resp->headers)) {
+    if (isChunked(resp.headers)) {
         std::size_t end = 0;
-        if (decodeChunked(data, bodyStart, resp->body, end) !=
-            ParseResult::Ok)
-            return std::nullopt;
-        resp->wireBodyBytes = resp->body.size();
-        return resp;
-    }
-    auto it = resp->headers.find("content-length");
-    if (it == resp->headers.end()) {
-        // Connection-close framing (e.g. streamed responses): the body
-        // is whatever has arrived so far; the caller decides when the
-        // response is complete (EOF).
-        resp->body = data.substr(bodyStart);
-        resp->wireBodyBytes = resp->body.size();
-        return resp;
-    }
-    std::size_t contentLen = 0;
-    if (!parseContentLength(it->second, contentLen))
-        return std::nullopt;
-    if (data.size() < bodyStart + contentLen)
-        return std::nullopt;
-    resp->body = data.substr(bodyStart, contentLen);
-    resp->wireBodyBytes = contentLen;
-    return resp;
-}
-
-std::optional<ParsedResponse>
-parseResponse(const std::string &data, std::size_t &consumed,
-              ParseResult *state)
-{
-    auto fail = [&](ParseResult rc) {
-        if (state != nullptr)
-            *state = rc;
-        return std::nullopt;
-    };
-    std::size_t bodyStart = 0;
-    ParseResult rc = ParseResult::Invalid;
-    auto resp = parseResponseHead(data, bodyStart, rc);
-    if (!resp)
-        return fail(rc);
-
-    if (isChunked(resp->headers)) {
-        std::size_t end = 0;
-        ParseResult body = decodeChunked(data, bodyStart, resp->body, end);
+        ParseResult body = decodeChunked(data, bodyStart, resp.body, end);
         if (body != ParseResult::Ok) {
             // Invalid means corrupt framing: reading further can never
             // resynchronize this connection, so tell the caller to
             // abort rather than wait out a socket timeout.
             return fail(body);
         }
-        resp->wireBodyBytes = resp->body.size();
+        resp.wireBodyBytes = resp.body.size();
         consumed = end;
         return resp;
     }
-    auto it = resp->headers.find("content-length");
-    if (it == resp->headers.end()) {
-        // Close-framed; needs EOF to delimit.
-        return fail(ParseResult::Incomplete);
+    auto it = resp.headers.find("content-length");
+    if (it == resp.headers.end()) {
+        // Close-delimited: the body is everything up to EOF.
+        if (!eof)
+            return fail(ParseResult::Incomplete);
+        resp.body = data.substr(bodyStart);
+        resp.wireBodyBytes = resp.body.size();
+        consumed = data.size();
+        return resp;
     }
     std::size_t contentLen = 0;
     if (!parseContentLength(it->second, contentLen))
         return fail(ParseResult::Invalid);
     if (data.size() < bodyStart + contentLen)
         return fail(ParseResult::Incomplete);
-    resp->body = data.substr(bodyStart, contentLen);
-    resp->wireBodyBytes = contentLen;
+    resp.body = data.substr(bodyStart, contentLen);
+    resp.wireBodyBytes = contentLen;
     consumed = bodyStart + contentLen;
     return resp;
 }

@@ -116,11 +116,7 @@ ParseResult parseRequest(const std::string &data, Request &req,
 ParseResult parseRequest(const std::string &data, std::size_t start,
                          Request &req, std::size_t &consumed);
 
-/**
- * Parses a response (client side).
- *
- * @return The status code and body, or nullopt on malformed input.
- */
+/** A response parsed on the client side. */
 struct ParsedResponse
 {
     int status = 0;
@@ -135,14 +131,15 @@ struct ParsedResponse
     std::size_t wireBodyBytes = 0;
 };
 
-std::optional<ParsedResponse> parseResponse(const std::string &data);
-
 /**
- * Keep-alive variant: parses one Content-Length- or chunked-framed
- * response from the front of @p data and reports the bytes it
- * occupied, so a client can leave pipelined follow-up responses in the
- * buffer. Responses without self-delimiting framing (close-framed)
- * return nullopt here.
+ * Parses one response from the front of @p data and reports the bytes
+ * it occupied, so a client can leave pipelined follow-up responses in
+ * the buffer.
+ *
+ * A Content-Length- or chunked-framed response is complete as soon as
+ * its bytes are. A response with neither header is close-delimited
+ * (RFC 9112 §6.3): its body ends when the server closes, so it only
+ * parses once the caller passes @p eof; until then it is Incomplete.
  *
  * @param[out] state When non-null, why nullopt was returned:
  *        Incomplete means more bytes (or EOF, for close framing) may
@@ -150,10 +147,12 @@ std::optional<ParsedResponse> parseResponse(const std::string &data);
  *        a valid response (corrupt chunk framing, malformed status
  *        line, conflicting headers) and the caller must abort the
  *        connection — no amount of further reading resynchronizes it.
+ * @param eof The peer has closed: @p data is everything it sent.
  */
 std::optional<ParsedResponse> parseResponse(const std::string &data,
                                             std::size_t &consumed,
-                                            ParseResult *state = nullptr);
+                                            ParseResult *state = nullptr,
+                                            bool eof = false);
 
 } // namespace web
 } // namespace akita

@@ -34,7 +34,7 @@ using Handler = std::function<Response(const Request &)>;
  *
  * A stream route returns a session per accepted request. The server
  * writes the head once, then calls pump() from the event loop every
- * streamPollMs once the previous bytes have drained (built-in
+ * 25 ms once the previous bytes have drained (built-in
  * backpressure: a slow client is never buffered beyond one chunk).
  * pump() appends any ready bytes to @p out and returns false to end
  * the stream — streaming responses carry no Content-Length, so the

@@ -25,6 +25,20 @@ namespace
 constexpr std::uint64_t kListenId = 0;
 constexpr std::uint64_t kWakeId = 1;
 
+/** Cadence at which drained stream sessions are pumped. */
+constexpr int kStreamPollMs = 25;
+/** Pause reading from a connection buffering more than this. */
+constexpr std::size_t kWriteHighWater = 1u << 20;
+/** Reject requests larger than this (head + body). */
+constexpr std::size_t kMaxRequestBytes = 1u << 20;
+/**
+ * Compress 200 responses at least this large when the client's
+ * Accept-Encoding allows it and the handler did not already set
+ * Content-Encoding. Handlers serving from a response cache
+ * pre-compress instead, so this is the fallback for uncached bodies.
+ */
+constexpr std::size_t kCompressMinBytes = 1024;
+
 int
 resolveWorkers(int requested)
 {
@@ -43,6 +57,32 @@ overloadedResponse()
     static const std::string wire =
         Response::error(503, "connection limit reached").serialize(false);
     return wire;
+}
+
+/** Compresses a large 200 body for a client that accepts it. */
+void
+maybeCompress(const Request &req, Response &resp)
+{
+    // A handler that set Content-Encoding or an ETag manages its own
+    // representations (the cached endpoints pre-compress per entry);
+    // recompressing here would detach the validator from the bytes.
+    if (resp.status != 200 || resp.body.size() < kCompressMinBytes ||
+        resp.headers.count("Content-Encoding") ||
+        resp.headers.count("ETag"))
+        return;
+    auto ae = req.headers.find("accept-encoding");
+    if (ae == req.headers.end())
+        return;
+    ContentEncoding enc = negotiateEncoding(ae->second);
+    if (enc == ContentEncoding::Identity)
+        return;
+    std::string packed;
+    if (!compressBody(enc, resp.body, packed) ||
+        packed.size() >= resp.body.size())
+        return;
+    resp.body = std::move(packed);
+    resp.headers["Content-Encoding"] = encodingName(enc);
+    resp.headers["Vary"] = "Accept-Encoding";
 }
 
 } // namespace
@@ -155,12 +195,9 @@ HttpServer::start(std::uint16_t port)
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
-    int backlog = opts_.listenBacklog > 0
-                      ? std::min(opts_.listenBacklog, SOMAXCONN)
-                      : SOMAXCONN;
     if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) < 0 ||
-        ::listen(listenFd_, backlog) < 0) {
+        ::listen(listenFd_, SOMAXCONN) < 0) {
         ::close(listenFd_);
         listenFd_ = -1;
         return false;
@@ -270,7 +307,7 @@ HttpServer::reactorLoop()
     auto lastSweep = std::chrono::steady_clock::now();
 
     while (running_.load()) {
-        int timeout = numStreams_ > 0 ? opts_.streamPollMs : 250;
+        int timeout = numStreams_ > 0 ? kStreamPollMs : 250;
         int n = ::epoll_wait(epollFd_, events, kMaxEvents, timeout);
         if (!running_.load())
             break;
@@ -404,7 +441,7 @@ HttpServer::processInput(Conn &conn)
     std::size_t consumed = 0;
     ParseResult pr = parseRequest(conn.in, conn.inOff, req, consumed);
     if (pr == ParseResult::Incomplete &&
-        conn.in.size() - conn.inOff > opts_.maxRequestBytes)
+        conn.in.size() - conn.inOff > kMaxRequestBytes)
         pr = ParseResult::Invalid;
     if (pr == ParseResult::Invalid) {
         conn.out.append(
@@ -575,7 +612,7 @@ HttpServer::updateEvents(Conn &conn)
     bool pendingOut = conn.outOff < conn.out.size();
     // Backpressure: stop reading while the peer lets writes pile up.
     bool readPaused =
-        conn.out.size() - conn.outOff > opts_.writeHighWater;
+        conn.out.size() - conn.outOff > kWriteHighWater;
     std::uint32_t want = (readPaused ? 0u : EPOLLIN) |
                          (pendingOut ? EPOLLOUT : 0u);
     if (want == conn.events)
@@ -686,32 +723,6 @@ HttpServer::runJob(const Job &job) const
     c.bytes = resp.serialize(job.keepAlive);
     c.close = !job.keepAlive;
     return c;
-}
-
-void
-HttpServer::maybeCompress(const Request &req, Response &resp) const
-{
-    // A handler that set Content-Encoding or an ETag manages its own
-    // representations (the cached endpoints pre-compress per entry);
-    // recompressing here would detach the validator from the bytes.
-    if (opts_.compressMinBytes == 0 || resp.status != 200 ||
-        resp.body.size() < opts_.compressMinBytes ||
-        resp.headers.count("Content-Encoding") ||
-        resp.headers.count("ETag"))
-        return;
-    auto ae = req.headers.find("accept-encoding");
-    if (ae == req.headers.end())
-        return;
-    ContentEncoding enc = negotiateEncoding(ae->second);
-    if (enc == ContentEncoding::Identity)
-        return;
-    std::string packed;
-    if (!compressBody(enc, resp.body, packed) ||
-        packed.size() >= resp.body.size())
-        return;
-    resp.body = std::move(packed);
-    resp.headers["Content-Encoding"] = encodingName(enc);
-    resp.headers["Vary"] = "Accept-Encoding";
 }
 
 } // namespace web

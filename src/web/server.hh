@@ -45,26 +45,10 @@ struct ServerOptions
 {
     /** Handler pool size; 0 means auto: min(4, hardware_concurrency). */
     int workers = 0;
-    /** listen(2) backlog; 0 means SOMAXCONN. Always capped at SOMAXCONN. */
-    int listenBacklog = 0;
     /** Concurrent-connection cap; excess connects get a fast 503. */
     std::size_t maxConnections = 256;
     /** Keep-alive connections idle longer than this are closed. */
     int idleTimeoutMs = 30000;
-    /** Cadence at which drained stream sessions are pumped. */
-    int streamPollMs = 25;
-    /** Pause reading from a connection buffering more than this. */
-    std::size_t writeHighWater = 1u << 20;
-    /** Reject requests larger than this (head + body). */
-    std::size_t maxRequestBytes = 1u << 20;
-    /**
-     * Compress 200 responses at least this large when the client's
-     * Accept-Encoding allows it and the handler did not already set
-     * Content-Encoding. 0 disables server-side compression. Handlers
-     * serving from a response cache pre-compress instead, so this is
-     * the fallback for uncached bodies.
-     */
-    std::size_t compressMinBytes = 1024;
 };
 
 /**
@@ -207,7 +191,6 @@ class HttpServer
     void reactorLoop();
     void workerLoop();
     Completion runJob(const Job &job) const;
-    void maybeCompress(const Request &req, Response &resp) const;
 
     void onAccept();
     void onReadable(Conn &conn);

@@ -145,7 +145,7 @@ runFleetWorkloads(rtm::Fleet &fleet)
 }
 
 Json
-getJson(const web::HttpClient &c, const std::string &target)
+getJson(web::PersistentClient &c, const std::string &target)
 {
     auto r = c.get(target);
     EXPECT_TRUE(r.has_value()) << target;
@@ -163,24 +163,39 @@ TEST(ParseHardening, ResponseStatusLineMustBeThreeDigits)
 {
     // Regression: the status line used to go through bare atoi(), so
     // "HTTP/1.1 abc OK" parsed as status 0 and "HTTP/1.1 99 X" leaked
-    // out-of-range codes to callers.
+    // out-of-range codes to callers. A bad status line is Invalid
+    // whether or not the peer has closed.
     for (const char *bad : {
              "HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
              "HTTP/1.1 99 Low\r\nContent-Length: 0\r\n\r\n",
              "HTTP/1.1 600 High\r\nContent-Length: 0\r\n\r\n",
              "HTTP/1.1 20a OK\r\nContent-Length: 0\r\n\r\n",
              "HTTP/1.1  200 OK\r\nContent-Length: 0\r\n\r\n",
+             "HTTP/1.1 abc OK\r\n\r\nclose-delimited",
          }) {
-        EXPECT_FALSE(web::parseResponse(bad).has_value()) << bad;
+        for (bool eof : {false, true}) {
+            std::size_t consumed = 0;
+            web::ParseResult state = web::ParseResult::Ok;
+            EXPECT_FALSE(
+                web::parseResponse(bad, consumed, &state, eof).has_value())
+                << bad;
+            EXPECT_EQ(state, web::ParseResult::Invalid) << bad;
+        }
     }
+    std::size_t consumed = 0;
     auto ok = web::parseResponse(
-        "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi");
+        "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi", consumed);
     ASSERT_TRUE(ok.has_value());
     EXPECT_EQ(ok->status, 200);
     auto edge = web::parseResponse(
-        "HTTP/1.1 599 Weird\r\nContent-Length: 0\r\n\r\n");
+        "HTTP/1.1 599 Weird\r\nContent-Length: 0\r\n\r\n", consumed);
     ASSERT_TRUE(edge.has_value());
     EXPECT_EQ(edge->status, 599);
+    auto closed = web::parseResponse("HTTP/1.1 200 OK\r\n\r\nhi",
+                                     consumed, nullptr, /*eof=*/true);
+    ASSERT_TRUE(closed.has_value());
+    EXPECT_EQ(closed->status, 200);
+    EXPECT_EQ(closed->body, "hi");
 }
 
 TEST(ParseHardening, KeepAliveResponseDistinguishesInvalidFromShort)
@@ -222,6 +237,15 @@ TEST(ParseHardening, KeepAliveResponseDistinguishesInvalidFromShort)
                      &state)
                      .has_value());
     EXPECT_EQ(state, web::ParseResult::Incomplete);
+
+    // Corrupt chunk framing stays Invalid at EOF: closing does not
+    // turn a chunked body into a close-delimited one.
+    EXPECT_FALSE(web::parseResponse(
+                     "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+                     "\r\nzz\r\nhello\r\n0\r\n\r\n",
+                     consumed, &state, /*eof=*/true)
+                     .has_value());
+    EXPECT_EQ(state, web::ParseResult::Invalid);
 
     // A well-formed chunked response still parses and consumes exactly
     // its own bytes.
@@ -409,8 +433,8 @@ TEST(Gateway, MountedRoutesAreByteIdenticalToStandaloneServer)
     // gateway mount. The prefix strip must make the bodies (and thus
     // the cache keys and ETags) match byte for byte.
     ASSERT_TRUE(fleet.monitor(0).startServer());
-    web::HttpClient own("127.0.0.1", fleet.monitor(0).serverPort());
-    web::HttpClient gw("127.0.0.1", fleet.gateway().port());
+    web::PersistentClient own("127.0.0.1", fleet.monitor(0).serverPort());
+    web::PersistentClient gw("127.0.0.1", fleet.gateway().port());
     // /api/status is excluded: its hang block embeds frozen_for_sec,
     // which moves with wall time between the two fetches.
     for (const char *target :
@@ -453,7 +477,7 @@ TEST(Gateway, MountedAliasMatchesVersionedPath)
     ASSERT_TRUE(fleet.start());
     runFleetWorkloads(fleet);
 
-    web::HttpClient gw("127.0.0.1", fleet.gateway().port());
+    web::PersistentClient gw("127.0.0.1", fleet.gateway().port());
     auto alias = gw.get("/sim/sim0/api/components");
     auto v1 = gw.get("/sim/sim0/api/v1/components");
     ASSERT_TRUE(alias.has_value());
@@ -481,7 +505,7 @@ TEST(Gateway, FleetAggregationMatchesPerSimState)
                          fleet.platform(i).engine().now()));
     }
 
-    web::HttpClient c("127.0.0.1", fleet.gateway().port());
+    web::PersistentClient c("127.0.0.1", fleet.gateway().port());
     Json f = getJson(c, "/api/v1/fleet");
     EXPECT_EQ(f.getInt("num_sims", 0), 4);
     EXPECT_EQ(static_cast<std::uint64_t>(f.getInt("total_events", 0)),
@@ -535,7 +559,7 @@ TEST(Gateway, FleetMetricsExposeGauges)
     rtm::Fleet fleet(quietFleet(4));
     ASSERT_TRUE(fleet.start());
 
-    web::HttpClient c("127.0.0.1", fleet.gateway().port());
+    web::PersistentClient c("127.0.0.1", fleet.gateway().port());
     auto r = c.get("/metrics");
     ASSERT_TRUE(r.has_value());
     ASSERT_EQ(r->status, 200);
@@ -725,14 +749,17 @@ TEST(Gateway, FleetFlagAndEnvParse)
     {
         ::setenv("AKITA_FLEET", "5", 1);
         gpu::PlatformConfig cfg;
-        gpu::applyEngineEnv(cfg);
+        char a0[] = "prog";
+        char *argv[] = {a0};
+        gpu::applyEngineArgs(cfg, 1, argv);
         EXPECT_EQ(cfg.fleet, 5);
         ::unsetenv("AKITA_FLEET");
     }
     // Junk is an error, not a silently different run: "8M" must not
     // become an 8-byte segment, nor "abc" a single simulation.
-    for (const char *flag : {"--fleet=abc", "--fleet=", "--fleet=3x",
-                             "--record-bytes=8M", "--record-bytes= 8"}) {
+    for (const char *flag :
+         {"--fleet=abc", "--fleet=", "--fleet=3x", "--fleet=99999999999",
+          "--record-bytes=8M", "--record-bytes= 8"}) {
         gpu::PlatformConfig cfg;
         char a0[] = "prog";
         std::string a1 = flag;
@@ -744,7 +771,10 @@ TEST(Gateway, FleetFlagAndEnvParse)
     for (const char *var : {"AKITA_FLEET", "AKITA_RECORD_BYTES"}) {
         ::setenv(var, "abc", 1);
         gpu::PlatformConfig cfg;
-        EXPECT_THROW(gpu::applyEngineEnv(cfg), std::invalid_argument)
+        char a0[] = "prog";
+        char *argv[] = {a0};
+        EXPECT_THROW(gpu::applyEngineArgs(cfg, 1, argv),
+                     std::invalid_argument)
             << var;
         ::unsetenv(var);
     }

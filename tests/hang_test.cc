@@ -366,7 +366,7 @@ namespace
 {
 
 Json
-getJson(const web::HttpClient &c, const std::string &target)
+getJson(web::PersistentClient &c, const std::string &target)
 {
     auto r = c.get(target);
     EXPECT_TRUE(r.has_value()) << target;
@@ -393,7 +393,7 @@ TEST(HangApi, EndpointNamesCycleAndRecorderServes)
         rig.run();
         ASSERT_TRUE(rig.waitForHang()) << "HangWatch did not fire";
 
-        web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+        web::PersistentClient c("127.0.0.1", rig.mon.serverPort());
 
         // The hang endpoint names the actual culprit chain.
         Json hang = getJson(c, "/api/v1/hang");
@@ -471,7 +471,7 @@ TEST(HangApi, RecorderDisabledReturns404)
     mon.registerEngine(&plat.engine());
     ASSERT_TRUE(mon.startServer());
 
-    web::HttpClient c("127.0.0.1", mon.serverPort());
+    web::PersistentClient c("127.0.0.1", mon.serverPort());
     auto r = c.get("/api/v1/recorder/info");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->status, 404);

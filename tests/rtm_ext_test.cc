@@ -216,7 +216,7 @@ TEST(ExtensionEndpoints, OverHttp)
 {
     Rig rig;
     ASSERT_TRUE(rig.mon.startServer());
-    web::HttpClient client("127.0.0.1", rig.mon.serverPort());
+    web::PersistentClient client("127.0.0.1", rig.mon.serverPort());
 
     rig.runKernel();
 

@@ -91,15 +91,15 @@ struct LiveRig
         mon.stopServer();
     }
 
-    web::HttpClient
+    web::PersistentClient
     client() const
     {
-        return web::HttpClient("127.0.0.1", mon.serverPort());
+        return web::PersistentClient("127.0.0.1", mon.serverPort());
     }
 };
 
 Json
-getJson(const web::HttpClient &c, const std::string &target)
+getJson(web::PersistentClient &c, const std::string &target)
 {
     auto r = c.get(target);
     EXPECT_TRUE(r.has_value()) << target;
@@ -572,7 +572,7 @@ TEST(RtmHttp, ConcurrentIdenticalGetsBuildOnce)
     std::vector<std::string> bodies(kClients);
     for (int i = 0; i < kClients; i++) {
         threads.emplace_back([&, i]() {
-            web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+            web::PersistentClient c("127.0.0.1", rig.mon.serverPort());
             auto r = c.get("/api/components");
             if (r && r->status == 200)
                 bodies[i] = r->body;

@@ -371,7 +371,7 @@ TEST(ApiRoutes, EveryPublishedPathAnswers)
 {
     RouteRig rig;
     rig.mon.metricsSamplePass();
-    web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+    web::PersistentClient c("127.0.0.1", rig.mon.serverPort());
     const std::string comp = "component=GPU%5B0%5D.RDMA";
 
     // The ten core endpoints, served under both spellings.
@@ -436,7 +436,7 @@ TEST(ApiRoutes, EveryPublishedPathAnswers)
 TEST(ApiRoutes, AliasSharesTheVersionedCacheEntry)
 {
     RouteRig rig;
-    web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+    web::PersistentClient c("127.0.0.1", rig.mon.serverPort());
     std::uint64_t before = rig.mon.responseCache().buildCount();
     auto a = c.get("/api/buffers");
     auto b = c.get("/api/v1/buffers");
@@ -452,7 +452,7 @@ TEST(ApiRoutes, AliasSharesTheVersionedCacheEntry)
 TEST(ApiRoutes, UnknownPathsAreNotFound)
 {
     RouteRig rig;
-    web::HttpClient c("127.0.0.1", rig.mon.serverPort());
+    web::PersistentClient c("127.0.0.1", rig.mon.serverPort());
     for (const char *target :
          {"/api/v1/nope", "/api/v1/v1/status", "/api/nope",
           "/api/metrics/stream"}) {

@@ -16,9 +16,38 @@
 #include "sim/component.hh"
 #include "sim/engine.hh"
 #include "sim/event.hh"
+#include "sim/parse.hh"
 #include "sim/time.hh"
 
 using namespace akita::sim;
+
+TEST(ParseNumber, WholeStringInRangeOrThrows)
+{
+    EXPECT_EQ(parseNumber<std::uint16_t>("--port", "8080"), 8080);
+    EXPECT_EQ(parseNumber<std::uint16_t>("--port", "65535"), 65535);
+    EXPECT_EQ(parseNumber<int>("watch", "-3"), -3);
+    EXPECT_DOUBLE_EQ(parseNumber<double>("AKITA_SCALE", "0.25"), 0.25);
+    // Junk must not wrap, truncate or default: 70000 is not port 4464,
+    // "abc" is not port 0, "8M" is not 8.
+    for (const char *bad : {"70000", "-1", "abc", "8M", "", " 80", "80 "}) {
+        try {
+            parseNumber<std::uint16_t>("--port", bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("--port"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("65535"), std::string::npos) << msg;
+        }
+    }
+    for (const char *bad : {"abc", "8M", "", "99999999999"})
+        EXPECT_THROW(parseNumber<int>("AKITA_RUNS", bad),
+                     std::invalid_argument)
+            << bad;
+    for (const char *bad : {"abc", "0.5x", "", "inf", "nan"})
+        EXPECT_THROW(parseNumber<double>("AKITA_SCALE", bad),
+                     std::invalid_argument)
+            << bad;
+}
 
 TEST(Time, Constants)
 {

@@ -153,10 +153,13 @@ TEST(HttpResponse, Serialization)
 TEST(HttpResponse, ClientCanParseServerOutput)
 {
     Response r = Response::ok("payload");
-    auto parsed = parseResponse(r.serialize(false));
+    std::string wire = r.serialize(false);
+    std::size_t consumed = 0;
+    auto parsed = parseResponse(wire, consumed);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->status, 200);
     EXPECT_EQ(parsed->body, "payload");
+    EXPECT_EQ(consumed, wire.size());
 }
 
 // ---------------------------------------------------------------------
@@ -192,7 +195,7 @@ class ServerTest : public ::testing::Test
 
 TEST_F(ServerTest, RoundTrip)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.get("/hello");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->status, 200);
@@ -201,7 +204,7 @@ TEST_F(ServerTest, RoundTrip)
 
 TEST_F(ServerTest, QueryReachesHandler)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.get("/echo?msg=hi%20there");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->body, "hi there");
@@ -209,15 +212,16 @@ TEST_F(ServerTest, QueryReachesHandler)
 
 TEST_F(ServerTest, PostBody)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.post("/body", "{\"x\":1}");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->body, "{\"x\":1}");
+    EXPECT_TRUE(client.connected()) << "a Content-Length POST keeps alive";
 }
 
 TEST_F(ServerTest, NotFound)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.get("/nope");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->status, 404);
@@ -225,7 +229,7 @@ TEST_F(ServerTest, NotFound)
 
 TEST_F(ServerTest, MethodMatters)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.post("/hello", "");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->status, 404);
@@ -233,7 +237,7 @@ TEST_F(ServerTest, MethodMatters)
 
 TEST_F(ServerTest, PrefixRoutes)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.get("/api/tree/a/b/c");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->body, "prefix:/api/tree/a/b/c");
@@ -241,7 +245,7 @@ TEST_F(ServerTest, PrefixRoutes)
 
 TEST_F(ServerTest, HandlerExceptionBecomes500)
 {
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     auto r = client.get("/boom");
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->status, 500);
@@ -256,7 +260,7 @@ TEST_F(ServerTest, ConcurrentClients)
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; t++) {
         threads.emplace_back([&]() {
-            HttpClient client("127.0.0.1", server.port());
+            PersistentClient client("127.0.0.1", server.port());
             for (int i = 0; i < kReqs; i++) {
                 auto r = client.get("/hello");
                 if (r && r->status == 200 && r->body == "world")
@@ -276,7 +280,7 @@ TEST_F(ServerTest, StopIsIdempotent)
     server.stop();
     server.stop();
     EXPECT_FALSE(server.running());
-    HttpClient client("127.0.0.1", server.port());
+    PersistentClient client("127.0.0.1", server.port());
     EXPECT_FALSE(client.get("/hello").has_value());
 }
 
@@ -304,7 +308,7 @@ TEST(ServerLifecycle, TwoServersCoexist)
     ASSERT_TRUE(a.start(0));
     ASSERT_TRUE(b.start(0));
     EXPECT_NE(a.port(), b.port());
-    HttpClient ca("127.0.0.1", a.port()), cb("127.0.0.1", b.port());
+    PersistentClient ca("127.0.0.1", a.port()), cb("127.0.0.1", b.port());
     EXPECT_EQ(ca.get("/")->body, "a");
     EXPECT_EQ(cb.get("/")->body, "b");
 }
@@ -442,6 +446,106 @@ TEST_F(ServerTest, PersistentClientReusesConnection)
     EXPECT_TRUE(client.connected());
 }
 
+TEST_F(ServerTest, PersistentClientReconnectsAfterConnectionClose)
+{
+    PersistentClient client("127.0.0.1", server.port());
+    auto first = client.get("/hello", {{"Connection", "close"}});
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->headers.at("connection"), "close");
+    EXPECT_FALSE(client.connected())
+        << "the server closes after this response; keep no dead socket";
+    auto second = client.get("/echo?msg=again");
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->body, "again");
+    EXPECT_TRUE(client.connected());
+    EXPECT_EQ(server.requestCount(), 2u);
+}
+
+namespace
+{
+
+/**
+ * A server that answers every connection with a response framed only
+ * by closing (no Content-Length, not chunked), sent in two writes.
+ */
+class CloseDelimitedServer
+{
+  public:
+    CloseDelimitedServer(std::string body, int connections)
+    {
+        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        ::bind(fd_, reinterpret_cast<sockaddr *>(&addr), sizeof(addr));
+        ::listen(fd_, 4);
+        socklen_t len = sizeof(addr);
+        ::getsockname(fd_, reinterpret_cast<sockaddr *>(&addr), &len);
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this, body, connections]() {
+            for (int i = 0; i < connections; i++) {
+                int c = ::accept(fd_, nullptr, nullptr);
+                if (c < 0)
+                    return;
+                std::string req;
+                char buf[1024];
+                while (req.find("\r\n\r\n") == std::string::npos) {
+                    ssize_t n = ::recv(c, buf, sizeof(buf), 0);
+                    if (n <= 0)
+                        break;
+                    req.append(buf, static_cast<std::size_t>(n));
+                }
+                std::string head = "HTTP/1.1 200 OK\r\n"
+                                   "Content-Type: text/plain\r\n\r\n";
+                std::size_t half = body.size() / 2;
+                std::string rest = body.substr(half);
+                ::send(c, (head + body.substr(0, half)).data(),
+                       head.size() + half, MSG_NOSIGNAL);
+                ::send(c, rest.data(), rest.size(), MSG_NOSIGNAL);
+                ::close(c);
+            }
+        });
+    }
+
+    ~CloseDelimitedServer()
+    {
+        ::shutdown(fd_, SHUT_RDWR); // Unblocks accept() if a test failed.
+        thread_.join();
+        ::close(fd_);
+    }
+
+    CloseDelimitedServer(const CloseDelimitedServer &) = delete;
+    CloseDelimitedServer &operator=(const CloseDelimitedServer &) = delete;
+
+    std::uint16_t port() const { return port_; }
+
+  private:
+    int fd_ = -1;
+    std::uint16_t port_ = 0;
+    std::thread thread_;
+};
+
+} // namespace
+
+TEST(PersistentClientFraming, ReadsCloseDelimitedBodyToEof)
+{
+    std::string body(20000, 'x');
+    body += "end";
+    CloseDelimitedServer srv(body, 2);
+    PersistentClient client("127.0.0.1", srv.port());
+    auto r = client.get("/stream");
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, 200);
+    EXPECT_EQ(r->body, body);
+    EXPECT_EQ(r->wireBodyBytes, body.size());
+    EXPECT_FALSE(client.connected());
+    // The next request opens a fresh connection and reads it the same
+    // way.
+    auto again = client.get("/stream");
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->body, body);
+}
+
 TEST_F(ServerTest, MalformedRequestGets400)
 {
     RawSocket sock(server.port());
@@ -490,7 +594,7 @@ TEST(ServerOptionsTest, WorkerCountResolvedAfterStart)
     });
     ASSERT_TRUE(s.start(0));
     EXPECT_EQ(s.options().workers, 3);
-    HttpClient client("127.0.0.1", s.port());
+    PersistentClient client("127.0.0.1", s.port());
     EXPECT_EQ(client.get("/")->body, "ok");
     s.stop();
 }
@@ -620,7 +724,8 @@ TEST(UrlDecode, PlusHandling)
 
 // Regression: parseResponse used to cast strtoll straight to size_t,
 // so a negative or garbage Content-Length from a peer became a huge
-// allocation / bogus frame. Both overloads must reject it.
+// allocation / bogus frame. It must be rejected whether or not the
+// peer has closed.
 TEST(HttpResponseParse, ContentLengthValidated)
 {
     const char *bads[] = {
@@ -631,19 +736,50 @@ TEST(HttpResponseParse, ContentLengthValidated)
         "Content-Length: 3\r\n\r\nabc",
     };
     for (const char *bad : bads) {
-        std::size_t consumed = 0;
-        EXPECT_FALSE(parseResponse(bad).has_value()) << bad;
-        EXPECT_FALSE(parseResponse(bad, consumed).has_value()) << bad;
+        for (bool eof : {false, true}) {
+            std::size_t consumed = 0;
+            ParseResult state = ParseResult::Ok;
+            EXPECT_FALSE(
+                parseResponse(bad, consumed, &state, eof).has_value())
+                << bad;
+            EXPECT_EQ(state, ParseResult::Invalid) << bad;
+        }
     }
-    // Sanity: a valid frame still parses in both overloads.
+    // Sanity: a valid frame still parses, before and at EOF.
     std::string good = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi";
+    for (bool eof : {false, true}) {
+        std::size_t consumed = 0;
+        auto r = parseResponse(good, consumed, nullptr, eof);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->body, "hi");
+        EXPECT_EQ(r->wireBodyBytes, 2u);
+        EXPECT_EQ(consumed, good.size());
+    }
+}
+
+TEST(HttpResponseParse, CloseDelimitedBodyEndsAtEof)
+{
+    // RFC 9112 §6.3: neither Content-Length nor chunked means the body
+    // runs until the server closes.
+    std::string raw = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+                      "\r\ndata: 1\n\n";
     std::size_t consumed = 0;
-    ASSERT_TRUE(parseResponse(good).has_value());
-    auto r = parseResponse(good, consumed);
+    ParseResult state = ParseResult::Ok;
+    EXPECT_FALSE(parseResponse(raw, consumed, &state).has_value());
+    EXPECT_EQ(state, ParseResult::Incomplete) << "more may arrive";
+    auto r = parseResponse(raw, consumed, &state, /*eof=*/true);
     ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->body, "hi");
-    EXPECT_EQ(r->wireBodyBytes, 2u);
-    EXPECT_EQ(consumed, good.size());
+    EXPECT_EQ(r->body, "data: 1\n\n");
+    EXPECT_EQ(r->wireBodyBytes, r->body.size());
+    EXPECT_EQ(consumed, raw.size());
+    // A truncated head or framed body is not completed by EOF.
+    EXPECT_FALSE(parseResponse("HTTP/1.1 200 OK\r\nX: y", consumed,
+                               &state, true)
+                     .has_value());
+    EXPECT_FALSE(parseResponse("HTTP/1.1 200 OK\r\nContent-Length: 9"
+                               "\r\n\r\nabc",
+                               consumed, &state, true)
+                     .has_value());
 }
 
 TEST(HttpResponseParse, ChunkedResponseFraming)
@@ -658,11 +794,14 @@ TEST(HttpResponseParse, ChunkedResponseFraming)
     EXPECT_EQ(r->body, "foobar");
     EXPECT_EQ(consumed, raw.size())
         << "pipelined follow-up stays in the buffer";
-    ASSERT_TRUE(parseResponse(raw).has_value());
-    EXPECT_EQ(parseResponse(raw)->body, "foobar");
-    // Incomplete chunked data: need more bytes.
+    r = parseResponse(raw, consumed, nullptr, /*eof=*/true);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->body, "foobar");
+    // Incomplete chunked data: need more bytes, and EOF does not
+    // complete it.
     std::string part = raw.substr(0, raw.size() - 4);
     EXPECT_FALSE(parseResponse(part, consumed).has_value());
+    EXPECT_FALSE(parseResponse(part, consumed, nullptr, true).has_value());
 }
 
 TEST(Encoding, NegotiationPrefersGzip)
@@ -812,7 +951,7 @@ TEST_F(ServerTest, LargeResponsesAreCompressedWhenAccepted)
     EXPECT_EQ(gz->body, identity->body)
         << "client-side gunzip restores the identity bytes";
 
-    // Small responses skip compression (opts_.compressMinBytes).
+    // Small responses (under 1 KiB) skip compression.
     auto small = client.get("/hello", {{"Accept-Encoding", "gzip"}});
     ASSERT_TRUE(small.has_value());
     EXPECT_EQ(small->headers.count("content-encoding"), 0u);

@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -49,10 +48,11 @@
 #include "json/writer.hh"
 #include "recorder/recorder.hh"
 #include "recorder/segment.hh"
+#include "sim/parse.hh"
 #include "web/client.hh"
 
 using akita::json::Json;
-using akita::web::HttpClient;
+using akita::web::PersistentClient;
 
 namespace
 {
@@ -84,7 +84,7 @@ urlEncode(const std::string &s)
 }
 
 Json
-mustGet(const HttpClient &client, const std::string &target)
+mustGet(PersistentClient &client, const std::string &target)
 {
     auto r = client.get(target);
     if (!r)
@@ -97,7 +97,7 @@ mustGet(const HttpClient &client, const std::string &target)
 }
 
 void
-mustPost(const HttpClient &client, const std::string &target)
+mustPost(PersistentClient &client, const std::string &target)
 {
     auto r = client.post(target, "");
     if (!r)
@@ -342,7 +342,8 @@ run(int argc, char **argv)
         if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
             host = argv[++i];
         } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-            port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+            port = akita::sim::parseNumber<std::uint16_t>("--port",
+                                                          argv[++i]);
         } else {
             args.emplace_back(argv[i]);
         }
@@ -354,7 +355,7 @@ run(int argc, char **argv)
     if (args[0] == "replay")
         return replaySegment(args);
 
-    HttpClient client(host, port);
+    PersistentClient client(host, port);
     const std::string &cmd = args[0];
 
     if (cmd == "status") {
@@ -459,7 +460,8 @@ run(int argc, char **argv)
                 if (i + 1 < args.size() &&
                     std::isdigit(
                         static_cast<unsigned char>(args[i + 1][0])))
-                    seconds = std::atoi(args[++i].c_str());
+                    seconds = akita::sim::parseNumber<int>("--watch",
+                                                           args[++i]);
             } else {
                 return fail("usage: fleet [--json] "
                             "[--watch [seconds]]");
@@ -652,7 +654,9 @@ run(int argc, char **argv)
         return 0;
     }
     if (cmd == "watch") {
-        int seconds = args.size() > 1 ? std::atoi(args[1].c_str()) : 0;
+        int seconds =
+            args.size() > 1 ? akita::sim::parseNumber<int>("watch", args[1])
+                            : 0;
         for (int i = 0; seconds == 0 || i < seconds; i++) {
             try {
                 printStatus(mustGet(client, "/api/v1/status"));
