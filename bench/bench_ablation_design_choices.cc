@@ -69,8 +69,8 @@ struct Rig
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     int runs = bench::envInt("AKITA_RUNS", 3);
 
@@ -186,4 +186,10 @@ main()
     std::printf("Design choices measurably matter: %s\n",
                 ok ? "YES" : "NO");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

@@ -71,8 +71,8 @@ runIm2Col(gpu::PlatformConfig cfg)
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     using bench::section;
     section("Network ablation — im2col on the 4-chiplet MCM GPU");
@@ -144,4 +144,10 @@ main()
     std::printf("Network is the controlling resource: %s\n",
                 ok ? "YES" : "NO");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

@@ -522,8 +522,8 @@ runWorkerSweep(int clients, double scale)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     int clients = bench::envInt("AKITA_CLIENTS", 16);
     double scale = bench::benchScale(0.25);
@@ -667,4 +667,10 @@ main(int argc, char **argv)
                 : 0.0);
     }
     return ok ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return sim::runMain(run, argc, argv);
 }

@@ -44,8 +44,8 @@ buggyConfig()
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     using bench::section;
 
@@ -177,4 +177,10 @@ main()
     std::printf("\nCase study 2 reproduced end-to-end: %s\n",
                 ok ? "YES" : "NO");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

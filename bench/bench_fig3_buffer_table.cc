@@ -17,8 +17,8 @@
 
 using namespace akita;
 
-int
-main()
+static int
+run()
 {
     using bench::section;
 
@@ -154,4 +154,10 @@ main()
     bool ok = robInTop >= static_cast<int>(topN / 2) && lowerTiersPresent;
     std::printf("Shape reproduced: %s\n", ok ? "YES" : "NO");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

@@ -113,8 +113,8 @@ class Source : public sim::TickingComponent
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     using bench::section;
 
@@ -190,4 +190,10 @@ main()
     bool match = verdict.find("ComponentC") != std::string::npos;
     std::printf("Shape reproduced: %s\n", match ? "YES" : "NO");
     return match ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

@@ -21,8 +21,8 @@
 
 using namespace akita;
 
-int
-main()
+static int
+run()
 {
     using bench::section;
     using bench::sparkline;
@@ -152,4 +152,10 @@ main()
     bool ok = cPinned && dRobFluctuates && dL1AtMshr && dRdmaDominates;
     std::printf("\nShape reproduced: %s\n", ok ? "YES" : "NO");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

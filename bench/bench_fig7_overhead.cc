@@ -145,8 +145,8 @@ runOnce(const workloads::Benchmark &bench, Scenario scenario)
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     int runs = bench::envInt("AKITA_RUNS", 3);
     double scale = bench::benchScale(0.25);
@@ -237,4 +237,10 @@ main()
                 "scenario): %s\n",
                 ok ? "YES" : "NO");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

@@ -18,16 +18,19 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "gpu/platform.hh"
 #include "rtm/monitor.hh"
+#include "sim/parse.hh"
 #include "workloads/workloads.hh"
 
 using namespace akita;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     bool once = argc > 1 && std::strcmp(argv[1], "--once") == 0;
 
@@ -40,7 +43,12 @@ main(int argc, char **argv)
     cfg.gpu.l2.installCapacity = 2;
     cfg.gpu.l2.wbFetchedCapacity = 2;
     cfg.gpu.l2.dramWriteInflightMax = 1;
-    gpu::applyEngineArgs(cfg, argc, argv); // --record= / --fleet= / ...
+    gpu::applyEngineArgs(cfg, argc, argv); // --record= / --record-bytes=
+    if (cfg.fleet > 1) {
+        throw std::invalid_argument(
+            "--fleet/AKITA_FLEET: hang_debug runs one simulation, not " +
+            std::to_string(cfg.fleet));
+    }
 
     gpu::Platform platform(cfg);
 
@@ -143,4 +151,10 @@ main(int argc, char **argv)
     sim.join();
     monitor.stopServer();
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return sim::runMain(run, argc, argv);
 }

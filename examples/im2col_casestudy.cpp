@@ -36,8 +36,8 @@ step(const char *text)
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     gpu::Platform platform(
         gpu::PlatformConfig::mcm4(gpu::GpuConfig::medium()));
@@ -119,4 +119,10 @@ main()
                 sim::formatTime(platform.engine().now()).c_str());
     monitor.stopServer();
     return 0;
+}
+
+int
+main()
+{
+    return sim::runMain(run);
 }

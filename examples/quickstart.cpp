@@ -85,8 +85,8 @@ runFleet(const gpu::PlatformConfig &cfg, std::uint16_t port, bool once)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     bool once = false;
     for (int i = 1; i < argc; i++)
@@ -163,4 +163,10 @@ main(int argc, char **argv)
     }
     monitor.stopServer();
     return status == gpu::Platform::RunStatus::Completed ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return sim::runMain(run, argc, argv);
 }

@@ -23,8 +23,8 @@
 using akita::json::Json;
 using akita::web::PersistentClient;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     std::string host = argc > 1 ? argv[1] : "127.0.0.1";
     std::uint16_t port =
@@ -99,4 +99,10 @@ main(int argc, char **argv)
         std::this_thread::sleep_for(std::chrono::seconds(1));
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return akita::sim::runMain(run, argc, argv);
 }

@@ -10,8 +10,7 @@ namespace net
 
 SwitchedNetwork::SwitchedNetwork(sim::Engine *engine, std::string name,
                                  const Config &cfg)
-    : engine_(engine), name_(std::move(name)),
-      deliverName_(name_ + "::deliver"), cfg_(cfg),
+    : Connection(name), engine_(engine), name_(std::move(name)), cfg_(cfg),
       psPerByte_(static_cast<double>(sim::kSecond) / cfg.bytesPerSecond)
 {
     declareField("in_flight", [this]() {
@@ -31,8 +30,9 @@ SwitchedNetwork::SwitchedNetwork(sim::Engine *engine, std::string name,
 void
 SwitchedNetwork::plugIn(sim::Port *port)
 {
+    port->setConnection(this, ports_.size());
     ports_.push_back(port);
-    port->setConnection(this);
+    linkFreeAt_.push_back(0);
 }
 
 sim::SendStatus
@@ -48,7 +48,7 @@ SwitchedNetwork::send(sim::Msg *msg)
         return sim::SendStatus::Busy;
 
     sim::VTime now = engine_->now();
-    sim::VTime &freeAt = linkFreeAt_[dst];
+    sim::VTime &freeAt = linkFreeAt_[dst->connectionSlot()];
     sim::VTime start = std::max(now, freeAt);
     auto serialize = static_cast<sim::VTime>(
         static_cast<double>(msg->trafficBytes) * psPerByte_);
@@ -58,17 +58,8 @@ SwitchedNetwork::send(sim::Msg *msg)
     totalMsgs_.incOwned();
     msg->sendTime = now;
 
-    engine_->schedule(std::make_unique<sim::DeliverEvent>(
-        done + cfg_.latency, this, sim::MsgPtr(msg)));
+    engine_->scheduleDelivery(done + cfg_.latency, this, sim::MsgPtr(msg));
     return sim::SendStatus::Ok;
-}
-
-void
-SwitchedNetwork::handle(sim::Event &event)
-{
-    auto &de = static_cast<sim::DeliverEvent &>(event);
-    sim::Port *dst = de.msg->dst;
-    dst->deliver(std::move(de.msg));
 }
 
 } // namespace net

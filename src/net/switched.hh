@@ -6,7 +6,6 @@
 #ifndef AKITA_NET_SWITCHED_HH
 #define AKITA_NET_SWITCHED_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,7 +35,6 @@ namespace net
  * incOwned counters, so monitor threads read them without a lock.
  */
 class SwitchedNetwork : public sim::Connection,
-                        public sim::EventHandler,
                         public introspect::Inspectable
 {
   public:
@@ -63,28 +61,22 @@ class SwitchedNetwork : public sim::Connection,
     void plugIn(sim::Port *port) override;
     sim::SendStatus send(sim::Msg *msg) override;
 
-    /** Delivery: the engine hands back the DeliverEvents send() queued. */
-    void handle(sim::Event &event) override;
-
-    sim::NameRef profName() const override { return deliverName_; }
-
-    std::string handlerName() const override { return deliverName_.str(); }
-
     /** Total bytes ever transferred. */
     std::uint64_t totalBytes() const { return totalBytes_.value(); }
 
   private:
     sim::Engine *engine_;
     std::string name_;
-    /** Interned "<name>::deliver" profiler label. */
-    sim::NameRef deliverName_;
     Config cfg_;
     /** Picoseconds to serialize one byte onto a link. */
     double psPerByte_;
 
     std::vector<sim::Port *> ports_;
-    /** Earliest time each destination's ingress link is free. */
-    std::map<sim::Port *, sim::VTime> linkFreeAt_;
+    /**
+     * Earliest time each destination's ingress link is free, indexed
+     * by the port's connectionSlot().
+     */
+    std::vector<sim::VTime> linkFreeAt_;
     metrics::Counter totalBytes_;
     metrics::Counter totalMsgs_;
 };

@@ -66,41 +66,41 @@ TickingComponent::TickingComponent(Engine *engine, std::string name,
 void
 TickingComponent::tickLater()
 {
-    scheduleTickAt(freq_.nextTick(engine()->now()));
+    mustRun_ = true;
+    arm(freq_.nextTick(engine()->now()));
 }
 
 void
 TickingComponent::scheduleTickAt(VTime t)
 {
     mustRun_ = true;
-    arm(t);
+    arm(std::max(t, freq_.nextTick(engine()->now())));
 }
 
 void
-TickingComponent::arm(VTime t)
+TickingComponent::arm(VTime target)
 {
-    VTime target = std::max(t, freq_.nextTick(engine()->now()));
     // Dedup only exact-time requests. Suppressing a LATER target
     // because an earlier tick is pending would lose deadlines: the
     // earlier tick may find nothing to do and sleep without re-arming
-    // (e.g. a wake lands between handle() clearing the slot and tick()
-    // arming its service deadline — the deadline event would never
-    // exist and the component freezes).
+    // (e.g. a wake lands between handleTick() clearing the slot and
+    // tick() arming its service deadline — the deadline tick would
+    // never exist and the component freezes).
     if (tickAt_.load(std::memory_order_relaxed) == target)
         return;
     tickAt_.store(target, std::memory_order_relaxed);
-    engine()->schedule(std::make_unique<Event>(target, this));
+    engine()->scheduleTick(target, this);
 }
 
 void
-TickingComponent::handle(Event &)
+TickingComponent::handleTick()
 {
     VTime now = engine()->now();
     // Fall asleep unless a later tick is armed.
     if (now >= tickAt_.load(std::memory_order_relaxed))
         tickAt_.store(kNoTick, std::memory_order_relaxed);
     if (everTicked_ && lastTickAt_ == now)
-        return; // Duplicate event in the same cycle: already ticked.
+        return; // Duplicate tick in the same cycle: already ticked.
     lastTickAt_ = now;
     everTicked_ = true;
 

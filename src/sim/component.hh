@@ -100,7 +100,7 @@ class Component : public introspect::Inspectable
     /**
      * A port this component's send was refused at has freed a slot.
      * Defaults to wake(); TickingComponent arms a tick that may find
-     * the slot already taken (see TickingComponent::handle).
+     * the slot already taken (see TickingComponent::handleTick).
      */
     virtual void slotFreed() { wake(); }
 
@@ -137,10 +137,10 @@ class Component : public introspect::Inspectable
  * state. A tick event that arrives with nothing changed since such a
  * tick — no delivery, no wake(), no tick armed by the component
  * itself — while every port that refused that tick's sends is still
- * full would repeat it exactly, so handle() skips the body and only
- * re-registers on those ports (skippedTicks()).
+ * full would repeat it exactly, so handleTick() skips the body and
+ * only re-registers on those ports (skippedTicks()).
  */
-class TickingComponent : public Component, public EventHandler
+class TickingComponent : public Component
 {
   public:
     TickingComponent(Engine *engine, std::string name, Freq freq);
@@ -164,7 +164,7 @@ class TickingComponent : public Component, public EventHandler
      * Used by components whose progress depends on virtual time passing
      * (pipeline latencies, page walks, DRAM access latency): before
      * sleeping they arm a tick at their earliest internal deadline.
-     * Duplicate events at the same cycle are absorbed by handle().
+     * Duplicate ticks at the same cycle are absorbed by handleTick().
      */
     void scheduleTickAt(VTime t);
 
@@ -181,12 +181,11 @@ class TickingComponent : public Component, public EventHandler
             refused_.push_back(dst);
     }
 
-    void handle(Event &event) override;
-
-    /** Interned once at construction; the profiler copies a 32-bit id. */
-    NameRef profName() const override { return tickName_; }
-
-    std::string handlerName() const override { return tickName_.str(); }
+    /**
+     * Interned "<name>::tick" profiler label, made once at
+     * construction; the profiler copies a 32-bit id.
+     */
+    NameRef profName() const { return tickName_; }
 
     /** True when no tick is scheduled (the component sleeps). */
     bool asleep() const
@@ -204,11 +203,20 @@ class TickingComponent : public Component, public EventHandler
     std::uint64_t skippedTicks() const { return skippedTicks_.value(); }
 
   private:
+    // The engine runs this component's tick entries (handleTick).
+    friend class Engine;
+
     /** tickAt_ value of a sleeping component. */
     static constexpr VTime kNoTick = ~static_cast<VTime>(0);
 
-    /** Schedules a tick event at @p t unless one is armed for it. */
-    void arm(VTime t);
+    /**
+     * Queues a tick entry at @p target unless one is armed for it;
+     * @p target is never before the next cycle boundary.
+     */
+    void arm(VTime target);
+
+    /** Runs a due tick entry. */
+    void handleTick();
 
     Freq freq_;
     /** Interned "<name>::tick" profiler label. */

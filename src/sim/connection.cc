@@ -9,16 +9,16 @@ namespace sim
 
 DirectConnection::DirectConnection(Engine *engine, std::string name,
                                    VTime latency)
-    : engine_(engine), name_(std::move(name)), latency_(latency),
-      deliverName_(name_ + "::deliver")
+    : Connection(name), engine_(engine), name_(std::move(name)),
+      latency_(latency)
 {
 }
 
 void
 DirectConnection::plugIn(Port *port)
 {
+    port->setConnection(this, ports_.size());
     ports_.push_back(port);
-    port->setConnection(this);
 }
 
 SendStatus
@@ -35,22 +35,10 @@ DirectConnection::send(Msg *msg)
     // registered for a wake so sleep/wake ticking does not deadlock.
     if (!dst->claimSlot(msg->src ? msg->src->owner() : nullptr))
         return SendStatus::Busy;
-    msg->sendTime = engine_->now();
-
-    // A typed pooled event owns the message until delivery: no lambda,
-    // no std::function allocation, no per-message name build.
-    engine_->schedule(std::make_unique<DeliverEvent>(
-        engine_->now() + latency_, this, MsgPtr(msg)));
+    VTime now = engine_->now();
+    msg->sendTime = now;
+    engine_->scheduleDelivery(now + latency_, this, MsgPtr(msg));
     return SendStatus::Ok;
-}
-
-void
-DirectConnection::handle(Event &event)
-{
-    // Only DeliverEvents are ever scheduled with this handler.
-    auto &de = static_cast<DeliverEvent &>(event);
-    Port *dst = de.msg->dst;
-    dst->deliver(std::move(de.msg));
 }
 
 std::vector<Connection::BlockedSender>

@@ -21,32 +21,19 @@ namespace sim
 class Component;
 
 /**
- * A pooled event carrying one in-flight message to its destination.
+ * Transport between ports.
  *
- * Connections used to schedule a FuncEvent whose lambda owned the
- * message — a per-message std::function heap allocation plus a
- * per-message name-string build. A typed event carries the message
- * directly: the pool serves the event, the intrusive pointer moves, and
- * the connection (an EventHandler with a pre-interned name) delivers.
- * The event holds the hop's one reference and moves it into the
- * destination buffer.
+ * A successful send queues a delivery entry (Engine::scheduleDelivery):
+ * no event object, just the connection and the message, whose one
+ * reference the entry holds until the engine moves it into msg->dst.
  */
-class DeliverEvent : public Event
-{
-  public:
-    DeliverEvent(VTime time, EventHandler *handler, MsgPtr msg)
-        : Event(time, handler), msg(std::move(msg))
-    {
-    }
-
-    MsgPtr msg;
-};
-
-/** Transport between ports. */
 class Connection
 {
   public:
     virtual ~Connection() = default;
+
+    /** Interned "<name>::deliver": the profiler label of deliveries. */
+    NameRef deliverName() const { return deliverName_; }
 
     /** Human-readable name (topology view). */
     virtual const std::string &connectionName() const = 0;
@@ -60,7 +47,7 @@ class Connection
     /**
      * Attempts to transmit; called by Port::send with a borrowed
      * message. On Ok the connection retains it once, for the
-     * DeliverEvent that carries it; on Busy it touches no refcount.
+     * delivery entry that carries it; on Busy it touches no refcount.
      *
      * @return Busy when the destination (or the connection itself)
      *         cannot accept the message now.
@@ -89,6 +76,15 @@ class Connection
      * engine is not running.
      */
     std::size_t inFlight() const;
+
+  protected:
+    explicit Connection(const std::string &name)
+        : deliverName_(name + "::deliver")
+    {
+    }
+
+  private:
+    NameRef deliverName_;
 };
 
 /**
@@ -102,7 +98,7 @@ class Connection
  *
  * Stateless beyond its wiring, so it needs no lock.
  */
-class DirectConnection : public Connection, public EventHandler
+class DirectConnection : public Connection
 {
   public:
     /**
@@ -122,19 +118,10 @@ class DirectConnection : public Connection, public EventHandler
     void plugIn(Port *port) override;
     SendStatus send(Msg *msg) override;
 
-    /** Delivery: the engine hands back the DeliverEvents send() queued. */
-    void handle(Event &event) override;
-
-    NameRef profName() const override { return deliverName_; }
-
-    std::string handlerName() const override { return deliverName_.str(); }
-
   private:
     Engine *engine_;
     std::string name_;
     VTime latency_;
-    /** Interned "<name>::deliver" profiler label. */
-    NameRef deliverName_;
     std::vector<Port *> ports_;
 };
 

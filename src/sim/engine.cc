@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "sim/component.hh"
+#include "sim/connection.hh"
 #include "sim/prof.hh"
 
 namespace akita
@@ -78,19 +80,20 @@ Engine::external() const
     return concurrent_ && tlsRunning != this;
 }
 
+template <typename Push>
 void
-Engine::schedule(EventPtr event)
+Engine::enqueue(VTime time, Push &&push)
 {
-    auto push = [&]() {
-        if (event->time() < now()) {
+    auto checked = [&]() {
+        if (time < now()) {
             throw std::runtime_error(
                 "cannot schedule event in the past (t=" +
-                std::to_string(event->time()) +
-                ", now=" + std::to_string(now()) + ")");
+                std::to_string(time) + ", now=" + std::to_string(now()) +
+                ")");
         }
         // Throws on the reserved time ~0 before counting the event.
-        queue_.push(std::move(event));
-        // One writer at a time (the run lock): see executeEvent().
+        push();
+        // One writer at a time (the run lock): see execute().
         totalScheduled_.store(
             totalScheduled_.load(std::memory_order_relaxed) + 1,
             std::memory_order_relaxed);
@@ -101,14 +104,34 @@ Engine::schedule(EventPtr event)
         // and still land in the past once the simulation thread
         // advances time.
         ExternalLock lk(*this);
-        push();
+        checked();
         cv_.notify_all();
     } else {
         // No lock: either nothing else runs, or this is the simulation
         // thread inside its batch, which already holds the lock — and
         // the loop is not waiting, so there is no one to notify.
-        push();
+        checked();
     }
+}
+
+void
+Engine::schedule(EventPtr event)
+{
+    VTime time = event->time();
+    enqueue(time, [&]() { queue_.push(std::move(event)); });
+}
+
+void
+Engine::scheduleTick(VTime time, TickingComponent *comp)
+{
+    enqueue(time, [&]() { queue_.pushTick(time, comp); });
+}
+
+void
+Engine::scheduleDelivery(VTime time, Connection *conn, MsgPtr msg)
+{
+    enqueue(time,
+            [&]() { queue_.pushDelivery(time, conn, std::move(msg)); });
 }
 
 void
@@ -157,15 +180,52 @@ Engine::withLock(const std::function<void()> &fn) const
     }
 }
 
-void
-Engine::executeEvent(Event &event)
+namespace
 {
-    if (Profiler::instance().enabled()) {
-        // profName() is a pre-interned id: no string build, no lookup.
-        ProfScope scope(event.handler()->profName());
-        event.handler()->handle(event);
+
+/** The profiler label of @p entry's work (pre-interned ids). */
+NameRef
+profNameOf(QueueEntry entry)
+{
+    switch (entry.kind()) {
+    case QueueEntry::Kind::Tick:
+        return entry.ticker()->profName();
+    case QueueEntry::Kind::Delivery:
+        return entry.connection()->deliverName();
+    case QueueEntry::Kind::Owned:
+        break;
+    }
+    return entry.event()->handler()->profName();
+}
+
+} // namespace
+
+void
+Engine::execute(QueueEntry entry)
+{
+    // Runs the entry's work and consumes its payload.
+    auto run = [entry]() {
+        switch (entry.kind()) {
+        case QueueEntry::Kind::Tick:
+            entry.ticker()->handleTick();
+            break;
+        case QueueEntry::Kind::Delivery: {
+            Msg *msg = entry.msg();
+            msg->dst->deliver(MsgPtr::adopt(msg));
+            break;
+        }
+        case QueueEntry::Kind::Owned: {
+            EventPtr event(entry.event());
+            event->handler()->handle(*event);
+            break;
+        }
+        }
+    };
+    if (Profiler::enabled()) {
+        ProfScope scope(profNameOf(entry));
+        run();
     } else {
-        event.handler()->handle(event);
+        run();
     }
     // Single-writer counter (only the sim thread executes events): a
     // load+store pair compiles to plain MOVs, unlike fetch_add's
@@ -182,9 +242,9 @@ Engine::runUnlocked()
         if (queue_.empty()) {
             return RunResult::Drained;
         }
-        EventPtr ev = queue_.pop();
-        now_.store(ev->time(), std::memory_order_relaxed);
-        executeEvent(*ev);
+        EventQueue::Popped next = queue_.pop();
+        now_.store(next.time, std::memory_order_relaxed);
+        execute(next.entry);
     }
     return RunResult::Stopped;
 }
@@ -222,9 +282,9 @@ Engine::runLocked()
                 stopRequested_.load(std::memory_order_relaxed) ||
                 paused_.load(std::memory_order_relaxed))
                 break;
-            EventPtr ev = queue_.pop();
-            now_.store(ev->time(), std::memory_order_relaxed);
-            executeEvent(*ev);
+            EventQueue::Popped next = queue_.pop();
+            now_.store(next.time, std::memory_order_relaxed);
+            execute(next.entry);
         }
         lk.unlock();
         // Handoff: a bare unlock/lock on a mutex gives waiting monitor

@@ -61,6 +61,13 @@ class Engine : public introspect::Inspectable
     void schedule(EventPtr event);
 
     /**
+     * Schedules the delivery of @p msg into msg->dst at @p time, on
+     * behalf of @p conn (the profiler's "<conn>::deliver" label). The
+     * queue entry holds @p msg's reference until the delivery runs.
+     */
+    void scheduleDelivery(VTime time, Connection *conn, MsgPtr msg);
+
+    /**
      * Convenience: schedules a callable at an absolute time, with a
      * pre-interned profiler label (the hot-path overload).
      */
@@ -189,6 +196,18 @@ class Engine : public introspect::Inspectable
 
   private:
     class ExternalLock;
+    // arm() is the one path that schedules ticks.
+    friend class TickingComponent;
+
+    /** Schedules a tick of @p comp at @p time. */
+    void scheduleTick(VTime time, TickingComponent *comp);
+
+    /**
+     * Runs @p push (a queue insertion at @p time) with the past-time
+     * check, the scheduled count and, for an external thread, the
+     * engine lock.
+     */
+    template <typename Push> void enqueue(VTime time, Push &&push);
 
     /** Notifies the observer of a lifecycle transition, if attached. */
     void
@@ -207,7 +226,8 @@ class Engine : public introspect::Inspectable
 
     RunResult runLocked();
     RunResult runUnlocked();
-    void executeEvent(Event &event);
+    /** Runs one popped entry and releases its payload. */
+    void execute(QueueEntry entry);
 
     EventQueue queue_;
     std::atomic<VTime> now_{0};

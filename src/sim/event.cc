@@ -33,24 +33,6 @@ EventQueue::bucketAt(VTime t)
     return b;
 }
 
-void
-EventQueue::push(EventPtr event)
-{
-    VTime t = event->time();
-    if (last_ == nullptr || lastTime_ != t) {
-        last_ = bucketAt(t);
-        lastTime_ = t;
-    }
-    // A push ahead of the cached front becomes the new front.
-    if (front_ != nullptr && t < frontTime_)
-        front_ = nullptr;
-    if (event->isSecondary())
-        last_->secondary.push_back(std::move(event));
-    else
-        last_->primary.push_back(std::move(event));
-    size_++;
-}
-
 EventQueue::Bucket *
 EventQueue::frontBucket() const
 {
@@ -80,31 +62,52 @@ EventQueue::frontBucket() const
 VTime
 EventQueue::peekTime() const
 {
-    Bucket *b = frontBucket();
-    return b->livePrimary() ? b->primary[b->primaryHead]->time()
-                            : b->secondary[b->secondaryHead]->time();
+    frontBucket();
+    return frontTime_;
 }
 
-EventPtr
+EventQueue::Popped
 EventQueue::pop()
 {
     Bucket *b = frontBucket();
-    EventPtr out;
-    if (b->livePrimary()) {
-        out = std::move(b->primary[b->primaryHead++]);
-        if (!b->livePrimary()) {
-            b->primary.clear();
-            b->primaryHead = 0;
-        }
-    } else {
-        out = std::move(b->secondary[b->secondaryHead++]);
-        if (!b->liveSecondary()) {
-            b->secondary.clear();
-            b->secondaryHead = 0;
-        }
+    bool primary = b->livePrimary();
+    std::vector<QueueEntry> &phase = primary ? b->primary : b->secondary;
+    std::size_t &head = primary ? b->primaryHead : b->secondaryHead;
+    QueueEntry e = phase[head++];
+    if (head == phase.size()) {
+        phase.clear();
+        head = 0;
     }
     size_--;
-    return out;
+    return {frontTime_, e};
+}
+
+EventQueue::~EventQueue()
+{
+    // Drained vectors are cleared as they drain, so what remains past
+    // each head is exactly the queued entries.
+    for (const auto &b : pool_) {
+        for (std::size_t i = b->primaryHead; i < b->primary.size(); i++)
+            b->primary[i].dispose();
+        for (std::size_t i = b->secondaryHead; i < b->secondary.size();
+             i++)
+            b->secondary[i].dispose();
+    }
+}
+
+void
+QueueEntry::dispose() const
+{
+    switch (kind()) {
+    case Kind::Tick:
+        break;
+    case Kind::Delivery:
+        msg()->release();
+        break;
+    case Kind::Owned:
+        delete event();
+        break;
+    }
 }
 
 } // namespace sim

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/idmap.hh"
+#include "sim/msg.hh"
 #include "sim/name.hh"
 #include "sim/pool.hh"
 #include "sim/time.hh"
@@ -24,7 +25,9 @@ namespace akita
 namespace sim
 {
 
+class Connection;
 class Event;
+class TickingComponent;
 
 /** Receiver of scheduled events. */
 class EventHandler
@@ -56,10 +59,10 @@ class EventHandler
  * Secondary events run after all primary events of the same time; the
  * engine otherwise preserves scheduling (FIFO) order among equal times.
  *
- * Events are allocated from the per-thread slab pool (class-scope
- * operator new/delete below): the engine allocates and frees at least
- * one event per simulated cycle, and the pool turns that from a malloc
- * round-trip into a freelist push/pop.
+ * Ticks and message deliveries are not Events: they are queue entries
+ * (QueueEntry) with no object behind them. Events are the cold path —
+ * ad-hoc callables and custom handlers — and are allocated from the
+ * per-thread slab pool (class-scope operator new/delete below).
  */
 class Event
 {
@@ -129,14 +132,96 @@ class FuncEvent : public Event, public EventHandler
 };
 
 /**
- * Time-ordered queue of events: (time, primary-before-secondary, FIFO).
+ * One queued unit of work, held by value in its timestamp's bucket (the
+ * time is the bucket's, not the entry's). Three kinds:
  *
- * Two-level structure. Events land in per-timestamp buckets
+ *  - a tick: the TickingComponent to tick, no payload;
+ *  - a delivery: the Connection the message crossed and the message,
+ *    which holds the hop's one reference;
+ *  - an owned Event (FuncEvent, Engine::schedule callers, tests).
+ *
+ * Ticks and deliveries are the bulk of every simulation, and as entries
+ * they allocate, construct and destroy nothing. An entry is 16 plain
+ * bytes: a tick has no payload, and an owned event has no target (its
+ * handler travels in the event).
+ *
+ * Whoever holds an entry owns its payload: the queue while it is
+ * queued, the caller of EventQueue::pop() afterwards. Engine runs and
+ * releases it; dispose() releases an entry nobody will run.
+ */
+class QueueEntry
+{
+  public:
+    enum class Kind : std::uint8_t
+    {
+        Tick,
+        Delivery,
+        Owned,
+    };
+
+    static QueueEntry
+    tick(TickingComponent *comp)
+    {
+        return QueueEntry(comp, nullptr);
+    }
+
+    /** @p msg carries one reference, which the entry now owns. */
+    static QueueEntry
+    delivery(Connection *conn, Msg *msg)
+    {
+        return QueueEntry(conn, msg);
+    }
+
+    /** @p event is heap-allocated; the entry now owns it. */
+    static QueueEntry owned(Event *event) { return QueueEntry(nullptr, event); }
+
+    Kind
+    kind() const
+    {
+        if (payload_ == nullptr)
+            return Kind::Tick;
+        return target_ != nullptr ? Kind::Delivery : Kind::Owned;
+    }
+
+    TickingComponent *
+    ticker() const
+    {
+        return static_cast<TickingComponent *>(target_);
+    }
+
+    Connection *
+    connection() const
+    {
+        return static_cast<Connection *>(target_);
+    }
+
+    Msg *msg() const { return static_cast<Msg *>(payload_); }
+
+    Event *event() const { return static_cast<Event *>(payload_); }
+
+    /** Releases the payload without running it. */
+    void dispose() const;
+
+  private:
+    QueueEntry(void *target, void *payload)
+        : target_(target), payload_(payload)
+    {
+    }
+
+    void *target_;
+    void *payload_;
+};
+
+/**
+ * Time-ordered queue of entries: (time, primary-before-secondary, FIFO).
+ *
+ * Two-level structure. Entries land in per-timestamp buckets
  * (append-only vectors, one for each phase), and a small min-heap
  * orders only the *distinct* timestamps, one entry each. Pushing costs
  * one IdMap lookup (a multiply and a shift, no division) and a vector
  * append — co-timed events (the common case in cycle-aligned
- * simulations) never pay a per-event heap sift.
+ * simulations) never pay a per-event heap sift. Ticks and deliveries
+ * are primary; FIFO order holds across the three entry kinds.
  *
  * Buckets live in a stable pool: the map holds pointers, so a bucket
  * never moves, and a drained bucket returns to a spare list with its
@@ -148,10 +233,11 @@ class FuncEvent : public Event, public EventHandler
  * ticks — looks up once per timestamp, not twice per event. Both
  * caches drop a bucket when it returns to the pool.
  *
- * Time ~0 is reserved (the map's empty key); push throws on it.
+ * Time ~0 is reserved (the map's empty key); a push throws on it and
+ * keeps nothing.
  *
- * Not internally synchronized: the serial engine serializes access
- * with its run lock.
+ * Not internally synchronized: the engine serializes access with its
+ * run lock. Destroying the queue releases every queued payload.
  */
 class EventQueue
 {
@@ -159,34 +245,68 @@ class EventQueue
     /** The one time no event may carry. */
     static constexpr VTime kReservedTime = IdMap<void *>::kEmptyKey;
 
+    /** pop()'s result: the entry and its time. */
+    struct Popped
+    {
+        VTime time;
+        QueueEntry entry;
+    };
+
+    EventQueue() = default;
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+    ~EventQueue();
+
     /**
-     * Inserts an event.
+     * Inserts an owned event, in the phase it asks for.
      *
      * @throws std::runtime_error when the event's time is
      *         kReservedTime.
      */
-    void push(EventPtr event);
+    void
+    push(EventPtr event)
+    {
+        insert(event->time(), event->isSecondary(),
+               QueueEntry::owned(event.get()));
+        event.release();
+    }
+
+    /** Inserts a tick of @p comp at @p t (primary phase). */
+    void
+    pushTick(VTime t, TickingComponent *comp)
+    {
+        insert(t, false, QueueEntry::tick(comp));
+    }
+
+    /** Inserts the delivery of @p msg at @p t (primary phase). */
+    void
+    pushDelivery(VTime t, Connection *conn, MsgPtr msg)
+    {
+        insert(t, false, QueueEntry::delivery(conn, msg.get()));
+        msg.detach();
+    }
 
     /**
-     * Removes and returns the earliest event; queue must be non-empty.
+     * Removes and returns the earliest entry; queue must be non-empty.
+     * The caller owns the entry's payload.
      *
-     * Order: time ascending; at equal times every primary event pops
-     * before any secondary event; within the same (time, phase), FIFO.
+     * Order: time ascending; at equal times every primary entry pops
+     * before any secondary entry; within the same (time, phase), FIFO.
      */
-    EventPtr pop();
+    Popped pop();
 
-    /** Time of the earliest event; queue must be non-empty. */
+    /** Time of the earliest entry; queue must be non-empty. */
     VTime peekTime() const;
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
   private:
-    /** All events at one timestamp, split by phase, consumed by head. */
+    /** All entries at one timestamp, split by phase, consumed by head. */
     struct Bucket
     {
-        std::vector<EventPtr> primary;
-        std::vector<EventPtr> secondary;
+        std::vector<QueueEntry> primary;
+        std::vector<QueueEntry> secondary;
         std::size_t primaryHead = 0;
         std::size_t secondaryHead = 0;
 
@@ -199,6 +319,24 @@ class EventQueue
 
         bool live() const { return livePrimary() || liveSecondary(); }
     };
+
+    /**
+     * Appends @p e at @p t. Throws before keeping anything, so the
+     * caller still owns the payload when it throws.
+     */
+    void
+    insert(VTime t, bool secondary, QueueEntry e)
+    {
+        if (last_ == nullptr || lastTime_ != t) {
+            last_ = bucketAt(t);
+            lastTime_ = t;
+        }
+        (secondary ? last_->secondary : last_->primary).push_back(e);
+        // A push ahead of the cached front becomes the new front.
+        if (front_ != nullptr && t < frontTime_)
+            front_ = nullptr;
+        size_++;
+    }
 
     /** The bucket of time @p t, taken from the pool if it is new. */
     Bucket *bucketAt(VTime t);

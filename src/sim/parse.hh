@@ -1,7 +1,7 @@
 /**
  * @file
  * Strict number parsing for command-line flags and environment
- * variables.
+ * variables, and the main() wrapper that reports a junk number.
  */
 
 #ifndef AKITA_SIM_PARSE_HH
@@ -9,11 +9,13 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 namespace akita
 {
@@ -48,6 +50,24 @@ parseNumber(const char *what, std::string_view text)
             "' is not a decimal integer in [" +
             std::to_string(std::numeric_limits<T>::min()) + ", " +
             std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+}
+
+/**
+ * Runs @p body(@p args...) as a program's main and returns its exit
+ * code. A junk number (the std::invalid_argument parseNumber and the
+ * flag parsers built on it throw) prints its message and exits 1,
+ * instead of escaping main into std::terminate.
+ */
+template <typename Body, typename... Args>
+int
+runMain(Body &&body, Args &&...args)
+{
+    try {
+        return body(std::forward<Args>(args)...);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     }
 }
 

@@ -61,10 +61,21 @@ class Port
     /** Hierarchical name: "<owner>.<port>". */
     const std::string &fullName() const { return fullName_; }
 
-    /** Wires this port to a connection (done by the connection). */
-    void setConnection(Connection *conn) { conn_ = conn; }
+    /**
+     * Wires this port to a connection (done by the connection's
+     * plugIn), as its attachedPorts()[@p slot].
+     */
+    void
+    setConnection(Connection *conn, std::size_t slot)
+    {
+        conn_ = conn;
+        connSlot_ = slot;
+    }
 
     Connection *connection() const { return conn_; }
+
+    /** This port's index in connection()->attachedPorts(). */
+    std::size_t connectionSlot() const { return connSlot_; }
 
     /**
      * Sends a message; msg->dst must identify the destination port.
@@ -220,6 +231,7 @@ class Port
     std::string fullName_;
     Buffer buf_;
     Connection *conn_ = nullptr;
+    std::size_t connSlot_ = 0;
     metrics::Counter totalSent_;
     metrics::Counter totalRejected_;
     metrics::Counter totalSentBytes_;

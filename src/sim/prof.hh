@@ -88,8 +88,12 @@ class Profiler
     /** Enables or disables collection. Resets data when enabling. */
     void setEnabled(bool on);
 
-    bool
-    enabled() const
+    /**
+     * True while collecting. Static, so the per-event check in the
+     * engine is one inline load rather than a call to instance().
+     */
+    static bool
+    enabled()
     {
         return enabled_.load(std::memory_order_relaxed);
     }
@@ -150,7 +154,7 @@ class Profiler
     /** This thread's state, registered on first use. */
     ThreadState &threadState();
 
-    std::atomic<bool> enabled_{false};
+    static inline std::atomic<bool> enabled_{false};
 
     mutable std::mutex mu_; // Guards states_.
     std::vector<std::shared_ptr<ThreadState>> states_;
@@ -166,15 +170,14 @@ class ProfScope
 {
   public:
     /** Hot path: pre-interned name, no lookup. */
-    explicit ProfScope(NameRef name)
-        : active_(Profiler::instance().enabled())
+    explicit ProfScope(NameRef name) : active_(Profiler::enabled())
     {
         if (active_)
             Profiler::instance().enterScope(name);
     }
 
     explicit ProfScope(const std::string &name)
-        : active_(Profiler::instance().enabled())
+        : active_(Profiler::enabled())
     {
         if (active_)
             Profiler::instance().enterScope(name);

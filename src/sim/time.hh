@@ -44,37 +44,43 @@ std::string formatTime(VTime t);
  * All ticking components in one domain share a Freq; ticks are aligned to
  * multiples of the period so that components at the same frequency tick at
  * identical times.
+ *
+ * Tick arithmetic divides by the period without a `div` instruction:
+ * every component arms a tick per busy cycle, and a 64-bit division
+ * costs tens of cycles where a multiply costs three. The constructor
+ * precomputes the period's reciprocal (Granlund and Montgomery,
+ * "Division by invariant integers using multiplication", PLDI 1994,
+ * Fig. 4.1), which gives the exact quotient for every 64-bit time and
+ * every period.
  */
 class Freq
 {
   public:
     /** Constructs a 1 GHz clock (the framework default). */
-    Freq() : periodPs_(1000) {}
+    constexpr Freq() : Freq(1000) {}
 
     /** Constructs from an explicit period. */
-    static Freq
+    static constexpr Freq
     fromPeriod(VTime period_ps)
     {
-        Freq f;
-        f.periodPs_ = period_ps == 0 ? 1 : period_ps;
-        return f;
+        return Freq(period_ps == 0 ? 1 : period_ps);
     }
 
     /** Constructs from a frequency in MHz. */
-    static Freq
+    static constexpr Freq
     mhz(std::uint64_t f_mhz)
     {
         return fromPeriod(f_mhz == 0 ? 1 : kMicrosecond / f_mhz);
     }
 
     /** Constructs from a frequency in GHz. */
-    static Freq
+    static constexpr Freq
     ghz(std::uint64_t f_ghz)
     {
         return fromPeriod(f_ghz == 0 ? 1 : kNanosecond / f_ghz);
     }
 
-    VTime period() const { return periodPs_; }
+    constexpr VTime period() const { return periodPs_; }
 
     /** Frequency in Hz (display only). */
     double
@@ -85,37 +91,64 @@ class Freq
     }
 
     /** The tick time at or immediately before @p t. */
-    VTime
+    constexpr VTime
     thisTick(VTime t) const
     {
-        return t - t % periodPs_;
+        return cycles(t) * periodPs_;
     }
 
     /** The first tick time strictly after @p t. */
-    VTime
+    constexpr VTime
     nextTick(VTime t) const
     {
         return thisTick(t) + periodPs_;
     }
 
     /** The tick @p n cycles after the tick containing @p t. */
-    VTime
+    constexpr VTime
     nCyclesLater(VTime t, std::uint64_t n) const
     {
         return thisTick(t) + n * periodPs_;
     }
 
     /** Number of whole cycles contained in a duration. */
-    std::uint64_t
+    constexpr std::uint64_t
     cycles(VTime duration) const
     {
-        return duration / periodPs_;
+        // floor(duration / period) by Fig. 4.1: hi is the high word of
+        // magic * duration, and averaging it with duration before the
+        // final shift keeps the sum inside 64 bits.
+        auto hi = static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(magic_) * duration) >> 64);
+        return (hi + ((duration - hi) >> shift1_)) >> shift2_;
     }
 
-    bool operator==(const Freq &o) const { return periodPs_ == o.periodPs_; }
+    constexpr bool
+    operator==(const Freq &o) const
+    {
+        return periodPs_ == o.periodPs_;
+    }
 
   private:
+    /** @p period_ps must be nonzero. */
+    explicit constexpr Freq(VTime period_ps) : periodPs_(period_ps)
+    {
+        // l = ceil(log2(period)); magic = floor(2^64 (2^l - p) / p) + 1.
+        unsigned l = 0;
+        while (l < 64 && (VTime{1} << l) < period_ps)
+            l++;
+        unsigned __int128 span =
+            (static_cast<unsigned __int128>(1) << l) - period_ps;
+        magic_ = static_cast<std::uint64_t>((span << 64) / period_ps + 1);
+        shift1_ = l < 1 ? l : 1;
+        shift2_ = l < 1 ? 0 : l - 1;
+    }
+
     VTime periodPs_;
+    /** Reciprocal multiplier and shifts for cycles() (see above). */
+    std::uint64_t magic_ = 0;
+    std::uint8_t shift1_ = 0;
+    std::uint8_t shift2_ = 0;
 };
 
 } // namespace sim

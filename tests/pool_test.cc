@@ -15,8 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "gpu/platform.hh"
+#include "net/switched.hh"
 #include "rtm/monitor.hh"
 #include "sim/sim.hh"
+#include "workloads/workloads.hh"
 
 using namespace akita;
 using namespace akita::sim;
@@ -160,6 +163,75 @@ TEST(Pool, MonitorScheduledEventsFreeRemotely)
     PoolStats after = poolStats();
     EXPECT_GE(after.allocs, before.allocs + 200);
     EXPECT_GE(after.remoteFrees, before.remoteFrees + 200);
+}
+
+TEST(Pool, EngineDestructionReleasesQueuedEntries)
+{
+    // Ticks, deliveries over both connection types, and primary and
+    // secondary owned events stay queued when the engine is destroyed
+    // unrun: every message reference and event must be released.
+    PoolStats before = poolStats();
+    int liveBefore = AlphaMsg::liveCount;
+    {
+        Engine eng;
+        class Idle : public TickingComponent
+        {
+          public:
+            Idle(Engine *e, const char *name)
+                : TickingComponent(e, name, Freq::ghz(1))
+            {
+            }
+            bool tick() override { return false; }
+        } a(&eng, "A"), b(&eng, "B");
+        Port *aOut = a.addPort("Out", 4);
+        Port *aNet = a.addPort("Net", 4);
+        Port *bIn = b.addPort("In", 4);
+        Port *bNet = b.addPort("Net", 4);
+        DirectConnection conn(&eng, "Conn", kNanosecond);
+        conn.plugIn(aOut);
+        conn.plugIn(bIn);
+        net::SwitchedNetwork network(&eng, "Net", {});
+        network.plugIn(aNet);
+        network.plugIn(bNet);
+
+        a.wake();
+        b.scheduleTickAt(10 * kNanosecond);
+        for (int i = 0; i < 3; i++) {
+            auto direct = makeMsg<AlphaMsg>(i);
+            direct->dst = bIn;
+            ASSERT_EQ(aOut->send(direct), SendStatus::Ok);
+            auto switched = makeMsg<AlphaMsg>(i);
+            switched->dst = bNet;
+            ASSERT_EQ(aNet->send(switched), SendStatus::Ok);
+        }
+        eng.scheduleAt(5, "primary", []() {});
+        eng.schedule(std::make_unique<FuncEvent>(
+            5, "secondary", []() {}, true));
+        EXPECT_EQ(AlphaMsg::liveCount, liveBefore + 6);
+        EXPECT_EQ(eng.queueLength(), 10u);
+        EXPECT_GT(poolStats().liveBlocks, before.liveBlocks);
+    }
+    EXPECT_EQ(AlphaMsg::liveCount, liveBefore);
+    EXPECT_EQ(poolStats().liveBlocks, before.liveBlocks);
+}
+
+TEST(Pool, TicksAndDeliveriesAllocateNoBlocks)
+{
+    // Ticks and deliveries are queue entries, not pooled objects, so a
+    // FIR run allocates blocks for its messages only: far fewer than
+    // the events it executes.
+    gpu::Platform plat(gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny()));
+    workloads::FirParams params;
+    params.numSamples = 1u << 14;
+    gpu::KernelDescriptor kernel = workloads::makeFir(params);
+    plat.launchKernel(&kernel);
+    PoolStats before = poolStats();
+    ASSERT_EQ(plat.run(), gpu::Platform::RunStatus::Completed);
+    std::uint64_t allocs = poolStats().allocs - before.allocs;
+    std::uint64_t events = plat.engine().eventCount();
+    EXPECT_GT(events, 10000u);
+    EXPECT_LT(allocs, events / 2) << allocs << " blocks for " << events
+                                  << " events";
 }
 
 #if defined(__SANITIZE_ADDRESS__)

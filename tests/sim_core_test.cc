@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/component.hh"
+#include "sim/connection.hh"
 #include "sim/engine.hh"
 #include "sim/event.hh"
 #include "sim/parse.hh"
@@ -87,6 +88,46 @@ TEST(Freq, TickAlignment)
     EXPECT_EQ(f.cycles(5500), 5u);
 }
 
+TEST(Freq, ReciprocalMatchesDivisionExactly)
+{
+    // Freq divides by multiplying with a precomputed reciprocal; it
+    // must agree with the `%` definition for every period and time,
+    // including powers of two, periods above 2^63 and times near 2^64
+    // (where nextTick wraps identically in both).
+    const VTime kMax = ~VTime{0};
+    const std::vector<VTime> periods = {
+        1,           2,           3,           7,
+        333,         1000,        1024,        1001,
+        999999937,   VTime{1} << 32,           (VTime{1} << 32) + 15,
+        VTime{1} << 63,           (VTime{1} << 63) + 1,
+        (VTime{1} << 63) - 25,    kMax - 1,    kMax};
+    std::uint64_t state = 77;
+    auto rnd = [&state]() {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state ^ (state >> 29);
+    };
+    for (VTime p : periods) {
+        Freq f = Freq::fromPeriod(p);
+        ASSERT_EQ(f.period(), p);
+        std::vector<VTime> times = {0, 1, p - 1, p, p + 1, kMax, kMax - 1,
+                                    kMax - p, kMax - p + 1};
+        for (VTime k : {VTime{2}, VTime{3}, VTime{1000}, kMax / p}) {
+            VTime kp = k * p; // Wraps for large p; still an edge case.
+            times.insert(times.end(), {kp - 1, kp, kp + 1});
+        }
+        for (int i = 0; i < 2000; i++) {
+            times.push_back(rnd());
+            times.push_back(rnd() % (1u << 20));
+        }
+        for (VTime t : times) {
+            ASSERT_EQ(f.cycles(t), t / p) << "p=" << p << " t=" << t;
+            ASSERT_EQ(f.thisTick(t), t - t % p) << "p=" << p << " t=" << t;
+            ASSERT_EQ(f.nextTick(t), t - t % p + p)
+                << "p=" << p << " t=" << t;
+        }
+    }
+}
+
 TEST(Freq, ZeroSafe)
 {
     EXPECT_GE(Freq::ghz(0).period(), 1u);
@@ -107,6 +148,20 @@ class Recorder : public EventHandler
     std::vector<VTime> times;
 };
 
+/**
+ * Pops the earliest entry, which must be an owned event, and takes
+ * ownership of it; its time must be the entry's.
+ */
+EventPtr
+popEvent(EventQueue &q)
+{
+    EventQueue::Popped p = q.pop();
+    EXPECT_EQ(p.entry.kind(), QueueEntry::Kind::Owned);
+    EventPtr e(p.entry.event());
+    EXPECT_EQ(e->time(), p.time);
+    return e;
+}
+
 } // namespace
 
 TEST(EventQueue, OrdersByTime)
@@ -117,9 +172,9 @@ TEST(EventQueue, OrdersByTime)
     q.push(std::make_unique<Event>(10, &r));
     q.push(std::make_unique<Event>(20, &r));
     EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop()->time(), 10u);
-    EXPECT_EQ(q.pop()->time(), 20u);
-    EXPECT_EQ(q.pop()->time(), 30u);
+    EXPECT_EQ(popEvent(q)->time(), 10u);
+    EXPECT_EQ(popEvent(q)->time(), 20u);
+    EXPECT_EQ(popEvent(q)->time(), 30u);
     EXPECT_TRUE(q.empty());
 }
 
@@ -132,7 +187,7 @@ TEST(EventQueue, FifoAmongEqualTimes)
             100, "f", [&order, i]() { order.push_back(i); }));
     }
     while (!q.empty()) {
-        EventPtr e = q.pop();
+        EventPtr e = popEvent(q);
         e->handler()->handle(*e);
     }
     for (int i = 0; i < 8; i++)
@@ -148,7 +203,7 @@ TEST(EventQueue, SecondaryAfterPrimary)
     q.push(std::make_unique<FuncEvent>(
         100, "p", [&order]() { order.push_back('p'); }, false));
     while (!q.empty()) {
-        EventPtr e = q.pop();
+        EventPtr e = popEvent(q);
         e->handler()->handle(*e);
     }
     ASSERT_EQ(order.size(), 2u);
@@ -168,7 +223,7 @@ TEST(EventQueue, StressOrderingProperty)
     }
     VTime prev = 0;
     while (!q.empty()) {
-        VTime t = q.pop()->time();
+        VTime t = popEvent(q)->time();
         EXPECT_GE(t, prev);
         prev = t;
     }
@@ -350,12 +405,12 @@ TEST(EventQueue, FifoPreservedAcrossInterleavedPushPop)
     };
     q.push(mk(0));
     q.push(mk(1));
-    EventPtr e = q.pop();
+    EventPtr e = popEvent(q);
     e->handler()->handle(*e);
     q.push(mk(2));
     q.push(mk(3));
     while (!q.empty()) {
-        e = q.pop();
+        e = popEvent(q);
         e->handler()->handle(*e);
     }
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -376,15 +431,89 @@ TEST(EventQueue, SecondaryAfterPrimaryWithInterleavedPushes)
     mk("p0", false);
     mk("s1", true);
     mk("p1", false);
-    EventPtr e = q.pop();
+    EventPtr e = popEvent(q);
     e->handler()->handle(*e); // p0
     mk("p2", false);          // Pushed mid-drain, same time, primary.
     while (!q.empty()) {
-        e = q.pop();
+        e = popEvent(q);
         e->handler()->handle(*e);
     }
     EXPECT_EQ(order, (std::vector<std::string>{"p0", "p1", "p2", "s0",
                                                "s1"}));
+}
+
+TEST(EventQueue, FifoAcrossEntryKindsPerPhase)
+{
+    // Ticks and deliveries are primary entries; owned events choose
+    // their phase. Pushed at one time, each phase pops in push order
+    // whatever the kind.
+    Engine eng;
+    class Idle : public TickingComponent
+    {
+      public:
+        Idle(Engine *e, const char *name)
+            : TickingComponent(e, name, Freq::ghz(1))
+        {
+        }
+        bool tick() override { return false; }
+    } a(&eng, "A"), b(&eng, "B");
+    DirectConnection conn(&eng, "Conn", 0);
+    Recorder r;
+    int destroyed = 0;
+    class Tracked : public Msg
+    {
+      public:
+        explicit Tracked(int *destroyed) : destroyed_(destroyed) {}
+        ~Tracked() override { ++*destroyed_; }
+
+      private:
+        int *destroyed_;
+    };
+    MsgPtr m1 = makeMsg<Tracked>(&destroyed);
+    MsgPtr m2 = makeMsg<Tracked>(&destroyed);
+    Msg *raw1 = m1.get(), *raw2 = m2.get();
+    auto owned = [&r](bool secondary) {
+        return std::make_unique<Event>(500, &r, secondary);
+    };
+    EventQueue q;
+    Event *s1 = owned(true).release();
+    q.push(EventPtr(s1));
+    q.pushTick(500, &a);
+    q.pushDelivery(500, &conn, std::move(m1));
+    Event *p1 = owned(false).release();
+    q.push(EventPtr(p1));
+    Event *s2 = owned(true).release();
+    q.push(EventPtr(s2));
+    q.pushDelivery(500, &conn, std::move(m2));
+    q.pushTick(500, &b);
+    Event *p2 = owned(false).release();
+    q.push(EventPtr(p2));
+
+    std::vector<QueueEntry> got;
+    while (!q.empty()) {
+        EventQueue::Popped p = q.pop();
+        EXPECT_EQ(p.time, 500u);
+        got.push_back(p.entry);
+    }
+    using K = QueueEntry::Kind;
+    ASSERT_EQ(got.size(), 8u);
+    EXPECT_EQ(got[0].kind(), K::Tick);
+    EXPECT_EQ(got[0].ticker(), &a);
+    EXPECT_EQ(got[1].kind(), K::Delivery);
+    EXPECT_EQ(got[1].msg(), raw1);
+    EXPECT_EQ(got[1].connection(), &conn);
+    EXPECT_EQ(got[2].kind(), K::Owned);
+    EXPECT_EQ(got[2].event(), p1);
+    EXPECT_EQ(got[3].msg(), raw2);
+    EXPECT_EQ(got[4].ticker(), &b);
+    EXPECT_EQ(got[5].event(), p2);
+    EXPECT_EQ(got[6].event(), s1);
+    EXPECT_EQ(got[7].event(), s2);
+    // The popped entries own the messages' only references.
+    EXPECT_EQ(destroyed, 0);
+    for (const QueueEntry &e : got)
+        e.dispose();
+    EXPECT_EQ(destroyed, 2);
 }
 
 // ---- Differential test against a reference (time, phase, FIFO) model ----
@@ -456,7 +585,7 @@ popBoth(EventQueue &q, ReferenceQueue &ref)
     ASSERT_FALSE(q.empty());
     ReferenceQueue::Entry want = ref.pop();
     EXPECT_EQ(q.peekTime(), want.time);
-    EventPtr got = q.pop();
+    EventPtr got = popEvent(q);
     auto &ev = static_cast<SeqEvent &>(*got);
     ASSERT_EQ(ev.time(), want.time);
     ASSERT_EQ(ev.isSecondary(), want.secondary);
@@ -550,11 +679,11 @@ TEST(EventQueue, PushEarlierThanCachedFrontBecomesFront)
     EXPECT_EQ(q.peekTime(), 100u); // Caches the front bucket.
     q.push(std::make_unique<Event>(50, &r));
     EXPECT_EQ(q.peekTime(), 50u);
-    EXPECT_EQ(q.pop()->time(), 50u);
-    EXPECT_EQ(q.pop()->time(), 100u);
+    EXPECT_EQ(popEvent(q)->time(), 50u);
+    EXPECT_EQ(popEvent(q)->time(), 100u);
     q.push(std::make_unique<Event>(150, &r)); // Ahead of front 200.
-    EXPECT_EQ(q.pop()->time(), 150u);
-    EXPECT_EQ(q.pop()->time(), 200u);
+    EXPECT_EQ(popEvent(q)->time(), 150u);
+    EXPECT_EQ(popEvent(q)->time(), 200u);
     EXPECT_TRUE(q.empty());
 }
 
@@ -567,7 +696,7 @@ TEST(EventQueue, ReservedTimeIsRejected)
                  std::runtime_error);
     EXPECT_TRUE(q.empty());
     q.push(std::make_unique<Event>(EventQueue::kReservedTime - 1, &r));
-    EXPECT_EQ(q.pop()->time(), EventQueue::kReservedTime - 1);
+    EXPECT_EQ(popEvent(q)->time(), EventQueue::kReservedTime - 1);
 
     Engine eng;
     EXPECT_THROW(
