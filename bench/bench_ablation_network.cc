@@ -33,12 +33,11 @@ runIm2Col(gpu::PlatformConfig cfg)
 {
     gpu::Platform plat(cfg);
     workloads::Im2ColParams p;
-    // This bench has its own scale knob: the quarter-bandwidth crossbar
+    // A fixed small batch: the quarter-bandwidth crossbar
     // configuration's congestion makes simulated (and wall) time grow
     // superlinearly with batch, so it must stay small regardless of the
     // global AKITA_SCALE used by the other harnesses.
-    p.batch = static_cast<std::uint32_t>(
-        640 * bench::envDouble("AKITA_NET_SCALE", 0.02));
+    p.batch = 12;
     auto kernel = workloads::makeIm2Col(p);
     plat.launchKernel(&kernel);
 

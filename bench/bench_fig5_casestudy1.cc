@@ -65,10 +65,8 @@ run()
     // Deterministic periodic sampling from inside the simulation. The
     // monitor retains only the most recent 300 points (paper §IV-C), so
     // the interval is chosen to make those 300 points span the whole
-    // run (AKITA_SAMPLE_NS overrides).
-    sim::VTime interval =
-        static_cast<sim::VTime>(bench::envInt("AKITA_SAMPLE_NS", 600)) *
-        sim::kNanosecond;
+    // run.
+    constexpr sim::VTime interval = 600 * sim::kNanosecond;
     std::function<void()> sampler = [&]() {
         mon.sampleNow();
         if (!plat.driver().allKernelsDone()) {

@@ -100,7 +100,7 @@ section(const std::string &title)
 
 /** Renders a value series as a one-line ASCII sparkline. */
 inline std::string
-sparkline(const std::vector<rtm::ValueSample> &samples, std::size_t width)
+sparkline(const std::vector<metrics::RawSample> &samples, std::size_t width)
 {
     static const char *levels[] = {" ", ".", ":", "-", "=", "+",
                                    "*", "#"};
@@ -120,8 +120,8 @@ sparkline(const std::vector<rtm::ValueSample> &samples, std::size_t width)
 }
 
 /** Middle slice of a series (drops ramp-up and drain tails). */
-inline std::vector<rtm::ValueSample>
-steadySlice(const std::vector<rtm::ValueSample> &samples,
+inline std::vector<metrics::RawSample>
+steadySlice(const std::vector<metrics::RawSample> &samples,
             double trim_frac = 0.2)
 {
     if (samples.size() < 10)
@@ -141,7 +141,7 @@ struct SeriesStats
 };
 
 inline SeriesStats
-stats(const std::vector<rtm::ValueSample> &samples)
+stats(const std::vector<metrics::RawSample> &samples)
 {
     SeriesStats s;
     if (samples.empty())

@@ -213,18 +213,26 @@ MetricRegistry::addPushed(Desc d)
     return in->id;
 }
 
+std::vector<MetricRegistry::InstrPtr>::const_iterator
+MetricRegistry::lowerBound(std::uint64_t id) const
+{
+    // instrs_ is sorted by id: publishInstr appends nextId_++ under mu_
+    // and erase keeps the order.
+    return std::lower_bound(
+        instrs_.begin(), instrs_.end(), id,
+        [](const InstrPtr &in, std::uint64_t v) { return in->id < v; });
+}
+
 bool
 MetricRegistry::remove(std::uint64_t id)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = instrs_.begin(); it != instrs_.end(); ++it) {
-        if ((*it)->id == id) {
-            instrs_.erase(it);
-            regEvents_.fetch_add(1, std::memory_order_release);
-            return true;
-        }
-    }
-    return false;
+    auto it = lowerBound(id);
+    if (it == instrs_.end() || (*it)->id != id)
+        return false;
+    instrs_.erase(it);
+    regEvents_.fetch_add(1, std::memory_order_release);
+    return true;
 }
 
 std::size_t
@@ -238,11 +246,8 @@ MetricRegistry::InstrPtr
 MetricRegistry::findLocked(std::uint64_t id) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &in : instrs_) {
-        if (in->id == id)
-            return in;
-    }
-    return nullptr;
+    auto it = lowerBound(id);
+    return it != instrs_.end() && (*it)->id == id ? *it : nullptr;
 }
 
 std::vector<MetricRegistry::InstrPtr>
@@ -485,12 +490,12 @@ MetricRegistry::query(const std::string &name, const Labels &filter,
 }
 
 std::vector<RawSample>
-MetricRegistry::rawSeries(std::uint64_t id) const
+MetricRegistry::rawSeries(std::uint64_t id, std::size_t newest) const
 {
     InstrPtr in = findLocked(id);
     if (!in || !in->series)
         return {};
-    return in->series->rawSnapshot();
+    return in->series->rawSnapshot(newest);
 }
 
 std::int64_t

@@ -165,8 +165,12 @@ class MetricRegistry
                                    std::int64_t to_ms,
                                    std::int64_t step_ms) const;
 
-    /** Raw ring of one instrument (empty when it keeps no series). */
-    std::vector<RawSample> rawSeries(std::uint64_t id) const;
+    /**
+     * The newest @p newest samples of one instrument's raw ring, oldest
+     * first (empty when it keeps no series).
+     */
+    std::vector<RawSample> rawSeries(std::uint64_t id,
+                                     std::size_t newest = SIZE_MAX) const;
 
     /**
      * Oldest raw sample still held in memory across every instrument
@@ -282,6 +286,8 @@ class MetricRegistry
 
     InstrPtr makeInstr(Desc d);
     void publishInstr(const InstrPtr &in);
+    /** First instrument with id >= @p id; caller holds mu_. */
+    std::vector<InstrPtr>::const_iterator lowerBound(std::uint64_t id) const;
     InstrPtr findLocked(std::uint64_t id) const;
     std::vector<InstrPtr> snapshotInstrs() const;
     static void renderOne(std::string &out, const Instr &in);

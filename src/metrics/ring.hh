@@ -12,7 +12,9 @@
 #ifndef AKITA_METRICS_RING_HH
 #define AKITA_METRICS_RING_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace akita
@@ -61,14 +63,20 @@ class Ring
     /** Newest element; ring must be non-empty. */
     const T &back() const { return at(size_ - 1); }
 
-    /** Copies the retained elements, oldest first. */
+    /** Copies the newest @p newest retained elements, oldest first. */
     std::vector<T>
-    snapshot() const
+    snapshot(std::size_t newest = SIZE_MAX) const
     {
+        std::size_t n = std::min(size_, newest);
+        std::size_t start = (head_ + size_ - n) % capacity_;
+        // Two contiguous runs, [start, end) then from the front: no
+        // modulo per element.
+        std::size_t first = std::min(n, capacity_ - start);
         std::vector<T> out;
-        out.reserve(size_);
-        for (std::size_t i = 0; i < size_; i++)
-            out.push_back(at(i));
+        out.reserve(n);
+        out.insert(out.end(), buf_.begin() + start,
+                   buf_.begin() + start + first);
+        out.insert(out.end(), buf_.begin(), buf_.begin() + (n - first));
         return out;
     }
 

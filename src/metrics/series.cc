@@ -44,10 +44,10 @@ MultiResSeries::record(std::int64_t wall_ms, std::uint64_t sim_ps,
 }
 
 std::vector<RawSample>
-MultiResSeries::rawSnapshot() const
+MultiResSeries::rawSnapshot(std::size_t newest) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return raw_.snapshot();
+    return raw_.snapshot(newest);
 }
 
 std::vector<AggBucket>

@@ -108,8 +108,8 @@ class MultiResSeries
     /** Appends a sample and folds it into the open buckets. */
     void record(std::int64_t wall_ms, std::uint64_t sim_ps, double value);
 
-    /** Copy of the raw ring, oldest first. */
-    std::vector<RawSample> rawSnapshot() const;
+    /** Copy of the raw ring's newest @p newest samples, oldest first. */
+    std::vector<RawSample> rawSnapshot(std::size_t newest = SIZE_MAX) const;
 
     /**
      * Range query over [from_ms, to_ms] (inclusive).

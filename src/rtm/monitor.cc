@@ -40,7 +40,7 @@ nowWallMs()
 
 } // namespace
 
-Monitor::Monitor(const MonitorConfig &cfg) : cfg_(cfg)
+Monitor::Monitor(const MonitorConfig &cfg) : cfg_(cfg), values_(metrics_)
 {
     analyzer_ = std::make_unique<BufferAnalyzer>(&registry_);
     throughput_ = std::make_unique<ThroughputTracker>(&registry_);
@@ -60,7 +60,6 @@ Monitor::Monitor(const MonitorConfig &cfg) : cfg_(cfg)
             recorder_->recordEvent("monitor_start", nowWallMs(), 0);
         }
     }
-    values_.attachStore(&metrics_);
     metrics_.setReplayCapacity(kSseReplayPasses);
     metrics::Desc d;
     d.name = "akita_http_requests_total";
@@ -666,7 +665,7 @@ Monitor::exportSeriesCsv(std::uint64_t id) const
     std::string csv = "t_ps," + s.componentName + "." + s.fieldName +
                       "\n";
     for (const auto &sample : s.samples) {
-        csv += std::to_string(sample.simTime) + "," +
+        csv += std::to_string(sample.simPs) + "," +
                std::to_string(sample.value) + "\n";
     }
     return csv;

@@ -194,7 +194,7 @@ writeSeries(json::Writer &w, const TrackedSeries &series)
     w.key("points").beginArray();
     for (const auto &s : series.samples) {
         w.beginObject();
-        w.field("t_ps", s.simTime);
+        w.field("t_ps", s.simPs);
         w.field("v", s.value);
         w.endObject();
     }

@@ -5,11 +5,8 @@ namespace akita
 namespace rtm
 {
 
-void
-ValueMonitor::attachStore(metrics::MetricRegistry *store)
+ValueMonitor::ValueMonitor(metrics::MetricRegistry &store) : store_(store)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    store_ = store;
 }
 
 std::uint64_t
@@ -20,22 +17,15 @@ ValueMonitor::track(const std::string &component_name,
     std::lock_guard<std::mutex> lk(mu_);
     if (entries_.size() >= kMaxSeries)
         return 0;
-    Entry e;
-    e.id = nextId_++;
-    e.componentName = component_name;
-    e.fieldName = field_name;
-    e.getter = std::move(getter);
-    if (store_ != nullptr) {
-        metrics::Desc d;
-        d.name = "akita_tracked_value";
-        d.help = "Dashboard-tracked component field.";
-        d.type = metrics::Type::Gauge;
-        d.labels = {{"component", component_name},
-                    {"field", field_name}};
-        d.series = metrics::SeriesMode::Full;
-        e.storeId = store_->addPushed(std::move(d));
-    }
-    entries_.push_back(std::move(e));
+    metrics::Desc d;
+    d.name = "akita_tracked_value";
+    d.help = "Dashboard-tracked component field.";
+    d.type = metrics::Type::Gauge;
+    d.labels = {{"component", component_name}, {"field", field_name}};
+    d.series = metrics::SeriesMode::Full;
+    std::uint64_t storeId = store_.addPushed(std::move(d));
+    entries_.push_back(Entry{nextId_++, component_name, field_name,
+                             std::move(getter), storeId});
     return entries_.back().id;
 }
 
@@ -45,8 +35,7 @@ ValueMonitor::untrack(std::uint64_t id)
     std::lock_guard<std::mutex> lk(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->id == id) {
-            if (store_ != nullptr && it->storeId != 0)
-                store_->remove(it->storeId);
+            store_.remove(it->storeId);
             entries_.erase(it);
             return true;
         }
@@ -58,14 +47,19 @@ void
 ValueMonitor::sampleAll(sim::VTime now, std::int64_t wall_ms)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto &e : entries_) {
-        double v = e.getter().numeric();
-        e.ring.push_back(ValueSample{now, v});
-        if (e.ring.size() > kMaxPoints)
-            e.ring.pop_front();
-        if (store_ != nullptr && e.storeId != 0)
-            store_->recordPushed(e.storeId, wall_ms, now, v);
-    }
+    for (const auto &e : entries_)
+        store_.recordPushed(e.storeId, wall_ms, now, e.getter().numeric());
+}
+
+TrackedSeries
+ValueMonitor::snapshot(const Entry &e) const
+{
+    TrackedSeries s;
+    s.id = e.id;
+    s.componentName = e.componentName;
+    s.fieldName = e.fieldName;
+    s.samples = store_.rawSeries(e.storeId, kMaxPoints);
+    return s;
 }
 
 TrackedSeries
@@ -73,14 +67,8 @@ ValueMonitor::series(std::uint64_t id) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto &e : entries_) {
-        if (e.id == id) {
-            TrackedSeries s;
-            s.id = e.id;
-            s.componentName = e.componentName;
-            s.fieldName = e.fieldName;
-            s.samples.assign(e.ring.begin(), e.ring.end());
-            return s;
-        }
+        if (e.id == id)
+            return snapshot(e);
     }
     return TrackedSeries{};
 }
@@ -91,14 +79,8 @@ ValueMonitor::allSeries() const
     std::lock_guard<std::mutex> lk(mu_);
     std::vector<TrackedSeries> out;
     out.reserve(entries_.size());
-    for (const auto &e : entries_) {
-        TrackedSeries s;
-        s.id = e.id;
-        s.componentName = e.componentName;
-        s.fieldName = e.fieldName;
-        s.samples.assign(e.ring.begin(), e.ring.end());
-        out.push_back(std::move(s));
-    }
+    for (const auto &e : entries_)
+        out.push_back(snapshot(e));
     return out;
 }
 

@@ -13,7 +13,6 @@
 #define AKITA_RTM_VALUEMONITOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -27,47 +26,38 @@ namespace akita
 namespace rtm
 {
 
-/** One sample of a tracked value. */
-struct ValueSample
-{
-    sim::VTime simTime;
-    double value;
-};
-
 /** A tracked value's identity and recent history. */
 struct TrackedSeries
 {
     std::uint64_t id = 0;
     std::string componentName;
     std::string fieldName;
-    std::vector<ValueSample> samples;
+    std::vector<metrics::RawSample> samples;
 };
 
 /**
- * Tracks registered fields over time in fixed-size ring buffers.
+ * Tracks registered fields over time.
  *
- * The sampling driver (Monitor) calls sampleAll under the engine lock;
- * readers take consistent snapshots from any thread.
+ * Each tracked field is a pushed "akita_tracked_value" instrument of the
+ * metrics store, and the store's raw ring is its only history; series()
+ * serves the newest kMaxPoints of it. The sampling driver (Monitor)
+ * calls sampleAll under the engine lock; readers take consistent
+ * snapshots from any thread. Lock order: mu_, then the store's locks.
  */
 class ValueMonitor
 {
   public:
-    /**
-     * Retained points per series in the dashboard ring (paper: 300).
-     * The attached metrics store keeps the history beyond it.
-     */
+    /** Points served per series (paper: 300). */
     static constexpr std::size_t kMaxPoints = 300;
 
     /** Maximum simultaneously tracked series (paper: 5). */
     static constexpr std::size_t kMaxSeries = 5;
 
-    /**
-     * Mirrors every tracked series into @p store as a pushed
-     * "akita_tracked_value" instrument, giving it multi-resolution
-     * history far beyond the in-monitor ring. Call before track();
-     * nullptr detaches.
-     */
-    void attachStore(metrics::MetricRegistry *store);
+    static_assert(metrics::SeriesConfig{}.rawCapacity >= kMaxPoints,
+                  "the store's raw ring must hold the served points");
+
+    /** @param store Holds every tracked series; must outlive this. */
+    explicit ValueMonitor(metrics::MetricRegistry &store);
 
     /**
      * Starts tracking a field.
@@ -85,8 +75,7 @@ class ValueMonitor
     /**
      * Samples every tracked series at the given simulation time.
      *
-     * @param wall_ms Wall-clock milliseconds for the attached store's
-     *        bucketing; 0 is fine when no store is attached.
+     * @param wall_ms Wall-clock milliseconds for the store's bucketing.
      */
     void sampleAll(sim::VTime now, std::int64_t wall_ms = 0);
 
@@ -105,15 +94,17 @@ class ValueMonitor
         std::string componentName;
         std::string fieldName;
         introspect::FieldGetter getter;
-        std::deque<ValueSample> ring;
-        /** Id of the mirrored store instrument (0 = none). */
-        std::uint64_t storeId = 0;
+        /** Id of the entry's store instrument. */
+        std::uint64_t storeId;
     };
 
+    /** @p e with the newest kMaxPoints of its store history. */
+    TrackedSeries snapshot(const Entry &e) const;
+
+    metrics::MetricRegistry &store_;
     mutable std::mutex mu_;
     std::vector<Entry> entries_;
     std::uint64_t nextId_ = 1;
-    metrics::MetricRegistry *store_ = nullptr;
 };
 
 } // namespace rtm

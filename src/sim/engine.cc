@@ -137,9 +137,14 @@ Engine::scheduleDelivery(VTime time, Connection *conn, MsgPtr msg)
 void
 Engine::stop()
 {
-    stopRequested_.store(true);
-    if (concurrent_)
-        cv_.notify_all();
+    {
+        // Under the run lock: set outside it, the flag could land
+        // between the loop's wait predicate and the wait itself, and
+        // the loop would sleep through the notification.
+        ExternalLock lk(*this);
+        stopRequested_.store(true);
+    }
+    cv_.notify_all();
     notifyState("stop");
 }
 
@@ -153,9 +158,11 @@ Engine::pause()
 void
 Engine::resume()
 {
-    paused_.store(false);
-    if (concurrent_)
-        cv_.notify_all();
+    {
+        ExternalLock lk(*this); // As in stop().
+        paused_.store(false);
+    }
+    cv_.notify_all();
     notifyState("resume");
 }
 

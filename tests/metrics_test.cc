@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
@@ -69,6 +70,25 @@ TEST(Ring, ManyWraps)
     EXPECT_EQ(r.at(0), 997);
     EXPECT_EQ(r.at(1), 998);
     EXPECT_EQ(r.at(2), 999);
+}
+
+TEST(Ring, SnapshotOfTheNewestMatchesAt)
+{
+    // Every fill level and head position, and every count: snapshot(n)
+    // is the newest min(n, size) elements, oldest first.
+    for (int pushes = 0; pushes <= 12; pushes++) {
+        Ring<int> r(5);
+        for (int i = 0; i < pushes; i++)
+            r.push(i);
+        for (std::size_t n = 0; n <= 6; n++) {
+            auto snap = r.snapshot(n);
+            std::size_t want = std::min(n, r.size());
+            ASSERT_EQ(snap.size(), want) << pushes << " pushes, n " << n;
+            for (std::size_t k = 0; k < want; k++)
+                EXPECT_EQ(snap[k], r.at(r.size() - want + k));
+        }
+        EXPECT_EQ(r.snapshot().size(), r.size());
+    }
 }
 
 TEST(Series, BucketBoundaryExactlyOnEdge)
@@ -329,6 +349,48 @@ TEST(Registry, LabelFilterAndRemove)
     EXPECT_TRUE(reg.remove(idA));
     EXPECT_FALSE(reg.remove(idA));
     EXPECT_EQ(reg.query("test_multi", {}, 0, 1000, 1).size(), 1u);
+}
+
+TEST(Registry, LookupAfterRemovingFromTheMiddle)
+{
+    MetricRegistry reg;
+    const std::size_t own = reg.size(); // The registry's own instruments.
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 20; i++) {
+        Desc d;
+        d.name = "test_lookup";
+        d.labels = {{"i", std::to_string(i)}};
+        ids.push_back(reg.addPushed(d));
+    }
+    std::vector<std::uint64_t> kept, removed;
+    for (std::size_t i = 0; i < ids.size(); i++) {
+        // Keep both ends and every third id; remove the rest.
+        bool drop = i > 0 && i + 1 < ids.size() && i % 3 != 0;
+        (drop ? removed : kept).push_back(ids[i]);
+    }
+    for (auto id : removed)
+        EXPECT_TRUE(reg.remove(id));
+    ASSERT_EQ(reg.size(), own + kept.size());
+
+    for (auto id : kept) {
+        reg.recordPushed(id, 100, id, static_cast<double>(id));
+        auto raw = reg.rawSeries(id);
+        ASSERT_EQ(raw.size(), 1u) << "id " << id;
+        EXPECT_EQ(raw[0].simPs, id);
+        EXPECT_DOUBLE_EQ(raw[0].value, static_cast<double>(id));
+    }
+    for (auto id : removed) {
+        reg.recordPushed(id, 100, id, 1.0);
+        EXPECT_TRUE(reg.rawSeries(id).empty()) << "id " << id;
+        EXPECT_FALSE(reg.remove(id)) << "id " << id;
+    }
+    // Ids around and beyond the registered range are unknown too.
+    EXPECT_TRUE(reg.rawSeries(0).empty());
+    EXPECT_FALSE(reg.remove(ids.back() + 1));
+
+    for (auto id : kept)
+        EXPECT_TRUE(reg.remove(id)) << "id " << id;
+    EXPECT_EQ(reg.size(), own);
 }
 
 TEST(Registry, WaitForSampleWakesOnPass)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "gpu/platform.hh"
@@ -162,6 +163,124 @@ TEST(ValueMonitor, HistoryCapConfigurable)
         std::numeric_limits<std::int64_t>::max(), 1);
     ASSERT_EQ(series.size(), 1u);
     EXPECT_GE(series[0].points.size(), passes);
+}
+
+TEST(ValueMonitor, HttpServesTheStoresNewestRawPoints)
+{
+    rtm::MonitorConfig cfg;
+    cfg.announceUrl = false;
+    cfg.autoSample = false;
+    Rig rig(cfg);
+    ASSERT_TRUE(rig.mon.startServer());
+    web::PersistentClient client("127.0.0.1", rig.mon.serverPort());
+
+    auto id = rig.mon.trackValue("Driver", "kernels_completed");
+    ASSERT_GT(id, 0u);
+
+    // One pass every 1000 ps on the simulation thread, so each point
+    // has its own time; the kernel in between changes the value.
+    sim::Engine &eng = rig.plat.engine();
+    auto passes = [&](int n) {
+        sim::VTime t0 = eng.now();
+        for (int i = 1; i <= n; i++) {
+            eng.scheduleAt(t0 + static_cast<sim::VTime>(i) * 1000,
+                           "sample", [&rig]() { rig.mon.sampleNow(); });
+        }
+        eng.scheduleAt(t0 + static_cast<sim::VTime>(n) * 1000, "stop",
+                       [&eng]() { eng.stop(); });
+        eng.run();
+    };
+    passes(150);
+    rig.runKernel();
+    passes(160);
+
+    // A step under 1 s serves the store's raw ring, one point a sample.
+    auto stored = rig.mon.metrics().query(
+        "akita_tracked_value",
+        {{"component", "Driver"}, {"field", "kernels_completed"}}, 0,
+        std::numeric_limits<std::int64_t>::max(), 1);
+    ASSERT_EQ(stored.size(), 1u);
+    std::vector<metrics::AggBucket> raw = stored[0].points;
+    ASSERT_EQ(raw.size(), 310u);
+    raw.erase(raw.begin(), raw.end() - rtm::ValueMonitor::kMaxPoints);
+    EXPECT_EQ(raw.front().last, 0.0);
+    EXPECT_EQ(raw.back().last, 1.0);
+
+    auto series =
+        client.get("/api/v1/monitor/series?id=" + std::to_string(id));
+    ASSERT_TRUE(series.has_value());
+    ASSERT_EQ(series->status, 200);
+    Json points = *Json::parse(series->body).get("points");
+    ASSERT_EQ(points.size(), raw.size());
+    for (std::size_t i = 0; i < raw.size(); i++) {
+        EXPECT_EQ(points.at(i).getInt("t_ps", -1),
+                  static_cast<std::int64_t>(raw[i].lastSimPs));
+        EXPECT_EQ(points.at(i).getNumber("v", -1), raw[i].last);
+    }
+
+    auto csv =
+        client.get("/api/v1/monitor/export?id=" + std::to_string(id));
+    ASSERT_TRUE(csv.has_value());
+    ASSERT_EQ(csv->status, 200);
+    std::string want = "t_ps,Driver.kernels_completed\n";
+    for (const auto &p : raw) {
+        want += std::to_string(p.lastSimPs) + "," +
+                std::to_string(p.last) + "\n";
+    }
+    EXPECT_EQ(csv->body, want);
+
+    rig.mon.stopServer();
+}
+
+TEST(ValueMonitor, UntrackRacingReadsIsUnknownOrComplete)
+{
+    rtm::MonitorConfig cfg;
+    cfg.announceUrl = false;
+    cfg.autoSample = false;
+    Rig rig(cfg);
+
+    // Readers copy the store's rings while a sampler records into them
+    // and the main thread tracks and untracks. Every id a reader sees
+    // was sampled once before it was published, so a read must return
+    // either an unknown id or at least that sample, never an empty
+    // series whose store instrument is already gone.
+    std::atomic<std::uint64_t> published{0};
+    std::atomic<bool> done{false};
+    std::atomic<int> emptyReads{0};
+    std::thread sampler([&]() {
+        while (!done.load())
+            rig.mon.sampleNow();
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; r++) {
+        readers.emplace_back([&]() {
+            while (!done.load()) {
+                auto s = rig.mon.valueSeries(published.load());
+                if (s.id != 0 && s.samples.empty())
+                    emptyReads++;
+                for (const auto &a : rig.mon.allValueSeries())
+                    EXPECT_LE(a.samples.size(),
+                              rtm::ValueMonitor::kMaxPoints);
+            }
+        });
+    }
+    for (int i = 0; i < 200; i++) {
+        auto id = rig.mon.trackValue("GPU[0].RDMA", "transactions");
+        if (id == 0) {
+            ADD_FAILURE() << "track refused on pass " << i;
+            break; // The threads below must still be joined.
+        }
+        rig.mon.sampleNow();
+        published.store(id);
+        std::this_thread::yield();
+        EXPECT_TRUE(rig.mon.untrackValue(id));
+        EXPECT_EQ(rig.mon.valueSeries(id).id, 0u);
+    }
+    done.store(true);
+    sampler.join();
+    for (auto &t : readers)
+        t.join();
+    EXPECT_EQ(emptyReads.load(), 0);
 }
 
 TEST(Throughput, UnknownComponentEmpty)

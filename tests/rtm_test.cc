@@ -207,7 +207,8 @@ TEST(BufferAnalyzerTest, SeesRegisteredInternalBuffers)
 
 TEST(ValueMonitorTest, TracksAndSamples)
 {
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     int x = 0;
     auto id = vm.track("C", "x", [&x]() {
         return introspect::Value::ofInt(x);
@@ -221,7 +222,7 @@ TEST(ValueMonitorTest, TracksAndSamples)
     TrackedSeries s = vm.series(id);
     ASSERT_EQ(s.samples.size(), 10u);
     EXPECT_EQ(s.samples[3].value, 9.0);
-    EXPECT_EQ(s.samples[3].simTime, 3000u);
+    EXPECT_EQ(s.samples[3].simPs, 3000u);
     EXPECT_EQ(s.componentName, "C");
     EXPECT_EQ(s.fieldName, "x");
 }
@@ -229,7 +230,8 @@ TEST(ValueMonitorTest, TracksAndSamples)
 TEST(ValueMonitorTest, RingKeepsMostRecent300)
 {
     // Paper: "keep only the most recent 300 data points".
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     int x = 0;
     auto id = vm.track("C", "x", [&x]() {
         return introspect::Value::ofInt(x);
@@ -247,7 +249,8 @@ TEST(ValueMonitorTest, RingKeepsMostRecent300)
 TEST(ValueMonitorTest, FiveSeriesLimit)
 {
     // Paper: "plots up to five individual values over time".
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     auto getter = []() { return introspect::Value::ofInt(0); };
     for (int i = 0; i < 5; i++)
         EXPECT_GT(vm.track("C", "f" + std::to_string(i), getter), 0u);
@@ -261,7 +264,8 @@ TEST(ValueMonitorTest, FiveSeriesLimit)
 
 TEST(ValueMonitorTest, UnknownIdHandling)
 {
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     EXPECT_FALSE(vm.untrack(99));
     EXPECT_EQ(vm.series(99).id, 0u);
 }
@@ -423,7 +427,7 @@ TEST(Serialize, SeriesToJson)
     s.id = 2;
     s.componentName = "C";
     s.fieldName = "f";
-    s.samples = {{1000, 3.0}, {2000, 4.0}};
+    s.samples = {{0, 1000, 3.0}, {0, 2000, 4.0}};
     json::Json j = written([&](json::Writer &w) { writeSeries(w, s); });
     EXPECT_EQ(j.getInt("id", 0), 2);
     EXPECT_EQ(j.getStr("component"), "C");
