@@ -13,7 +13,6 @@
 #include "rtm/serialize.hh"
 #include "sim/component.hh"
 #include "sim/connection.hh"
-#include "sim/pool.hh"
 
 namespace akita
 {
@@ -242,65 +241,6 @@ Monitor::instrumentEngine()
         recorder::FlightRecorder *rec = recorder_.get();
         metrics_.addCallback(std::move(d), [rec]() {
             return static_cast<double>(rec->generation());
-        });
-    }
-
-    // Slab-pool counters (events and messages are pool-allocated; see
-    // DESIGN.md §10). Owner-thread counters are relaxed atomics, so the
-    // sampler reads them without perturbing the hot path.
-    {
-        metrics::Desc d;
-        d.name = "akita_sim_pool_allocs_total";
-        d.help = "Blocks served by the per-thread slab pools.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), []() {
-            return static_cast<double>(sim::poolStats().allocs);
-        });
-    }
-    {
-        metrics::Desc d;
-        d.name = "akita_sim_pool_frees_total";
-        d.help = "Blocks returned by their owning thread.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), []() {
-            return static_cast<double>(sim::poolStats().frees);
-        });
-    }
-    {
-        metrics::Desc d;
-        d.name = "akita_sim_pool_remote_frees_total";
-        d.help = "Blocks returned through the cross-thread stack.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), []() {
-            return static_cast<double>(sim::poolStats().remoteFrees);
-        });
-    }
-    {
-        metrics::Desc d;
-        d.name = "akita_sim_pool_oversize_allocs_total";
-        d.help = "Requests too large for any size class.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), []() {
-            return static_cast<double>(sim::poolStats().oversizeAllocs);
-        });
-    }
-    {
-        metrics::Desc d;
-        d.name = "akita_sim_pool_slab_bytes";
-        d.help = "Slab memory reserved across all pools.";
-        d.type = metrics::Type::Gauge;
-        metrics_.addCallback(std::move(d), []() {
-            return static_cast<double>(sim::poolStats().slabBytes);
-        });
-    }
-    {
-        metrics::Desc d;
-        d.name = "akita_sim_pool_live_blocks";
-        d.help = "Pool blocks currently live.";
-        d.type = metrics::Type::Gauge;
-        d.series = metrics::SeriesMode::Full;
-        metrics_.addCallback(std::move(d), []() {
-            return static_cast<double>(sim::poolStats().liveBlocks);
         });
     }
 }

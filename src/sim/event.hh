@@ -62,7 +62,7 @@ class EventHandler
  * Ticks and message deliveries are not Events: they are queue entries
  * (QueueEntry) with no object behind them. Events are the cold path —
  * ad-hoc callables and custom handlers — and are allocated from the
- * per-thread slab pool (class-scope operator new/delete below).
+ * per-thread pool (class-scope operator new and sized delete below).
  */
 class Event
 {
@@ -80,7 +80,13 @@ class Event
     virtual ~Event() = default;
 
     static void *operator new(std::size_t n) { return poolAlloc(n); }
-    static void operator delete(void *p) noexcept { poolFree(p); }
+
+    /** Sized: the virtual destructor passes the concrete type's size. */
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        poolFree(p, n);
+    }
 
     VTime time() const { return time_; }
     EventHandler *handler() const { return handler_; }

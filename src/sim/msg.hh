@@ -4,10 +4,12 @@
  *
  * Hot-path memory model (DESIGN.md §10): messages are pooled,
  * intrusively refcounted, and tagged. Every `new` of a Msg subclass is
- * served by the per-thread slab pool; `MsgPtr` is an intrusive pointer
- * whose copy is a plain increment (no shared_ptr control block, no
- * separate allocation, no atomic); and downcasts go through a `MsgKind`
- * tag compare instead of RTTI `dynamic_pointer_cast`. Reads borrow
+ * served by the per-thread pool's freelists, and sized delete returns
+ * the block by its type's size, so a block has no header. `MsgPtr` is
+ * an intrusive pointer whose copy is a plain increment (no shared_ptr
+ * control block, no separate allocation, no atomic); and downcasts go
+ * through a `MsgKind` tag compare instead of RTTI
+ * `dynamic_pointer_cast`. Reads borrow
  * (`peek` returns a reference, `msgCast` a raw pointer); only keeping a
  * message and sending it take a reference.
  */
@@ -78,12 +80,18 @@ class Msg
     /** Tag matched by msgCast when no subclass overrides it. */
     static constexpr MsgKind kKind = MsgKind::Generic;
 
-    // All message allocations go through the per-thread slab pool.
+    // All message allocations go through the per-thread pool.
     // Class-scope operators cover every subclass (makeMsg below ends in
-    // a plain `new T`), and deletion through a base pointer resolves to
-    // these via the virtual destructor.
+    // a plain `new T`). Deletion through a base pointer resolves to the
+    // sized delete via the virtual destructor, which passes the
+    // concrete type's size back to the pool.
     static void *operator new(std::size_t n) { return poolAlloc(n); }
-    static void operator delete(void *p) noexcept { poolFree(p); }
+
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        poolFree(p, n);
+    }
 
     /** Process-unique message id. */
     std::uint64_t id() const { return id_; }

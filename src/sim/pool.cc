@@ -1,7 +1,5 @@
 #include "sim/pool.hh"
 
-#include <atomic>
-#include <memory>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -14,15 +12,6 @@
 #endif
 #endif
 
-#ifdef AKITA_POOL_ASAN
-#include <sanitizer/asan_interface.h>
-#define AKITA_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
-#define AKITA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
-#else
-#define AKITA_POISON(p, n) ((void)(p), (void)(n))
-#define AKITA_UNPOISON(p, n) ((void)(p), (void)(n))
-#endif
-
 namespace akita
 {
 namespace sim
@@ -31,300 +20,168 @@ namespace sim
 namespace
 {
 
-/** Total block sizes (header + payload), ascending. */
-constexpr std::size_t kClassSizes[] = {64, 128, 256, 512, 1024};
-constexpr std::size_t kNumClasses =
-    sizeof(kClassSizes) / sizeof(kClassSizes[0]);
-constexpr std::size_t kSlabBytes = 64 * 1024;
-/** Class tag for blocks served by ::operator new. */
-constexpr std::uint32_t kOversize = 0xffffffffu;
-/** Header size; keeps the payload aligned for any simulation object. */
-constexpr std::size_t kHeaderSize = 16;
-static_assert(kHeaderSize % alignof(std::max_align_t) == 0);
+thread_local std::uint64_t tlsAllocs = 0;
 
-struct ThreadPool;
+#ifndef AKITA_POOL_ASAN
 
-/** Precedes every block's payload. */
-struct BlockHeader
-{
-    ThreadPool *owner; // Null for oversize blocks.
-    std::uint32_t cls;
-};
-static_assert(sizeof(BlockHeader) <= kHeaderSize);
+/** Blocks are multiples of kClassBytes, up to kMaxBlock. */
+constexpr std::size_t kClassBytes = 64;
+constexpr std::size_t kMaxBlock = 1024;
+static_assert(kClassBytes % alignof(std::max_align_t) == 0);
+constexpr std::size_t kNumClasses = kMaxBlock / kClassBytes;
+constexpr std::size_t kChunkBytes = 64 * 1024;
 
-/** Lives in the payload of a freed block. */
+/** Lives in a free block. */
 struct FreeNode
 {
     FreeNode *next;
 };
 
-// Under AddressSanitizer a free block's payload is poisoned, so a
-// message or event used after its last release faults at that use
-// instead of reading a recycled block. The freelist link lives in the
-// poisoned payload; these two open it for the one access.
-
-FreeNode *
-linkOf(FreeNode *n)
+/** One thread's freelists and the uncarved rest of its chunk. */
+struct Lists
 {
-    AKITA_UNPOISON(n, sizeof(FreeNode));
-    FreeNode *next = n->next;
-    AKITA_POISON(n, sizeof(FreeNode));
-    return next;
-}
-
-void
-setLink(FreeNode *n, FreeNode *next)
-{
-    AKITA_UNPOISON(n, sizeof(FreeNode));
-    n->next = next;
-    AKITA_POISON(n, sizeof(FreeNode));
-}
-
-/**
- * Owner-thread-only counter readable from other threads: a plain
- * load+store pair compiles to ordinary MOVs (no lock prefix), and the
- * atomic type keeps cross-thread readers TSan-clean.
- */
-class OwnerCounter
-{
-  public:
-    void
-    inc(std::uint64_t by = 1)
-    {
-        v_.store(v_.load(std::memory_order_relaxed) + by,
-                 std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> v_{0};
-};
-
-struct ThreadPool
-{
-    FreeNode *free[kNumClasses] = {};
-    char *bump = nullptr;
-    char *bumpEnd = nullptr;
-    std::vector<std::unique_ptr<char[]>> slabs;
-
-    /** Cross-thread return stack (Treiber push, drain-all pop). */
-    std::atomic<FreeNode *> remote{nullptr};
-
-    OwnerCounter allocs;
-    OwnerCounter frees;
-    OwnerCounter oversize;
-    OwnerCounter slabBytes;
-    /** Pushed by remote threads; the only contended counter. */
-    std::atomic<std::uint64_t> remoteFrees{0};
+    FreeNode *free[kNumClasses];
+    char *carve;
+    char *carveEnd;
 };
 
 /**
- * All pools ever created. Intentionally leaked (function-local static
- * pointer): blocks freed by static destructors after main() must still
- * find their owner pool alive.
+ * Lists of exited threads, which new threads adopt, and every chunk, so
+ * chunks stay reachable. Leaked, so a thread that exits after main()
+ * still finds it.
  */
-struct Registry
+struct Spare
 {
     std::mutex mu;
-    std::vector<ThreadPool *> all;     // Never shrinks; pools leak.
-    std::vector<ThreadPool *> orphans; // Pools whose thread exited.
+    std::vector<Lists> lists;
+    std::vector<char *> chunks;
 };
 
-Registry &
-registry()
+Spare &
+spare()
 {
-    static Registry *r = new Registry;
-    return *r;
+    static Spare *s = new Spare;
+    return *s;
 }
+
+// Trivially destructible, so both stay usable while other thread-local
+// destructors run. A block freed after the Parker has run stays on this
+// thread's lists and is not reused, but its chunk stays reachable.
+thread_local Lists tls = {};
+thread_local bool tlsStarted = false;
+
+/** Parks the thread's lists in the spare set when the thread exits. */
+struct Parker
+{
+    ~Parker()
+    {
+        Spare &s = spare();
+        std::lock_guard<std::mutex> lk(s.mu);
+        s.lists.push_back(tls);
+        tls = {};
+    }
+};
 
 /**
- * Trivially-destructible TLS pointer: still readable while other
- * thread-local destructors run (poolFree during thread teardown takes
- * the remote path once the releaser below nulls it).
+ * Runs on a thread's first empty-list alloc or free, while its lists
+ * are still empty: adopts a parked set, if any, and arranges for its
+ * own to be parked at exit.
  */
-thread_local ThreadPool *tlsPool = nullptr;
-
-/** Parks the thread's pool for adoption when the thread exits. */
-struct PoolReleaser
-{
-    ~PoolReleaser()
-    {
-        if (tlsPool == nullptr)
-            return;
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lk(r.mu);
-        r.orphans.push_back(tlsPool);
-        tlsPool = nullptr;
-    }
-};
-
-ThreadPool *
-currentPool()
-{
-    if (tlsPool != nullptr)
-        return tlsPool;
-    thread_local PoolReleaser releaser;
-    (void)releaser;
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    ThreadPool *p;
-    if (!r.orphans.empty()) {
-        // Adopt a parked pool: its freelists and slabs carry over, and
-        // the registry mutex orders the handoff after the old owner's
-        // last use.
-        p = r.orphans.back();
-        r.orphans.pop_back();
-    } else {
-        p = new ThreadPool;
-        r.all.push_back(p);
-    }
-    tlsPool = p;
-    return p;
-}
-
-std::uint32_t
-classFor(std::size_t total)
-{
-    for (std::uint32_t c = 0; c < kNumClasses; c++) {
-        if (total <= kClassSizes[c])
-            return c;
-    }
-    return kOversize;
-}
-
-BlockHeader *
-headerOf(void *payload)
-{
-    return reinterpret_cast<BlockHeader *>(static_cast<char *>(payload) -
-                                           kHeaderSize);
-}
-
-/** Moves every remotely-freed block back onto the class freelists. */
 void
-drainRemote(ThreadPool *p)
+start()
 {
-    // Acquire pairs with the release push in poolFree: the freeing
-    // thread's last writes to the block happen-before its reuse here.
-    FreeNode *n = p->remote.exchange(nullptr, std::memory_order_acquire);
-    while (n != nullptr) {
-        FreeNode *next = linkOf(n);
-        std::uint32_t cls = headerOf(n)->cls;
-        setLink(n, p->free[cls]);
-        p->free[cls] = n;
-        n = next;
+    thread_local Parker parker;
+    (void)parker;
+    tlsStarted = true;
+    Spare &s = spare();
+    std::lock_guard<std::mutex> lk(s.mu);
+    if (!s.lists.empty()) {
+        tls = s.lists.back();
+        s.lists.pop_back();
     }
 }
 
-void
-newSlab(ThreadPool *p)
+constexpr std::size_t
+blockBytes(std::size_t cls)
 {
-    auto slab = std::make_unique<char[]>(kSlabBytes);
-    char *base = slab.get();
-    // Round the carve pointer up so every header (and therefore every
-    // payload, kHeaderSize later) is 16-byte aligned.
-    auto addr = reinterpret_cast<std::uintptr_t>(base);
-    std::uintptr_t aligned = (addr + 15) & ~std::uintptr_t{15};
-    p->bump = base + (aligned - addr);
-    p->bumpEnd = base + kSlabBytes;
-    p->slabs.push_back(std::move(slab));
-    p->slabBytes.inc(kSlabBytes);
+    return (cls + 1) * kClassBytes;
 }
+
+void *
+allocSlow(std::size_t cls)
+{
+    if (!tlsStarted)
+        start();
+    if (FreeNode *node = tls.free[cls]) { // Adopted.
+        tls.free[cls] = node->next;
+        return node;
+    }
+    std::size_t n = blockBytes(cls);
+    if (static_cast<std::size_t>(tls.carveEnd - tls.carve) < n) {
+        // Chunks come from ::operator new, so every block is aligned
+        // for any fundamental type.
+        char *chunk = static_cast<char *>(::operator new(kChunkBytes));
+        tls.carve = chunk;
+        tls.carveEnd = chunk + kChunkBytes;
+        Spare &s = spare();
+        std::lock_guard<std::mutex> lk(s.mu);
+        s.chunks.push_back(chunk);
+    }
+    void *block = tls.carve;
+    tls.carve += n;
+    return block;
+}
+
+#endif // AKITA_POOL_ASAN
 
 } // namespace
+
+// Under AddressSanitizer every block comes from ::operator new, so ASan
+// reports a use after free with both stacks and LeakSanitizer sees
+// every message and event.
 
 void *
 poolAlloc(std::size_t n)
 {
-    std::uint32_t cls = classFor(n + kHeaderSize);
-    if (cls == kOversize) {
-        char *raw = static_cast<char *>(::operator new(n + kHeaderSize));
-        auto *h = reinterpret_cast<BlockHeader *>(raw);
-        h->owner = nullptr;
-        h->cls = kOversize;
-        currentPool()->oversize.inc();
-        return raw + kHeaderSize;
-    }
-
-    ThreadPool *p = currentPool();
-    if (p->free[cls] == nullptr)
-        drainRemote(p);
-    char *block;
-    if (p->free[cls] != nullptr) {
-        // Freelist nodes live in the payload, so step back to the
-        // block start; the header survives from the original carve.
-        FreeNode *node = p->free[cls];
-        p->free[cls] = linkOf(node);
-        block = reinterpret_cast<char *>(node) - kHeaderSize;
-        AKITA_UNPOISON(node, kClassSizes[cls] - kHeaderSize);
-    } else {
-        std::size_t sz = kClassSizes[cls];
-        if (static_cast<std::size_t>(p->bumpEnd - p->bump) < sz)
-            newSlab(p);
-        block = p->bump;
-        p->bump += sz;
-        auto *h = reinterpret_cast<BlockHeader *>(block);
-        h->owner = p;
-        h->cls = cls;
-    }
-    p->allocs.inc();
-    return block + kHeaderSize;
+    tlsAllocs++;
+#ifdef AKITA_POOL_ASAN
+    return ::operator new(n);
+#else
+    if (n > kMaxBlock)
+        return ::operator new(n);
+    std::size_t cls = (n - 1) / kClassBytes;
+    FreeNode *node = tls.free[cls];
+    if (node == nullptr)
+        return allocSlow(cls);
+    tls.free[cls] = node->next;
+    return node;
+#endif
 }
 
 void
-poolFree(void *payload) noexcept
+poolFree(void *p, std::size_t n) noexcept
 {
-    if (payload == nullptr)
-        return;
-    BlockHeader *h = headerOf(payload);
-    if (h->cls == kOversize) {
-        ::operator delete(static_cast<void *>(h));
-        return;
-    }
-    ThreadPool *owner = h->owner;
-    auto *node = static_cast<FreeNode *>(payload);
-    // Poison before the block is published: once on a list, the owner
-    // may hand it out (and unpoison it) at any moment.
-    AKITA_POISON(node, kClassSizes[h->cls] - kHeaderSize);
-    if (owner == tlsPool) {
-        setLink(node, owner->free[h->cls]);
-        owner->free[h->cls] = node;
-        owner->frees.inc();
+#ifdef AKITA_POOL_ASAN
+    ::operator delete(p, n);
+#else
+    if (n > kMaxBlock) {
+        ::operator delete(p, n);
         return;
     }
-    // Not ours (or this thread is tearing down): hand the block back
-    // through the owner's return stack. Release so the owner's acquire
-    // drain sees the block's final state; no ABA because the drain
-    // takes the entire stack in one exchange.
-    FreeNode *head = owner->remote.load(std::memory_order_relaxed);
-    do {
-        setLink(node, head);
-    } while (!owner->remote.compare_exchange_weak(
-        head, node, std::memory_order_release, std::memory_order_relaxed));
-    owner->remoteFrees.fetch_add(1, std::memory_order_relaxed);
+    std::size_t cls = (n - 1) / kClassBytes;
+    // A thread that only frees starts here, on its first empty list.
+    if (tls.free[cls] == nullptr && !tlsStarted)
+        start();
+    auto *node = static_cast<FreeNode *>(p);
+    node->next = tls.free[cls];
+    tls.free[cls] = node;
+#endif
 }
 
-PoolStats
-poolStats()
+std::uint64_t
+poolAllocCount()
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    PoolStats s;
-    s.pools = r.all.size();
-    for (ThreadPool *p : r.all) {
-        s.allocs += p->allocs.value();
-        s.frees += p->frees.value();
-        s.remoteFrees += p->remoteFrees.load(std::memory_order_relaxed);
-        s.oversizeAllocs += p->oversize.value();
-        s.slabBytes += p->slabBytes.value();
-    }
-    std::uint64_t returned = s.frees + s.remoteFrees;
-    s.liveBlocks = s.allocs > returned ? s.allocs - returned : 0;
-    return s;
+    return tlsAllocs;
 }
 
 } // namespace sim
