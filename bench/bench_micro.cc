@@ -370,6 +370,34 @@ BM_EventQueueCycleAligned(benchmark::State &state)
 BENCHMARK(BM_EventQueueCycleAligned);
 
 void
+BM_EventQueueGpuMix(benchmark::State &state)
+{
+    // The push distances of a bare im2col run on mcm4: of 1.04M pushes,
+    // 64% are ticks one 1 GHz cycle ahead, 22% deliveries one cycle
+    // ahead and 6% two cycles ahead, and the rest deadlines further
+    // out. Each pop pushes one entry at the next distance of this
+    // 25-step cycle, so a push often misses the last-pushed bucket and
+    // the front walks the wheel through every turn, as it does there.
+    static constexpr sim::VTime kMix[] = {
+        1000, 1000, 2000, 1000, 1000, 1000, 7000,  1000, 1000,
+        1000, 1000, 1000, 2000, 1000, 1000, 16000, 1000, 1000,
+        1000, 1000, 1000, 1000, 1000, 1000, 1000};
+    constexpr std::size_t kSteps = sizeof(kMix) / sizeof(kMix[0]);
+    sim::EventQueue q;
+    for (int i = 0; i < 64; i++)
+        q.pushTick(kMix[i % kSteps], nullptr);
+    std::size_t k = 0;
+    for (auto _ : state) {
+        sim::EventQueue::Popped p = q.pop();
+        benchmark::DoNotOptimize(p);
+        q.pushTick(p.time + kMix[k], nullptr);
+        k = k + 1 == kSteps ? 0 : k + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueGpuMix);
+
+void
 BM_PortForwardHop(benchmark::State &state)
 {
     // The forwarding pattern of every memory component: borrow the head

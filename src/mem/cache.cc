@@ -270,7 +270,9 @@ Cache::issueDownstream()
     bool progress = false;
 
     // Issue line fetches for MSHR entries without one.
-    for (auto &kv : mshr_) {
+    for (auto it = mshr_.begin(); unsentFetches_ > 0 && it != mshr_.end();
+         ++it) {
+        auto &kv = *it;
         MshrEntry &e = kv.second;
         if (e.fetchSent)
             continue;
@@ -284,6 +286,7 @@ Cache::issueDownstream()
         if (bottomPort_->send(e.fetch) != sim::SendStatus::Ok)
             break;
         e.fetchSent = true;
+        unsentFetches_--;
         fetchToLine_[e.fetch->id()] = kv.first;
         progress = true;
     }
@@ -362,6 +365,7 @@ Cache::admit()
         MshrEntry entry;
         entry.pending.push_back(PendingReq{MemReqPtr(req), msg->src});
         mshr_.emplace(line, std::move(entry));
+        unsentFetches_++;
         topPort_->retrieveIncoming();
         progress = true;
     }

@@ -130,6 +130,9 @@ class Cache : public sim::TickingComponent
     /** Outstanding downstream transactions (MSHR + inflight writes). */
     std::size_t transactionCount() const;
 
+    /** MSHR entries whose line fetch has not been sent downstream. */
+    std::size_t unsentFetches() const { return unsentFetches_; }
+
     const Directory &directory() const { return directory_; }
 
   private:
@@ -167,6 +170,9 @@ class Cache : public sim::TickingComponent
     /** By line address. Iterated in issueDownstream(), so its order
      * is part of the simulated result. */
     std::unordered_map<std::uint64_t, MshrEntry> mshr_;
+    /** MSHR entries whose fetch is not sent yet; issueDownstream()
+     * stops its walk once it has sent them all. */
+    std::size_t unsentFetches_ = 0;
     /** Fetch id -> line address. */
     sim::IdMap<std::uint64_t> fetchToLine_;
     std::deque<PendingReq> writeQueue_; // Write-through forwarding.

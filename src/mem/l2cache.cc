@@ -190,7 +190,9 @@ L2Cache::writeBufferTick()
     }
 
     // Stage 3: issue line fetches for MSHR entries.
-    for (auto &kv : mshr_) {
+    for (auto it = mshr_.begin(); unsentFetches_ > 0 && it != mshr_.end();
+         ++it) {
+        auto &kv = *it;
         MshrEntry &e = kv.second;
         if (e.fetchSent)
             continue;
@@ -204,6 +206,7 @@ L2Cache::writeBufferTick()
         if (bottomPort_->send(e.fetch) != sim::SendStatus::Ok)
             break;
         e.fetchSent = true;
+        unsentFetches_--;
         const std::uint64_t id = e.fetch->id();
         fetchInflight_[id] = std::move(e.fetch); // Kept for the fill.
         progress = true;
@@ -311,6 +314,7 @@ L2Cache::admit()
         MshrEntry entry;
         entry.pending.push_back(PendingReq{MemReqPtr(req), msg->src});
         mshr_.emplace(line, std::move(entry));
+        unsentFetches_++;
         topPort_->retrieveIncoming();
         progress = true;
     }

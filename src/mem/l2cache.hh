@@ -85,6 +85,9 @@ class L2Cache : public sim::TickingComponent
 
     std::size_t transactionCount() const { return mshr_.size(); }
 
+    /** MSHR entries whose line fetch has not been sent downstream. */
+    std::size_t unsentFetches() const { return unsentFetches_; }
+
     const Directory &directory() const { return directory_; }
 
     /** True when local storage is stalled holding an eviction. */
@@ -138,6 +141,9 @@ class L2Cache : public sim::TickingComponent
     /** By line address. Iterated in writeBufferTick(), so its order is
      * part of the simulated result. */
     std::unordered_map<std::uint64_t, MshrEntry> mshr_;
+    /** MSHR entries whose fetch is not sent yet; writeBufferTick()
+     * stops its walk once it has sent them all. */
+    std::size_t unsentFetches_ = 0;
     /** Fetch id -> the fetch, handed to the write buffer on fill. */
     sim::IdMap<MemReqPtr> fetchInflight_;
 

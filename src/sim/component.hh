@@ -117,10 +117,54 @@ class Component : public introspect::Inspectable
     virtual std::vector<StallInfo> stallInfo() const { return {}; }
 
   private:
+    // Port::addWaiterSlow asks listOn() whether the sender is listed.
+    friend class Port;
+
+    /** One port this component waited on, and the port's wake epoch
+     * when it last listed this component. */
+    struct Listing
+    {
+        const Port *port;
+        std::uint64_t epoch;
+    };
+
+    /**
+     * Records that @p port lists this component in wake epoch
+     * @p epoch.
+     *
+     * @return False when it already does (the listing carries
+     *         @p epoch); true when the listing is new or stale and the
+     *         port must append this component to its waiters.
+     */
+    bool
+    listOn(const Port *port, std::uint64_t epoch)
+    {
+        for (Listing &l : listings_) {
+            if (l.port != port)
+                continue;
+            if (l.epoch == epoch)
+                return false;
+            l.epoch = epoch;
+            return true;
+        }
+        listings_.push_back({port, epoch});
+        return true;
+    }
+
     Engine *engine_;
     std::string name_;
     std::vector<std::unique_ptr<Port>> ports_;
     std::vector<Buffer *> extraBuffers_;
+    /**
+     * One entry per port this component was ever refused at (its
+     * fan-out, a handful). A stale entry is refreshed in place when
+     * the component waits on that port again. The port pointer is only
+     * compared, never followed. Lifetime rule: a sender and the ports
+     * it sends to belong to one simulation and are destroyed together,
+     * after its last send, so no later port this component waits on
+     * can reuse a listed port's address.
+     */
+    std::vector<Listing> listings_;
 };
 
 /**

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/idmap.hh"
 #include "sim/msg.hh"
 #include "sim/name.hh"
 #include "sim/pool.hh"
@@ -221,15 +220,21 @@ class QueueEntry
 /**
  * Time-ordered queue of entries: (time, primary-before-secondary, FIFO).
  *
- * Two-level structure. Entries land in per-timestamp buckets
- * (append-only vectors, one for each phase), and a small min-heap
- * orders only the *distinct* timestamps, one entry each. Pushing costs
- * one IdMap lookup (a multiply and a shift, no division) and a vector
- * append — co-timed events (the common case in cycle-aligned
- * simulations) never pay a per-event heap sift. Ticks and deliveries
- * are primary; FIFO order holds across the three entry kinds.
+ * Entries land in per-timestamp buckets (append-only vectors, one for
+ * each phase). A calendar wheel (Brown's calendar queue) indexes the
+ * buckets: kSlots slots of 2^kQuantumBits ps, each holding a singly
+ * linked, time-sorted list of the buckets whose quantum
+ * (time >> kQuantumBits) falls on it, so buckets of later turns share
+ * a slot behind the earlier ones. A 1 GHz simulation pushes almost
+ * everything one or two cycles ahead, so a push walks a list of one or
+ * two buckets: no hash, no division and no heap. The front advances
+ * quantum by quantum, skipping empty slots with an occupancy bitmap,
+ * and takes a slot's head when the head's quantum is the current one;
+ * when nothing lies within one turn it jumps to the earliest head.
+ * Ticks and deliveries are primary; FIFO order holds across the three
+ * entry kinds.
  *
- * Buckets live in a stable pool: the map holds pointers, so a bucket
+ * Buckets live in a stable pool: the wheel holds pointers, so a bucket
  * never moves, and a drained bucket returns to a spare list with its
  * vectors' capacity, so a steady-state simulation (e.g. an event chain
  * marching one timestamp at a time) allocates nothing per timestamp.
@@ -239,8 +244,8 @@ class QueueEntry
  * ticks — looks up once per timestamp, not twice per event. Both
  * caches drop a bucket when it returns to the pool.
  *
- * Time ~0 is reserved (the map's empty key); a push throws on it and
- * keeps nothing.
+ * Time ~0 is reserved (TickingComponent's "no tick armed"); a push
+ * throws on it and keeps nothing.
  *
  * Not internally synchronized: the engine serializes access with its
  * run lock. Destroying the queue releases every queued payload.
@@ -249,7 +254,7 @@ class EventQueue
 {
   public:
     /** The one time no event may carry. */
-    static constexpr VTime kReservedTime = IdMap<void *>::kEmptyKey;
+    static constexpr VTime kReservedTime = ~VTime{0};
 
     /** pop()'s result: the entry and its time. */
     struct Popped
@@ -302,7 +307,7 @@ class EventQueue
     Popped pop();
 
     /** Time of the earliest entry; queue must be non-empty. */
-    VTime peekTime() const;
+    VTime peekTime() const { return frontBucket()->time; }
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
@@ -315,6 +320,9 @@ class EventQueue
         std::vector<QueueEntry> secondary;
         std::size_t primaryHead = 0;
         std::size_t secondaryHead = 0;
+        VTime time = 0;
+        /** The next bucket of the same slot (a later time). */
+        Bucket *next = nullptr;
 
         bool livePrimary() const { return primaryHead < primary.size(); }
 
@@ -326,6 +334,20 @@ class EventQueue
         bool live() const { return livePrimary() || liveSecondary(); }
     };
 
+    /** 1024 ps per slot: a 1 GHz cycle spans one or two slots. */
+    static constexpr unsigned kQuantumBits = 10;
+    /** One turn of the wheel covers kSlots quanta (262,144 ps). */
+    static constexpr std::size_t kSlots = 256;
+    static constexpr std::size_t kWords = kSlots / 64;
+
+    static VTime quantum(VTime t) { return t >> kQuantumBits; }
+
+    static std::size_t
+    slotOf(VTime q)
+    {
+        return static_cast<std::size_t>(q) & (kSlots - 1);
+    }
+
     /**
      * Appends @p e at @p t. Throws before keeping anything, so the
      * caller still owns the payload when it throws.
@@ -333,13 +355,11 @@ class EventQueue
     void
     insert(VTime t, bool secondary, QueueEntry e)
     {
-        if (last_ == nullptr || lastTime_ != t) {
+        if (last_ == nullptr || last_->time != t)
             last_ = bucketAt(t);
-            lastTime_ = t;
-        }
         (secondary ? last_->secondary : last_->primary).push_back(e);
         // A push ahead of the cached front becomes the new front.
-        if (front_ != nullptr && t < frontTime_)
+        if (front_ != nullptr && t < front_->time)
             front_ = nullptr;
         size_++;
     }
@@ -353,24 +373,30 @@ class EventQueue
      */
     Bucket *frontBucket() const;
 
-    // Mutable: peekTime() lazily prunes drained timestamps.
-    /** Time -> bucket for every timestamp in timesHeap_. */
-    mutable IdMap<Bucket *> buckets_;
+    /**
+     * First occupied slot at or after @p from, wrapping around the
+     * wheel; kSlots when every slot is empty.
+     */
+    std::size_t nextOccupied(std::size_t from) const;
+
+    /** Earliest bucket time on the wheel (every slot's head). */
+    VTime earliestHead() const;
+
+    // Mutable: peekTime() lazily prunes drained buckets.
+    /** Head of each slot's time-sorted bucket list. */
+    mutable Bucket *slots_[kSlots] = {};
+    /** One bit per slot, set while the slot's list is non-empty. */
+    mutable std::uint64_t occupied_[kWords] = {};
+    /** Quantum of the front; no bucket on the wheel is earlier. */
+    mutable VTime cursor_ = 0;
     /** Owns every bucket ever made; addresses never change. */
     std::vector<std::unique_ptr<Bucket>> pool_;
     /** Drained buckets ready for reuse (capacity preserved). */
     mutable std::vector<Bucket *> spare_;
-    /** Earliest live bucket, or nullptr to recompute from the heap. */
+    /** Earliest live bucket, or nullptr to search the wheel. */
     mutable Bucket *front_ = nullptr;
-    mutable VTime frontTime_ = 0;
     /** Bucket of the most recent push (nullptr once recycled). */
     mutable Bucket *last_ = nullptr;
-    VTime lastTime_ = 0;
-    /**
-     * Min-heap (std::greater) of the timestamps in buckets_, each once;
-     * an entry stays until its bucket has drained and reaches the top.
-     */
-    mutable std::vector<VTime> timesHeap_;
     std::size_t size_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/port.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sim/component.hh"
@@ -54,8 +53,9 @@ void
 Port::addWaiterSlow(Component *sender)
 {
     lastWaiter_ = sender;
-    if (std::find(waiters_.begin(), waiters_.end(), sender) ==
-        waiters_.end())
+    // The sender's listing of this port, not a scan of waiters_, says
+    // whether it is already listed since the last wake.
+    if (sender->listOn(this, wakeEpoch_))
         waiters_.push_back(sender);
 }
 
@@ -69,6 +69,9 @@ Port::wakeWaiters()
     toWake.swap(waking_);
     toWake.swap(waiters_);
     lastWaiter_ = nullptr;
+    // Every listing of this port is stale from here on, so a woken
+    // sender (even one re-registering inside its wake) lists anew.
+    wakeEpoch_++;
     for (Component *c : toWake)
         c->slotFreed();
     toWake.clear();

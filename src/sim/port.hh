@@ -251,9 +251,14 @@ class Port
     std::vector<Component *> waking_;
     /**
      * The most recently registered waiter while it is still listed, so
-     * a sender retrying a full port skips the list scan.
+     * a sender retrying a full port skips the listing lookup.
      */
     Component *lastWaiter_ = nullptr;
+    /**
+     * Bumped by every wakeWaiters(): a sender's listing of this port
+     * (Component::listOn) is live only while it carries this epoch.
+     */
+    std::uint64_t wakeEpoch_ = 0;
 };
 
 } // namespace sim

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/l2cache.hh"
@@ -431,6 +433,124 @@ TEST(CacheTest, DroppedForeignMessagesStillAdmitTheRequest)
     EXPECT_EQ(rig.cache.topPort()->buf().size(), 0u);
 }
 
+namespace
+{
+
+/**
+ * A one-slot memory that takes nothing while closed, so every fetch
+ * after the first is refused until open(). Once open it answers each
+ * request at once and counts the requests per address.
+ */
+class GatedMemory : public sim::TickingComponent
+{
+  public:
+    explicit GatedMemory(sim::Engine *engine)
+        : TickingComponent(engine, "Gate", sim::Freq::ghz(1))
+    {
+        top = addPort("TopPort", 1);
+    }
+
+    void
+    open()
+    {
+        open_ = true;
+        wake();
+    }
+
+    bool
+    tick() override
+    {
+        if (!open_)
+            return false;
+        bool progress = false;
+        while (true) {
+            if (rsp_ == nullptr) {
+                const sim::MsgPtr &msg = top->peekIncoming();
+                if (msg == nullptr)
+                    break;
+                auto *req = sim::msgCast<MemReq>(msg);
+                seen[req->addr]++;
+                rsp_ = makeRsp(*req);
+                rsp_->dst = msg->src;
+                top->retrieveIncoming();
+                progress = true;
+            }
+            if (top->send(rsp_) != sim::SendStatus::Ok)
+                break;
+            rsp_ = nullptr;
+            progress = true;
+        }
+        return progress;
+    }
+
+    sim::Port *top = nullptr;
+    /** Requests taken, by address. */
+    std::map<std::uint64_t, int> seen;
+
+  private:
+    bool open_ = false;
+    MemRspPtr rsp_;
+};
+
+constexpr int kGatedLines = 8;
+
+/** Reads kGatedLines distinct lines from 0x20000 through @p dst. */
+void
+enqueueGatedReads(Requester &req, sim::Port *dst)
+{
+    for (int i = 0; i < kGatedLines; i++)
+        req.enqueue(0x20000ull + i * 64, false, dst);
+    req.tickLater();
+}
+
+/** Every line was fetched exactly once. */
+void
+expectEachLineFetchedOnce(const GatedMemory &gate)
+{
+    ASSERT_EQ(gate.seen.size(), static_cast<std::size_t>(kGatedLines));
+    for (const auto &kv : gate.seen)
+        EXPECT_EQ(kv.second, 1) << "line " << kv.first;
+}
+
+} // namespace
+
+TEST(CacheTest, RefusedFetchesAreEachSentOnce)
+{
+    // The downstream port holds one fetch and refuses the rest until
+    // it opens: the MSHR keeps seven fetches unsent, then sends each
+    // once as slots free.
+    sim::Engine eng;
+    Requester req(&eng, "Req");
+    Cache cache(&eng, "L1", sim::Freq::ghz(1), Cache::Config{});
+    GatedMemory gate(&eng);
+    SinglePortMapper mapper(gate.top);
+    cache.setMapper(&mapper);
+    sim::DirectConnection top(&eng, "Top", sim::kNanosecond);
+    sim::DirectConnection bottom(&eng, "Bottom", sim::kNanosecond);
+    top.plugIn(req.out);
+    top.plugIn(cache.topPort());
+    bottom.plugIn(cache.bottomPort());
+    bottom.plugIn(gate.top);
+
+    enqueueGatedReads(req, cache.topPort());
+    eng.run();
+    EXPECT_EQ(cache.transactionCount(),
+              static_cast<std::size_t>(kGatedLines));
+    EXPECT_EQ(cache.unsentFetches(),
+              static_cast<std::size_t>(kGatedLines - 1));
+    EXPECT_GT(cache.bottomPort()->totalSendRejections(), 0u);
+    EXPECT_EQ(gate.top->buf().size(), 1u);
+
+    gate.open();
+    eng.run();
+    EXPECT_EQ(req.rspOrder.size(), static_cast<std::size_t>(kGatedLines));
+    expectEachLineFetchedOnce(gate);
+    EXPECT_EQ(cache.bottomPort()->totalSent(),
+              static_cast<std::uint64_t>(kGatedLines));
+    EXPECT_EQ(cache.unsentFetches(), 0u);
+    EXPECT_EQ(cache.transactionCount(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // DRAM
 // ---------------------------------------------------------------------
@@ -584,4 +704,39 @@ TEST(L2CacheTest, CoalescesReadsAndWritesToSameLine)
     rig.eng.run();
     EXPECT_EQ(rig.req.rspOrder.size(), 3u);
     EXPECT_EQ(rig.dram.totalReads(), 1u) << "one fill for the line";
+}
+
+TEST(L2CacheTest, RefusedFetchesAreEachSentOnce)
+{
+    // As CacheTest.RefusedFetchesAreEachSentOnce, through the L2's
+    // write-buffer fetch stage.
+    sim::Engine eng;
+    Requester req(&eng, "Req");
+    L2Cache l2(&eng, "L2", sim::Freq::ghz(1), L2Cache::Config{});
+    GatedMemory gate(&eng);
+    sim::DirectConnection top(&eng, "Top", sim::kNanosecond);
+    sim::DirectConnection bottom(&eng, "Bottom", sim::kNanosecond);
+    top.plugIn(req.out);
+    top.plugIn(l2.topPort());
+    bottom.plugIn(l2.bottomPort());
+    bottom.plugIn(l2.wbPort());
+    bottom.plugIn(gate.top);
+    l2.setDownstream(gate.top);
+
+    enqueueGatedReads(req, l2.topPort());
+    eng.run();
+    EXPECT_EQ(l2.transactionCount(), static_cast<std::size_t>(kGatedLines));
+    EXPECT_EQ(l2.unsentFetches(),
+              static_cast<std::size_t>(kGatedLines - 1));
+    EXPECT_GT(l2.bottomPort()->totalSendRejections(), 0u);
+    EXPECT_EQ(gate.top->buf().size(), 1u);
+
+    gate.open();
+    eng.run();
+    EXPECT_EQ(req.rspOrder.size(), static_cast<std::size_t>(kGatedLines));
+    expectEachLineFetchedOnce(gate);
+    EXPECT_EQ(l2.bottomPort()->totalSent(),
+              static_cast<std::uint64_t>(kGatedLines));
+    EXPECT_EQ(l2.unsentFetches(), 0u);
+    EXPECT_EQ(l2.transactionCount(), 0u);
 }

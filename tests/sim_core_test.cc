@@ -687,6 +687,100 @@ TEST(EventQueue, PushEarlierThanCachedFrontBecomesFront)
     EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, MatchesReferenceModelAcrossWheelTurns)
+{
+    // The queue's wheel has 256 slots of 1024 ps, so times one turn
+    // (262,144 ps) apart share a slot. Each phase below pops against
+    // the reference model.
+    constexpr VTime kQuantum = 1024;
+    constexpr VTime kTurn = 256 * kQuantum;
+    EventQueue q;
+    ReferenceQueue ref;
+    Recorder r;
+    std::uint64_t seq = 0;
+    auto push = [&](VTime t, bool secondary) {
+        q.push(std::make_unique<SeqEvent>(t, &r, secondary, seq));
+        ref.push(t, secondary, seq);
+        seq++;
+    };
+    auto drain = [&]() {
+        while (!ref.live.empty())
+            ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+        ASSERT_TRUE(q.empty());
+    };
+
+    // One slot shared by three turns, the latest pushed first, and
+    // several off-grid times inside one quantum, pushed out of order.
+    push(5 * kQuantum + 3 + 2 * kTurn, false);
+    push(5 * kQuantum + 3 + kTurn, true);
+    push(5 * kQuantum + 7, false);
+    for (VTime off : {900, 17, 512, 1, 1023, 17, 0})
+        push(9 * kQuantum + off, off % 2 == 0);
+    push(6 * kQuantum + 11 + kTurn, false);
+    ASSERT_NO_FATAL_FAILURE(popBoth(q, ref)); // 5q + 7
+    // The slot's head is now a later turn's: the front must move on to
+    // quantum 9 first.
+    EXPECT_EQ(q.peekTime(), 9 * kQuantum);
+    ASSERT_NO_FATAL_FAILURE(drain());
+
+    // A push at the current time after its bucket has drained: once
+    // while the drained bucket is still indexed, once after the front
+    // has moved a turn ahead and recycled it.
+    VTime now = 3 * kTurn + 500;
+    VTime later = now + kTurn + 5 * kQuantum;
+    push(now, false);
+    push(later, false);
+    ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+    push(now, true);
+    push(now, false);
+    ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+    ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+    EXPECT_EQ(q.peekTime(), later);
+    push(now, false);
+    ASSERT_NO_FATAL_FAILURE(drain());
+
+    // Random traffic spread over four turns ahead of the front, mixed
+    // with the simulation's cycle-aligned pushes.
+    std::uint64_t state = 7;
+    auto rnd = [&state](std::uint64_t n) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % n;
+    };
+    VTime base = 10 * kTurn;
+    for (int round = 0; round < 20000; round++) {
+        for (int i = static_cast<int>(rnd(4)); i > 0; i--) {
+            VTime t = rnd(3) == 0 ? base + rnd(4 * kTurn)
+                                  : base + 1000 * (1 + rnd(3));
+            push(t, rnd(5) == 0);
+        }
+        int pops = static_cast<int>(ref.live.size() > 200 ? rnd(5)
+                                                           : rnd(3));
+        for (int i = 0; i < pops && !ref.live.empty(); i++)
+            ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+        ASSERT_EQ(q.size(), ref.live.size());
+        if (!ref.live.empty())
+            base = std::max(base, q.peekTime());
+    }
+    ASSERT_NO_FATAL_FAILURE(drain());
+
+    // A sparse phase: one far-future event alone on the wheel, in the
+    // slot of the first near event; near events in every part of the
+    // wheel pushed and popped ahead of it; then the far one reached
+    // across thousands of turns.
+    VTime first = (base / kTurn + 1) * kTurn + 10 * kQuantum + 5;
+    VTime far = first + 5000 * kTurn - 2;
+    push(far, false);
+    for (VTime t = first; t < first + 5 * kTurn; t += 37 * kQuantum) {
+        push(t, false);
+        ASSERT_NO_FATAL_FAILURE(popBoth(q, ref));
+        EXPECT_EQ(q.peekTime(), far);
+    }
+    EXPECT_EQ(q.peekTime(), far);
+    push(far + 1, false);
+    push(far - kTurn, false);
+    ASSERT_NO_FATAL_FAILURE(drain());
+}
+
 TEST(EventQueue, ReservedTimeIsRejected)
 {
     EventQueue q;

@@ -699,6 +699,63 @@ TEST(PortClaim, RepeatedBusySendsRegisterOnce)
     EXPECT_TRUE(log.empty());
 }
 
+TEST(PortClaim, SenderListedOnTwoPortsRegistersOncePerPort)
+{
+    // A sender waiting on two full ports is listed once on each. A wake
+    // of one port ends that listing only: the sender lists anew there
+    // and stays listed, once, on the other.
+    Engine eng;
+    std::vector<std::string> log;
+    WakeLogger a(&eng, "A", &log), c(&eng, "C", &log),
+        b(&eng, "B", &log), d(&eng, "D", &log);
+    Port *p1 = b.addPort("In", 1);
+    Port *p2 = d.addPort("In", 1);
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    conn.plugIn(a.out);
+    conn.plugIn(c.out);
+    conn.plugIn(p1);
+    conn.plugIn(p2);
+
+    ASSERT_EQ(a.sendTo(p1, 0), SendStatus::Ok);
+    ASSERT_EQ(a.sendTo(p2, 1), SendStatus::Ok);
+    EXPECT_EQ(a.sendTo(p1, 2), SendStatus::Busy);
+    EXPECT_EQ(c.sendTo(p1, 3), SendStatus::Busy);
+    EXPECT_EQ(a.sendTo(p2, 4), SendStatus::Busy);
+    // A is not P1's last waiter, so this retry checks its listing.
+    EXPECT_EQ(a.sendTo(p1, 2), SendStatus::Busy);
+    EXPECT_EQ(p1->blockedSenders(), (std::vector<Component *>{&a, &c}));
+    EXPECT_EQ(p2->blockedSenders(), std::vector<Component *>{&a});
+    eng.run();
+    ASSERT_EQ(log, (std::vector<std::string>{"B", "D"}));
+
+    // P1 frees a slot: A and C wake; A stays listed on P2.
+    EXPECT_EQ(valueOf(p1->retrieveIncoming()), 0);
+    EXPECT_EQ(log, (std::vector<std::string>{"B", "D", "A", "C"}));
+    EXPECT_TRUE(p1->blockedSenders().empty());
+    EXPECT_EQ(p2->blockedSenders(), std::vector<Component *>{&a});
+
+    // C takes the slot; A's retry lists it on P1 again, once.
+    ASSERT_EQ(c.sendTo(p1, 3), SendStatus::Ok);
+    EXPECT_EQ(a.sendTo(p1, 2), SendStatus::Busy);
+    EXPECT_EQ(c.sendTo(p2, 5), SendStatus::Busy);
+    EXPECT_EQ(a.sendTo(p2, 4), SendStatus::Busy);
+    EXPECT_EQ(c.sendTo(p1, 6), SendStatus::Busy);
+    EXPECT_EQ(a.sendTo(p1, 2), SendStatus::Busy);
+    EXPECT_EQ(p1->blockedSenders(), (std::vector<Component *>{&a, &c}));
+    EXPECT_EQ(p2->blockedSenders(), (std::vector<Component *>{&a, &c}));
+
+    // Each port wakes its own waiters, in registration order.
+    eng.run();
+    log.clear();
+    EXPECT_EQ(valueOf(p2->retrieveIncoming()), 1);
+    EXPECT_EQ(log, (std::vector<std::string>{"A", "C"}));
+    EXPECT_TRUE(p2->blockedSenders().empty());
+    EXPECT_EQ(p1->blockedSenders(), (std::vector<Component *>{&a, &c}));
+    EXPECT_EQ(valueOf(p1->retrieveIncoming()), 3);
+    EXPECT_EQ(log, (std::vector<std::string>{"A", "C", "A", "C"}));
+    EXPECT_TRUE(p1->blockedSenders().empty());
+}
+
 TEST(PortClaim, WaitersWakeInInsertionOrder)
 {
     Engine eng;
